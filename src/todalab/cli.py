@@ -2,8 +2,9 @@
 lax-check.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config), 2
-numerical failure (Newton / root finder).  Every run writes a manifest next
-to its outputs; all file writes are atomic (temp file + rename).
+numerical failure (Newton / root finder, non-finite fields).  Every run
+writes a manifest next to its outputs; all file writes are atomic (temp
+file + rename).
 """
 
 from __future__ import annotations

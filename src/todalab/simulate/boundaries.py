@@ -4,11 +4,15 @@ Each spec provides the normal-derivative function dB(phi): the condition is
 ``d_x phi = -dB`` at a right endpoint and ``d_x phi = +dB`` at a left one,
 imposed through second-order ghost cells.  Robin with ``lam = 0`` is Neumann;
 an optional constant offset gives the inhomogeneous Robin variant.
+
+``bind(model)`` returns dB as a one-argument function with the model's
+data resolved once per run, or None where dB vanishes identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +25,9 @@ class Neumann:
     def db(self, model, phi_b: np.ndarray) -> np.ndarray:
         return np.zeros_like(phi_b)
 
+    def bind(self, model) -> None:
+        return None
+
     def value(self, model, phi_b: np.ndarray) -> float:
         return 0.0
 
@@ -32,6 +39,9 @@ class Robin:
 
     def db(self, model, phi_b: np.ndarray) -> np.ndarray:
         return self.lam * phi_b - self.offset
+
+    def bind(self, model):
+        return partial(self.db, model)
 
     def value(self, model, phi_b: np.ndarray) -> float:
         return float(np.sum(0.5 * self.lam * phi_b**2 - self.offset * phi_b))
@@ -68,9 +78,17 @@ class TodaBoundary:
         return np.asarray(self.b, dtype=float), alpha, m_t, beta_t
 
     def db(self, model, phi_b: np.ndarray) -> np.ndarray:
+        return self.bind(model)(phi_b)
+
+    def bind(self, model):
         b, alpha, m_t, beta_t = self._data(model)
-        exps = np.exp(beta_t * (alpha @ phi_b) / 2.0)
-        return (m_t / (2.0 * beta_t)) * (alpha.T @ (b * exps))
+        scale = m_t / (2.0 * beta_t)
+
+        def db(phi_b: np.ndarray) -> np.ndarray:
+            exps = np.exp(beta_t * (alpha @ phi_b) / 2.0)
+            return scale * (alpha.T @ (b * exps))
+
+        return db
 
     def value(self, model, phi_b: np.ndarray) -> float:
         b, alpha, m_t, beta_t = self._data(model)

@@ -22,40 +22,91 @@ class Diagnostics:
     probes: tuple[float, ...]
 
 
-def _gradient_x(arr: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(arr, -1, axis=-1) - np.roll(arr, 1, axis=-1)) / (2.0 * h)
-    return np.gradient(arr, h, axis=-1)
+def _gradient_into(arr: np.ndarray, h: float, out: np.ndarray) -> None:
+    """np.gradient(arr, h, axis=-1) (second-order inside, first-order ends),
+    the same operations written into ``out``."""
+    n = arr.shape[-1]
+    inner = out[..., 1:-1]
+    np.subtract(arr[..., 2:], arr[..., :-2], out=inner)
+    np.divide(inner, 2.0 * h, out=inner)
+    ends = out[..., :: n - 1]  # nodes 0 and n-1: f[1] - f[0], f[n-1] - f[n-2]
+    np.subtract(arr[..., 1 :: n - 2], arr[..., : n - 1 : n - 2], out=ends)
+    np.divide(ends, h, out=ends)
 
 
-def _trapz(values: np.ndarray, h: float, periodic: bool) -> float:
-    if periodic:
-        return float(np.sum(values) * h)
-    return float(np.trapezoid(values, dx=h))
+def _trapz_into(values: np.ndarray, h: float, out: np.ndarray) -> float:
+    """np.trapezoid(values, dx=h), using ``out`` (one shorter) as scratch."""
+    np.add(values[1:], values[:-1], out=out)
+    np.multiply(out, h, out=out)
+    np.divide(out, 2.0, out=out)
+    return float(out.sum())
 
 
 def _beta_of(model) -> float:
     return getattr(model, "beta", 0.0)
 
 
+class _ObservePlan:
+    """Probe nodes and scratch buffers of ``diagnostics`` for one geometry,
+    state layout and probe list."""
+
+    def __init__(self, geometry: Geometry, state, probes: tuple[float, ...]):
+        x = geometry.x
+        self.h = geometry.grid.h
+        self.periodic = geometry.kind == "periodic"
+        if isinstance(state, DefectState):
+            i0 = geometry.interface_index
+            # (side, node): the left field at x < 0, the right field otherwise
+            self.probes = [
+                (0, int(np.argmin(np.abs(x[: i0 + 1] - px))))
+                if px < 0
+                else (1, int(np.argmin(np.abs(x[i0:] - px))))
+                for px in probes
+            ]
+            # gradient, density, flux and trapezoid scratch of each side
+            self.sides = [
+                (np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1))
+                for n in (len(state.phi), len(state.psi))
+            ]
+        else:
+            self.probes = [int(np.argmin(np.abs(x - px))) for px in probes]
+            n = state.phi.shape[-1]
+            self.grad, self.work = np.empty(state.phi.shape), np.empty(state.phi.shape)
+            self.dens, self.flux, self.trapz = np.empty(n), np.empty(n), np.empty(n - 1)
+
+
+def _defect_side(arr, pi, model, h, bufs) -> tuple[float, float]:
+    """Energy and momentum integrals of one side of the defect."""
+    grad, dens, flux, scratch = bufs
+    _gradient_into(arr, h, grad)
+    np.square(pi, out=dens)
+    np.multiply(dens, 0.5, out=dens)
+    np.square(grad, out=flux)
+    np.multiply(flux, 0.5, out=flux)
+    np.add(dens, flux, out=dens)
+    np.add(dens, model.potential(arr[None, :]), out=dens)
+    np.multiply(pi, grad, out=flux)
+    return _trapz_into(dens, h, scratch), _trapz_into(flux, h, scratch)
+
+
 def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()) -> Diagnostics:
     """Energy, momentum (paper convention P = int d_t phi d_x phi), defect
     functional U, P + U, and topological charge; probe values are field
     samples at the nearest grid node."""
-    h = geometry.grid.h
-    periodic = geometry.kind == "periodic"
+    probes = tuple(probes)
+    plan = geometry.memo(
+        ("observe", state.phi.shape, probes), lambda: _ObservePlan(geometry, state, probes)
+    )
+    h = plan.h
     beta = _beta_of(model)
 
     if isinstance(state, DefectState):
         defect = geometry.defect
-        x = geometry.x
-        i0 = geometry.interface_index
         e = u = p = 0.0
-        for arr, pi in ((state.phi, state.pi_phi), (state.psi, state.pi_psi)):
-            grad = _gradient_x(arr, h, periodic=False)
-            dens = 0.5 * pi**2 + 0.5 * grad**2 + model.potential(arr[None, :])
-            e += _trapz(dens, h, periodic=False)
-            p += _trapz(pi * grad, h, periodic=False)
+        for arr, pi, bufs in zip((state.phi, state.psi), (state.pi_phi, state.pi_psi), plan.sides):
+            de, dp = _defect_side(arr, pi, model, h, bufs)
+            e += de
+            p += dp
         phi0, psi0 = state.phi[-1], state.psi[0]
         e += float(defect.b_value(phi0, psi0))
         u = float(defect.u_value(phi0, psi0))
@@ -65,14 +116,7 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
             total_charge = coeff * (state.psi[-1] - state.phi[0])
         else:
             field_charge = total_charge = 0.0
-        probe_vals = []
-        for px in probes:
-            if px < 0:
-                idx = int(np.argmin(np.abs(x[: i0 + 1] - px)))
-                probe_vals.append(float(state.phi[idx]))
-            else:
-                idx = int(np.argmin(np.abs(x[i0:] - px)))
-                probe_vals.append(float(state.psi[idx]))
+        sides = (state.phi, state.psi)
         return Diagnostics(
             t=state.t,
             energy=e,
@@ -81,24 +125,41 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
             p_plus_u=p + u,
             topological_charge=total_charge,
             field_charge=field_charge,
-            probes=tuple(probe_vals),
+            probes=tuple(float(sides[side][idx]) for side, idx in plan.probes),
         )
 
     phi, pi = state.phi, state.pi
-    grad = _gradient_x(phi, h, periodic)
-    dens = 0.5 * np.sum(pi**2, axis=0) + 0.5 * np.sum(grad**2, axis=0) + model.potential(phi)
-    e = _trapz(dens, h, periodic)
-    p = _trapz(np.sum(pi * grad, axis=0), h, periodic)
+    grad, work, dens, flux = plan.grad, plan.work, plan.dens, plan.flux
+    if plan.periodic:
+        np.subtract(np.roll(phi, -1, axis=-1), np.roll(phi, 1, axis=-1), out=grad)
+        np.divide(grad, 2.0 * h, out=grad)
+    else:
+        _gradient_into(phi, h, grad)
+    # dens = 0.5 sum_a pi_a^2 + 0.5 sum_a (d_x phi_a)^2 + V(phi)
+    np.square(pi, out=work)
+    np.add.reduce(work, axis=0, out=dens)
+    np.multiply(dens, 0.5, out=dens)
+    np.square(grad, out=work)
+    np.add.reduce(work, axis=0, out=flux)
+    np.multiply(flux, 0.5, out=flux)
+    np.add(dens, flux, out=dens)
+    np.add(dens, model.potential(phi), out=dens)
+    np.multiply(pi, grad, out=work)
+    np.add.reduce(work, axis=0, out=flux)
+    if plan.periodic:
+        e = float(np.sum(dens) * h)
+        p = float(np.sum(flux) * h)
+    else:
+        e = _trapz_into(dens, h, plan.trapz)
+        p = _trapz_into(flux, h, plan.trapz)
     if geometry.kind in ("interval", "halfline"):
         if geometry.right is not None:
             e += geometry.right.value(model, phi[:, -1])
         if geometry.kind == "interval" and geometry.left is not None:
             e += geometry.left.value(model, phi[:, 0])
     charge = 0.0
-    if beta and not periodic:
+    if beta and not plan.periodic:
         charge = float(beta / (2.0 * np.pi) * (phi[0, -1] - phi[0, 0]))
-    x = geometry.x
-    probe_vals = tuple(float(phi[0, int(np.argmin(np.abs(x - px)))]) for px in probes)
     return Diagnostics(
         t=state.t,
         energy=e,
@@ -107,7 +168,7 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
         p_plus_u=p,
         topological_charge=charge,
         field_charge=charge,
-        probes=probe_vals,
+        probes=tuple(float(phi[0, idx]) for idx in plan.probes),
     )
 
 

@@ -26,7 +26,7 @@ from .diagnostics import Diagnostics, diagnostics
 from .grid import Grid1D
 from .models import make_model
 from .state import FieldHistory, Geometry, vacuum_state
-from .stepper import step
+from .stepper import _drive, _Snapshots
 
 _SCHEMA: dict[str, dict[str, str]] = {
     "model": {
@@ -316,6 +316,18 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _step_count(t_final: float, dt: float) -> int:
+    """Number of steps that ends the run exactly at ``t_final``."""
+    ratio = t_final / dt
+    n = round(ratio)
+    if n < 0 or abs(ratio - n) > 1e-9 * abs(ratio):
+        raise ValidationError(
+            f"t_final = {t_final!r} is not a whole number of time steps dt = {dt!r} "
+            f"({ratio:.6g} steps); nearest reachable t_final is {max(n, 0) * dt!r}"
+        )
+    return int(n)
+
+
 def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> RunResult:
     """Execute a configured run; deterministic for a fixed config.
 
@@ -326,9 +338,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     geometry = _build_geometry(cfg, model)
     state = _build_initial(cfg, model, geometry)
 
-    dt = geometry.grid.dt
-    t_final = cfg.getfloat("grid", "t_final")
-    n_steps = int(round(t_final / dt))
+    n_steps = _step_count(cfg.getfloat("grid", "t_final"), geometry.grid.dt)
     save_every = cfg.getint("grid", "save_every")
     if save_every <= 0:
         save_every = max(1, n_steps // 400)
@@ -336,40 +346,17 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     probes_raw = cfg.get("output", "probes").strip()
     probes = tuple(float(v) for v in probes_raw.split(",")) if probes_raw else ()
 
-    diags: list[Diagnostics] = [diagnostics(state, model, geometry, probes)]
-    snaps_t, snaps_phi, snaps_pi = [], [], []
+    diags: list[Diagnostics] = []
+    snaps = _Snapshots()
 
-    def snap(s):
-        snaps_t.append(s.t)
-        if hasattr(s, "psi"):  # defect: store the two fields side by side
-            snaps_phi.append(np.concatenate([s.phi, s.psi])[None, :])
-            snaps_pi.append(np.concatenate([s.pi_phi, s.pi_psi])[None, :])
-        else:
-            snaps_phi.append(np.array(s.phi, copy=True))
-            snaps_pi.append(np.array(s.pi, copy=True))
+    def observe(s):
+        diags.append(diagnostics(s, model, geometry, probes))
 
+    observers = [(save_every, True, observe)]
     if snapshot_every > 0:
-        snap(state)
-    for k in range(n_steps):
-        state = step(state, model, geometry)
-        if (k + 1) % save_every == 0 or k + 1 == n_steps:
-            state.check_finite()
-            diags.append(diagnostics(state, model, geometry, probes))
-        if snapshot_every > 0 and (k + 1) % snapshot_every == 0:
-            snap(state)
-
-    history = None
-    if snaps_phi:
-        x_hist = geometry.x
-        if geometry.kind == "defect":
-            i0 = geometry.interface_index
-            x_hist = np.concatenate([x_hist[: i0 + 1], x_hist[i0:]])
-        history = FieldHistory(
-            times=np.asarray(snaps_t),
-            x=x_hist,
-            phi=np.asarray(snaps_phi),
-            pi=np.asarray(snaps_pi),
-        )
+        observers.append((snapshot_every, False, snaps))
+    state = _drive(state, model, geometry, n_steps, observers)
+    history = snaps.history(geometry)
     result = RunResult(
         config=cfg,
         times=np.asarray([d.t for d in diags]),

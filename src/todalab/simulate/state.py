@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import StepFailure, ValidationError
 from .boundaries import BoundarySpec
 from .defects import DefectSpec
 from .grid import Grid1D
@@ -31,6 +31,7 @@ class Geometry:
     defect: DefectSpec | None = None
     sponge_fraction: float = 0.0
     sponge_strength: float = 2.0
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in GEOMETRY_KINDS:
@@ -61,6 +62,15 @@ class Geometry:
             raise ValidationError("interface index only defined for defect geometry")
         return round((0.0 - self.grid.x_min) / self.grid.h)
 
+    def memo(self, key, build):
+        """Run data derived from this geometry (step and observation plans),
+        built by ``build()`` on first use of ``key`` and kept with it."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
 
 def periodic_line(grid: Grid1D) -> Geometry:
     return Geometry(kind="periodic", grid=grid)
@@ -82,38 +92,65 @@ def with_defect(grid: Grid1D, defect: DefectSpec, sponge_fraction: float = 0.1) 
     return Geometry(kind="defect", grid=grid, defect=defect, sponge_fraction=sponge_fraction)
 
 
+def _check_finite(t: float, fields: dict[str, np.ndarray]) -> None:
+    """Raise StepFailure naming the first non-finite node, if there is one."""
+    for name, arr in fields.items():
+        if not np.isfinite(arr).all():
+            *component, node = (int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            dump = {"t": t, "field": name, "node": node}
+            if component:
+                dump["component"] = component[0]
+            raise StepFailure(
+                f"non-finite field values at t={t} (first at {name}{component + [node]})",
+                state_dump=dump,
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Single-domain state: phi and pi = d_t phi, shape (n_components, n_nodes)."""
+    """Single-domain state: phi and pi = d_t phi, shape (n_components, n_nodes).
+
+    A state made by ``step`` also carries the force at its own fields and
+    the step plan that computed it; the next step under the same plan
+    starts from that force instead of evaluating it again.
+    """
 
     t: float
     phi: np.ndarray
     pi: np.ndarray
+    force: np.ndarray | None = field(default=None, repr=False)
+    plan: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.phi.shape != self.pi.shape:
             raise ValidationError("phi and pi must have matching shapes")
 
     def check_finite(self) -> None:
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.pi))):
-            raise ValidationError(f"non-finite field values at t={self.t}")
+        _check_finite(self.t, {"phi": self.phi, "pi": self.pi})
 
 
 @dataclass(frozen=True, eq=False)
 class DefectState:
     """Two scalar fields joined at x = 0: phi on the left grid (interface is
-    its last node), psi on the right grid (interface is its first node)."""
+    its last node), psi on the right grid (interface is its first node).
+
+    ``f_phi``/``f_psi`` and ``plan`` are the end-of-step forces, as on
+    FieldState."""
 
     t: float
     phi: np.ndarray
     pi_phi: np.ndarray
     psi: np.ndarray
     pi_psi: np.ndarray
+    f_phi: np.ndarray | None = field(default=None, repr=False)
+    f_psi: np.ndarray | None = field(default=None, repr=False)
+    plan: object = field(default=None, repr=False)
 
     def check_finite(self) -> None:
-        for arr in (self.phi, self.pi_phi, self.psi, self.pi_psi):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"non-finite field values at t={self.t}")
+        _check_finite(
+            self.t,
+            {"phi": self.phi, "pi_phi": self.pi_phi, "psi": self.psi, "pi_psi": self.pi_psi},
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,14 +9,23 @@ into ODEs for the two interface values,
 discretized with a trapezoidal average in time (the explicit version is
 unstable) and one-sided second-order spatial derivatives; the resulting
 2x2 nonlinear system is solved by damped Newton each step.
+
+Everything a step needs that does not change during a run (spacing, time
+step, sponge damping, bound boundary conditions, interface layout, the
+model check) sits in a step plan built once per (model, geometry).  The
+force at the end of a step is the force at the start of the next one
+("first same as last"), so each state made by ``step`` carries it, tagged
+with its plan, and the next step under that plan evaluates the force once
+instead of twice.  The arithmetic and its order are those of the plain
+two-force step, so results are bit for bit the same.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import StepFailure
-from .state import DefectState, FieldState, Geometry
+from ..errors import StepFailure, ValidationError
+from .state import DefectState, FieldHistory, FieldState, Geometry
 
 
 def _sponge_profile(geometry: Geometry) -> np.ndarray | None:
@@ -42,44 +51,95 @@ def _sponge_profile(geometry: Geometry) -> np.ndarray | None:
     return np.exp(-sigma * geometry.grid.dt)
 
 
-def _laplacian(phi: np.ndarray, geometry: Geometry, model) -> np.ndarray:
-    h = geometry.grid.h
-    lap = np.empty_like(phi)
-    if geometry.kind == "periodic":
-        lap[:] = (np.roll(phi, -1, axis=-1) - 2.0 * phi + np.roll(phi, 1, axis=-1)) / h**2
-        return lap
-    lap[..., 1:-1] = (phi[..., 2:] - 2.0 * phi[..., 1:-1] + phi[..., :-2]) / h**2
-    left = geometry.left if geometry.kind == "interval" else None
-    right = geometry.right if geometry.kind in ("interval", "halfline") else None
-    # open/far ends default to Neumann
-    db_left = left.db(model, phi[..., 0]) if left is not None else 0.0
-    db_right = right.db(model, phi[..., -1]) if right is not None else 0.0
-    lap[..., 0] = (2.0 * phi[..., 1] - 2.0 * phi[..., 0] - 2.0 * h * db_left) / h**2
-    lap[..., -1] = (2.0 * phi[..., -2] - 2.0 * phi[..., -1] - 2.0 * h * db_right) / h**2
-    return lap
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
-def _force(phi: np.ndarray, geometry: Geometry, model) -> np.ndarray:
-    return _laplacian(phi, geometry, model) - model.gradient(phi)
+def _interior_laplacian(arr: np.ndarray, out: np.ndarray, h2: float) -> None:
+    """(arr[i+1] - 2 arr[i] + arr[i-1]) / h^2 at the inner nodes, into out."""
+    inner = out[..., 1:-1]
+    np.multiply(arr[..., 1:-1], 2.0, out=inner)
+    np.subtract(arr[..., 2:], inner, out=inner)
+    np.add(inner, arr[..., :-2], out=inner)
+    np.divide(inner, h2, out=inner)
 
 
-def step(state, model, geometry: Geometry):
-    """Advance one leapfrog step; returns a new state at t + dt."""
-    if isinstance(state, DefectState):
-        return _step_defect(state, model, geometry)
-    return _step_bulk(state, model, geometry)
+class _BulkPlan:
+    """Step constants and scratch buffers of a single-domain run."""
+
+    def __init__(self, model, geometry: Geometry):
+        grid = geometry.grid
+        self.model = model
+        self.shape = (model.n_components, len(geometry.x))
+        self.dt = grid.dt
+        self.half_dt = 0.5 * grid.dt
+        self.h2 = grid.h**2
+        self.ghost = 2.0 * grid.h
+        self.periodic = geometry.kind == "periodic"
+        left = geometry.left if geometry.kind == "interval" else None
+        right = geometry.right if geometry.kind in ("interval", "halfline") else None
+        # open/far ends are Neumann: no boundary term
+        self.db_left = left.bind(model) if left is not None else None
+        self.db_right = right.bind(model) if right is not None else None
+        self.damp = _sponge_profile(geometry)
+        self.kick = np.empty(self.shape)  # scratch of the bulk step
+        self.pi_half = np.empty(self.shape)
+
+    def check(self, state) -> None:
+        if not isinstance(state, FieldState) or state.phi.shape != self.shape:
+            got = state.phi.shape if isinstance(state, FieldState) else type(state).__name__
+            raise ValidationError(
+                f"state fields {got} do not fit the {type(self.model).__name__} model on this "
+                f"grid: expected (n_components, n_nodes) = {self.shape}"
+            )
+
+    def force(self, phi: np.ndarray) -> np.ndarray:
+        """Ghost-cell Laplacian minus the model gradient, as a new array."""
+        h2 = self.h2
+        f = np.empty_like(phi)
+        _interior_laplacian(phi, f, h2)
+        # end nodes row by row in scalar arithmetic: the same operations as
+        # on whole columns, without the per-call cost of tiny array ops
+        if self.periodic:
+            for p, q in zip(phi, f):
+                q[0] = (p[1] - 2.0 * p[0] + p[-1]) / h2
+                q[-1] = (p[0] - 2.0 * p[-1] + p[-2]) / h2
+        else:
+            db_l = self.db_left(phi[:, 0]) if self.db_left is not None else None
+            db_r = self.db_right(phi[:, -1]) if self.db_right is not None else None
+            for c, (p, q) in enumerate(zip(phi, f)):
+                v0 = 2.0 * p[1] - 2.0 * p[0]
+                v1 = 2.0 * p[-2] - 2.0 * p[-1]
+                if db_l is not None:
+                    v0 = v0 - self.ghost * db_l[c]
+                if db_r is not None:
+                    v1 = v1 - self.ghost * db_r[c]
+                q[0] = v0 / h2
+                q[-1] = v1 / h2
+        np.subtract(f, self.model.gradient(phi), out=f)
+        return f
 
 
-def _step_bulk(state: FieldState, model, geometry: Geometry) -> FieldState:
-    dt = geometry.grid.dt
-    phi, pi = state.phi, state.pi
-    pi_half = pi + 0.5 * dt * _force(phi, geometry, model)
-    phi_new = phi + dt * pi_half
-    pi_new = pi_half + 0.5 * dt * _force(phi_new, geometry, model)
-    damp = _sponge_profile(geometry)
-    if damp is not None:
-        pi_new = pi_new * damp
-    return FieldState(t=state.t + dt, phi=phi_new, pi=pi_new)
+def _step_bulk(plan: _BulkPlan, state: FieldState) -> FieldState:
+    if state.plan is plan:
+        f = state.force
+    else:
+        plan.check(state)
+        f = plan.force(state.phi)
+    kick, pi_half = plan.kick, plan.pi_half
+    np.multiply(f, plan.half_dt, out=kick)
+    np.add(state.pi, kick, out=pi_half)
+    np.multiply(pi_half, plan.dt, out=kick)
+    phi = np.add(state.phi, kick)
+    f = plan.force(phi)
+    np.multiply(f, plan.half_dt, out=kick)
+    pi = np.add(pi_half, kick)
+    if plan.damp is not None:
+        np.multiply(pi, plan.damp, out=pi)
+    return FieldState(
+        t=state.t + plan.dt, phi=_frozen(phi), pi=_frozen(pi), force=_frozen(f), plan=plan
+    )
 
 
 def _one_sided_left(arr: np.ndarray, h: float) -> float:
@@ -92,25 +152,64 @@ def _one_sided_right(arr: np.ndarray, h: float) -> float:
     return (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * h)
 
 
-def _interior_force(phi: np.ndarray, model, h: float, fixed_end: str) -> np.ndarray:
-    """Force on a half-domain: ghost Neumann at the far end, interface value
-    held as Dirichlet data (its own update comes from the sewing ODEs)."""
-    lap = np.empty_like(phi)
-    lap[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / h**2
-    if fixed_end == "right":  # left domain: far end at index 0
-        lap[0] = (2.0 * phi[1] - 2.0 * phi[0]) / h**2
-        lap[-1] = 0.0
-    else:  # right domain: far end at last index
-        lap[-1] = (2.0 * phi[-2] - 2.0 * phi[-1]) / h**2
-        lap[0] = 0.0
-    return lap - model.gradient(phi[None, :])[0]
+class _DefectPlan:
+    """Step constants of a run with a defect at x = 0."""
+
+    def __init__(self, model, geometry: Geometry):
+        if geometry.kind != "defect":
+            raise ValidationError("a defect state needs a defect geometry")
+        geometry.defect.validate_model(model)
+        grid = geometry.grid
+        i0 = geometry.interface_index
+        n_left, n_right = i0 + 1, grid.n_cells + 1 - i0
+        if min(n_left, n_right) < 3:
+            raise ValidationError("the defect interface needs at least two cells on each side")
+        self.model = model
+        self.defect = geometry.defect
+        self.shapes = (n_left, n_right)
+        self.h = grid.h
+        self.h2 = grid.h**2
+        self.dt = grid.dt
+        self.half_dt = 0.5 * grid.dt
+        damp = _sponge_profile(geometry)
+        self.damp = None if damp is None else (damp[: i0 + 1], damp[i0:])
+
+    def check(self, state) -> None:
+        n_left, n_right = self.shapes
+        if not (
+            isinstance(state, DefectState)
+            and state.phi.shape == state.pi_phi.shape == (n_left,)
+            and state.psi.shape == state.pi_psi.shape == (n_right,)
+        ):
+            raise ValidationError(
+                f"state fields do not fit the defect grid: expected {n_left} nodes "
+                f"left and {n_right} right of the interface"
+            )
+
+    def force(self, arr: np.ndarray, fixed_end: str) -> np.ndarray:
+        """Force on a half-domain: ghost Neumann at the far end, interface value
+        held as Dirichlet data (its own update comes from the sewing ODEs)."""
+        h2 = self.h2
+        lap = np.empty_like(arr)
+        _interior_laplacian(arr, lap, h2)
+        if fixed_end == "right":  # left domain: far end at index 0
+            lap[0] = (2.0 * arr[1] - 2.0 * arr[0]) / h2
+            lap[-1] = 0.0
+        else:  # right domain: far end at last index
+            lap[-1] = (2.0 * arr[-2] - 2.0 * arr[-1]) / h2
+            lap[0] = 0.0
+        np.subtract(lap, self.model.gradient(arr[None, :])[0], out=lap)
+        return lap
 
 
-def _step_defect(state: DefectState, model, geometry: Geometry) -> DefectState:
-    defect = geometry.defect
-    defect.validate_model(model)
-    dt = geometry.grid.dt
-    h = geometry.grid.h
+def _step_defect(plan: _DefectPlan, state: DefectState) -> DefectState:
+    if state.plan is plan:
+        f_phi, f_psi = state.f_phi, state.f_psi
+    else:
+        plan.check(state)
+        f_phi, f_psi = plan.force(state.phi, "right"), plan.force(state.psi, "left")
+    defect = plan.defect
+    dt, h, half_dt = plan.dt, plan.h, plan.half_dt
     phi, pi_phi = state.phi.copy(), state.pi_phi.copy()
     psi, pi_psi = state.psi.copy(), state.pi_psi.copy()
 
@@ -120,10 +219,8 @@ def _step_defect(state: DefectState, model, geometry: Geometry) -> DefectState:
 
     # bulk half-kick + drift on interior nodes (interface enters their stencil
     # at the old time level)
-    f_phi = _interior_force(phi, model, h, fixed_end="right")
-    f_psi = _interior_force(psi, model, h, fixed_end="left")
-    pi_phi[:-1] += 0.5 * dt * f_phi[:-1]
-    pi_psi[1:] += 0.5 * dt * f_psi[1:]
+    pi_phi[:-1] += half_dt * f_phi[:-1]
+    pi_psi[1:] += half_dt * f_psi[1:]
     phi[:-1] += dt * pi_phi[:-1]
     psi[1:] += dt * pi_psi[1:]
 
@@ -178,53 +275,106 @@ def _step_defect(state: DefectState, model, geometry: Geometry) -> DefectState:
     phi[-1], psi[0] = u_phi, u_psi
 
     # second bulk half-kick with the completed new-time fields
-    f_phi = _interior_force(phi, model, h, fixed_end="right")
-    f_psi = _interior_force(psi, model, h, fixed_end="left")
-    pi_phi[:-1] += 0.5 * dt * f_phi[:-1]
-    pi_psi[1:] += 0.5 * dt * f_psi[1:]
+    f_phi, f_psi = plan.force(phi, "right"), plan.force(psi, "left")
+    pi_phi[:-1] += half_dt * f_phi[:-1]
+    pi_psi[1:] += half_dt * f_psi[1:]
     # interface velocities from the sewing conditions (diagnostic values)
     pi_phi[-1] = (dpsi_known + cm * u_psi) - defect.b_psi(u_phi, u_psi)
     pi_psi[0] = (dphi_known + cp * u_phi) + defect.b_phi(u_phi, u_psi)
 
-    damp = _sponge_profile(geometry)
-    if damp is not None:
-        i0 = geometry.interface_index
-        pi_phi *= damp[: i0 + 1]
-        pi_psi *= damp[i0:]
-    return DefectState(t=state.t + dt, phi=phi, pi_phi=pi_phi, psi=psi, pi_psi=pi_psi)
+    if plan.damp is not None:
+        pi_phi *= plan.damp[0]
+        pi_psi *= plan.damp[1]
+    return DefectState(
+        t=state.t + dt,
+        phi=_frozen(phi),
+        pi_phi=_frozen(pi_phi),
+        psi=_frozen(psi),
+        pi_psi=_frozen(pi_psi),
+        f_phi=_frozen(f_phi),
+        f_psi=_frozen(f_psi),
+        plan=plan,
+    )
 
 
-def evolve(state, model, geometry: Geometry, n_steps: int, save_every: int = 0, on_save=None):
-    """Run ``n_steps`` steps; optionally collect uniformly spaced snapshots.
+def _plan(state, model, geometry: Geometry):
+    """The step plan for this kind of state under (model, geometry), built
+    on first use and kept with the geometry."""
+    if isinstance(state, DefectState):
+        return geometry.memo(("step-defect", model), lambda: _DefectPlan(model, geometry))
+    return geometry.memo(("step", model), lambda: _BulkPlan(model, geometry))
 
-    Returns (final state, FieldHistory or None).  ``on_save(state)`` runs at
-    every saved snapshot, including the initial one.
-    """
-    from .state import FieldHistory
 
-    snaps_t, snaps_phi, snaps_pi = [], [], []
+def step(state, model, geometry: Geometry):
+    """Advance one leapfrog step; returns a new state at t + dt."""
+    plan = _plan(state, model, geometry)
+    if isinstance(state, DefectState):
+        return _step_defect(plan, state)
+    return _step_bulk(plan, state)
 
-    def record(s):
-        snaps_t.append(s.t)
-        if isinstance(s, FieldState):
-            snaps_phi.append(s.phi.copy())
-            snaps_pi.append(s.pi.copy())
-        if on_save is not None:
-            on_save(s)
 
-    if save_every:
-        record(state)
-    for k in range(n_steps):
-        state = step(state, model, geometry)
-        if save_every and (k + 1) % save_every == 0:
-            state.check_finite()
-            record(state)
-    history = None
-    if save_every and snaps_phi:
-        history = FieldHistory(
-            times=np.asarray(snaps_t),
-            x=geometry.x,
-            phi=np.asarray(snaps_phi),
-            pi=np.asarray(snaps_pi),
+class _Snapshots:
+    """Observer that records field snapshots; defect runs store the two
+    fields side by side (x = 0 appears twice)."""
+
+    def __init__(self):
+        self.times: list[float] = []
+        self.phi: list[np.ndarray] = []
+        self.pi: list[np.ndarray] = []
+
+    def __call__(self, state) -> None:
+        self.times.append(state.t)
+        if isinstance(state, DefectState):
+            self.phi.append(np.concatenate([state.phi, state.psi])[None, :])
+            self.pi.append(np.concatenate([state.pi_phi, state.pi_psi])[None, :])
+        else:
+            self.phi.append(np.array(state.phi, copy=True))
+            self.pi.append(np.array(state.pi, copy=True))
+
+    def history(self, geometry: Geometry) -> FieldHistory | None:
+        if not self.times:
+            return None
+        x = geometry.x
+        if geometry.kind == "defect":
+            i0 = geometry.interface_index
+            x = np.concatenate([x[: i0 + 1], x[i0:]])
+        return FieldHistory(
+            times=np.asarray(self.times), x=x, phi=np.asarray(self.phi), pi=np.asarray(self.pi)
         )
-    return state, history
+
+
+def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
+    """The stepping loop of every run: ``n_steps`` calls of ``step``.
+
+    ``observers`` are ``(every, last, fn)`` triples.  ``fn(state)`` sees the
+    initial state and the state after every ``every``-th step, and after
+    the final step too when ``last`` is set.  The state's shape is checked
+    against the model and geometry before anything runs, and each stepped
+    state for non-finite values before an observer sees it (StepFailure).
+    Returns the final state.
+    """
+    _plan(state, model, geometry).check(state)
+    for _, _, fn in observers:
+        fn(state)
+    # overflow shows up as non-finite fields, reported at the next observation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            state = step(state, model, geometry)
+            due = [fn for every, last, fn in observers if k % every == 0 or (last and k == n_steps)]
+            if due:
+                state.check_finite()
+                for fn in due:
+                    fn(state)
+    return state
+
+
+def evolve(state, model, geometry: Geometry, n_steps: int, save_every: int = 0):
+    """Run ``n_steps`` steps; with ``save_every`` > 0 also collect a snapshot
+    of the initial state and of every ``save_every``-th step.
+
+    Returns (final state, FieldHistory or None).
+    """
+    snaps = _Snapshots()
+    observers = [(save_every, False, snaps)] if save_every > 0 else []
+    state = _drive(state, model, geometry, n_steps, observers)
+    return state, snaps.history(geometry)

@@ -162,3 +162,42 @@ def test_lax_check_runs(config_file, capsys):
     key = next(iter(payload["base"]))
     assert payload["base"][key]["curvature_rms"] < 0.01
     assert payload["base"][key]["monodromy_drift"] < 0.01
+
+
+def _write_config(tmp_path, text, **replace):
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    path = tmp_path / "case.ini"
+    path.write_text(text)
+    return path
+
+
+def test_state_with_too_few_components_exits_one(tmp_path, capsys):
+    """The scalar cosine initial state does not fit the rank-two model: the
+    run stops before the first diagnostics row instead of broadcasting."""
+    cfg = CFG.replace("kind = sinh_gordon", "kind = affine_toda\nrank = 2")
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "(2, 128)" in err[0]
+    assert not out.exists()
+
+
+def test_blow_up_exits_two_with_one_line(tmp_path, capsys):
+    path = _write_config(tmp_path, CFG, **{"amplitude = 0.3": "amplitude = 40.0"})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "non-finite" in err[0]
+    assert not out.exists()
+
+
+def test_t_final_off_the_step_grid_exits_one(tmp_path, capsys):
+    """dt = 0.125 here: t_final = 1.05 would silently stop at 1.0."""
+    path = _write_config(
+        tmp_path, CFG, **{"n_cells = 128": "n_cells = 64", "t_final = 2.0": "t_final = 1.05"}
+    )
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "t_final" in err and "nearest reachable t_final is 1.0" in err

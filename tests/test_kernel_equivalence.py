@@ -1,0 +1,396 @@
+"""The planned, force-reusing step and the buffered diagnostics against the
+plain two-force velocity-Verlet step and the np.gradient/np.trapezoid
+diagnostics they replace: same arithmetic in the same order, so the
+results must be equal bit for bit."""
+
+import numpy as np
+import pytest
+
+from todalab.algebra import build_root_system
+from todalab.errors import StepFailure
+from todalab.simulate import (
+    AffineToda,
+    DefectState,
+    Diagnostics,
+    FieldState,
+    FreeDefect,
+    Grid1D,
+    KleinGordon,
+    Robin,
+    SineGordon,
+    SineGordonBacklund,
+    SinhGordon,
+    TodaBoundary,
+    diagnostics,
+    evolve,
+    half_line,
+    init_boundary_mode,
+    init_cosine,
+    init_gaussian,
+    init_soliton,
+    init_wavepacket,
+    interval,
+    line,
+    periodic_line,
+    step,
+    with_defect,
+)
+
+# ---------------------------------------------------------------------------
+# oracle: the two-force step and the unbuffered diagnostics
+
+
+def _sponge_profile(geometry):
+    frac = geometry.sponge_fraction
+    if frac <= 0.0:
+        return None
+    x = geometry.x
+    width = frac * (geometry.grid.x_max - geometry.grid.x_min)
+    sigma = np.zeros_like(x)
+    if geometry.kind in ("line", "defect"):
+        ends = ("left", "right")
+    elif geometry.kind == "halfline":
+        ends = ("left",)
+    else:
+        return None
+    if "left" in ends:
+        d = (x - geometry.grid.x_min) / width
+        sigma = np.where(d < 1.0, geometry.sponge_strength * (1.0 - d) ** 2, sigma)
+    if "right" in ends:
+        d = (geometry.grid.x_max - x) / width
+        sigma = np.where(d < 1.0, geometry.sponge_strength * (1.0 - d) ** 2, sigma)
+    return np.exp(-sigma * geometry.grid.dt)
+
+
+def _laplacian(phi, geometry, model):
+    h = geometry.grid.h
+    lap = np.empty_like(phi)
+    if geometry.kind == "periodic":
+        lap[:] = (np.roll(phi, -1, axis=-1) - 2.0 * phi + np.roll(phi, 1, axis=-1)) / h**2
+        return lap
+    lap[..., 1:-1] = (phi[..., 2:] - 2.0 * phi[..., 1:-1] + phi[..., :-2]) / h**2
+    left = geometry.left if geometry.kind == "interval" else None
+    right = geometry.right if geometry.kind in ("interval", "halfline") else None
+    db_left = left.db(model, phi[..., 0]) if left is not None else 0.0
+    db_right = right.db(model, phi[..., -1]) if right is not None else 0.0
+    lap[..., 0] = (2.0 * phi[..., 1] - 2.0 * phi[..., 0] - 2.0 * h * db_left) / h**2
+    lap[..., -1] = (2.0 * phi[..., -2] - 2.0 * phi[..., -1] - 2.0 * h * db_right) / h**2
+    return lap
+
+
+def _force(phi, geometry, model):
+    return _laplacian(phi, geometry, model) - model.gradient(phi)
+
+
+def _interior_force(phi, model, h, fixed_end):
+    lap = np.empty_like(phi)
+    lap[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / h**2
+    if fixed_end == "right":
+        lap[0] = (2.0 * phi[1] - 2.0 * phi[0]) / h**2
+        lap[-1] = 0.0
+    else:
+        lap[-1] = (2.0 * phi[-2] - 2.0 * phi[-1]) / h**2
+        lap[0] = 0.0
+    return lap - model.gradient(phi[None, :])[0]
+
+
+def oracle_step(state, model, geometry):
+    if isinstance(state, DefectState):
+        return _oracle_defect_step(state, model, geometry)
+    dt = geometry.grid.dt
+    phi, pi = state.phi, state.pi
+    pi_half = pi + 0.5 * dt * _force(phi, geometry, model)
+    phi_new = phi + dt * pi_half
+    pi_new = pi_half + 0.5 * dt * _force(phi_new, geometry, model)
+    damp = _sponge_profile(geometry)
+    if damp is not None:
+        pi_new = pi_new * damp
+    return FieldState(t=state.t + dt, phi=phi_new, pi=pi_new)
+
+
+def _oracle_defect_step(state, model, geometry):
+    defect = geometry.defect
+    defect.validate_model(model)
+    dt = geometry.grid.dt
+    h = geometry.grid.h
+    phi, pi_phi = state.phi.copy(), state.pi_phi.copy()
+    psi, pi_psi = state.psi.copy(), state.pi_psi.copy()
+    phi0_old, psi0_old = phi[-1], psi[0]
+    dphi_old = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * h)
+    dpsi_old = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
+    f_phi = _interior_force(phi, model, h, fixed_end="right")
+    f_psi = _interior_force(psi, model, h, fixed_end="left")
+    pi_phi[:-1] += 0.5 * dt * f_phi[:-1]
+    pi_psi[1:] += 0.5 * dt * f_psi[1:]
+    phi[:-1] += dt * pi_phi[:-1]
+    psi[1:] += dt * pi_psi[1:]
+    rhs_phi = phi0_old + 0.5 * dt * (dpsi_old - defect.b_psi(phi0_old, psi0_old))
+    rhs_psi = psi0_old + 0.5 * dt * (dphi_old + defect.b_phi(phi0_old, psi0_old))
+    dphi_known = (-4.0 * phi[-2] + phi[-3]) / (2.0 * h)
+    dpsi_known = (4.0 * psi[1] - psi[2]) / (2.0 * h)
+    cp, cm = 3.0 / (2.0 * h), -3.0 / (2.0 * h)
+    u_phi, u_psi = phi0_old, psi0_old
+    scale = max(1.0, abs(rhs_phi), abs(rhs_psi))
+    converged = False
+    for _ in range(25):
+        g1 = u_phi - 0.5 * dt * ((dpsi_known + cm * u_psi) - defect.b_psi(u_phi, u_psi)) - rhs_phi
+        g2 = u_psi - 0.5 * dt * ((dphi_known + cp * u_phi) + defect.b_phi(u_phi, u_psi)) - rhs_psi
+        res = max(abs(g1), abs(g2))
+        if res < 1e-12 * scale:
+            converged = True
+            break
+        j11 = 1.0 + 0.5 * dt * defect.b_phipsi(u_phi, u_psi)
+        j12 = -0.5 * dt * (cm - defect.b_psipsi(u_phi, u_psi))
+        j21 = -0.5 * dt * (cp + defect.b_phiphi(u_phi, u_psi))
+        j22 = 1.0 - 0.5 * dt * defect.b_phipsi(u_phi, u_psi)
+        det = j11 * j22 - j12 * j21
+        if det == 0.0 or not np.isfinite(det):
+            break
+        du_phi = -(j22 * g1 - j12 * g2) / det
+        du_psi = -(-j21 * g1 + j11 * g2) / det
+        lam = 1.0
+        for _ in range(8):
+            t_phi, t_psi = u_phi + lam * du_phi, u_psi + lam * du_psi
+            n1 = t_phi - 0.5 * dt * ((dpsi_known + cm * t_psi) - defect.b_psi(t_phi, t_psi)) - rhs_phi
+            n2 = t_psi - 0.5 * dt * ((dphi_known + cp * t_phi) + defect.b_phi(t_phi, t_psi)) - rhs_psi
+            if max(abs(n1), abs(n2)) < res:
+                break
+            lam *= 0.5
+        u_phi += lam * du_phi
+        u_psi += lam * du_psi
+    assert converged
+    phi[-1], psi[0] = u_phi, u_psi
+    f_phi = _interior_force(phi, model, h, fixed_end="right")
+    f_psi = _interior_force(psi, model, h, fixed_end="left")
+    pi_phi[:-1] += 0.5 * dt * f_phi[:-1]
+    pi_psi[1:] += 0.5 * dt * f_psi[1:]
+    pi_phi[-1] = (dpsi_known + cm * u_psi) - defect.b_psi(u_phi, u_psi)
+    pi_psi[0] = (dphi_known + cp * u_phi) + defect.b_phi(u_phi, u_psi)
+    damp = _sponge_profile(geometry)
+    if damp is not None:
+        i0 = geometry.interface_index
+        pi_phi *= damp[: i0 + 1]
+        pi_psi *= damp[i0:]
+    return DefectState(t=state.t + dt, phi=phi, pi_phi=pi_phi, psi=psi, pi_psi=pi_psi)
+
+
+def _gradient_x(arr, h, periodic):
+    if periodic:
+        return (np.roll(arr, -1, axis=-1) - np.roll(arr, 1, axis=-1)) / (2.0 * h)
+    return np.gradient(arr, h, axis=-1)
+
+
+def _trapz(values, h, periodic):
+    if periodic:
+        return float(np.sum(values) * h)
+    return float(np.trapezoid(values, dx=h))
+
+
+def oracle_diagnostics(state, model, geometry, probes=()):
+    h = geometry.grid.h
+    periodic = geometry.kind == "periodic"
+    beta = getattr(model, "beta", 0.0)
+    x = geometry.x
+    if isinstance(state, DefectState):
+        defect = geometry.defect
+        i0 = geometry.interface_index
+        e = p = 0.0
+        for arr, pi in ((state.phi, state.pi_phi), (state.psi, state.pi_psi)):
+            grad = _gradient_x(arr, h, periodic=False)
+            dens = 0.5 * pi**2 + 0.5 * grad**2 + model.potential(arr[None, :])
+            e += _trapz(dens, h, periodic=False)
+            p += _trapz(pi * grad, h, periodic=False)
+        phi0, psi0 = state.phi[-1], state.psi[0]
+        e += float(defect.b_value(phi0, psi0))
+        u = float(defect.u_value(phi0, psi0))
+        if beta:
+            coeff = beta / (2.0 * np.pi)
+            field_charge = coeff * ((phi0 - state.phi[0]) + (state.psi[-1] - psi0))
+            total_charge = coeff * (state.psi[-1] - state.phi[0])
+        else:
+            field_charge = total_charge = 0.0
+        probe_vals = []
+        for px in probes:
+            if px < 0:
+                probe_vals.append(float(state.phi[int(np.argmin(np.abs(x[: i0 + 1] - px)))]))
+            else:
+                probe_vals.append(float(state.psi[int(np.argmin(np.abs(x[i0:] - px)))]))
+        return Diagnostics(state.t, e, p, u, p + u, total_charge, field_charge, tuple(probe_vals))
+    phi, pi = state.phi, state.pi
+    grad = _gradient_x(phi, h, periodic)
+    dens = 0.5 * np.sum(pi**2, axis=0) + 0.5 * np.sum(grad**2, axis=0) + model.potential(phi)
+    e = _trapz(dens, h, periodic)
+    p = _trapz(np.sum(pi * grad, axis=0), h, periodic)
+    if geometry.kind in ("interval", "halfline"):
+        if geometry.right is not None:
+            e += geometry.right.value(model, phi[:, -1])
+        if geometry.kind == "interval" and geometry.left is not None:
+            e += geometry.left.value(model, phi[:, 0])
+    charge = 0.0
+    if beta and not periodic:
+        charge = float(beta / (2.0 * np.pi) * (phi[0, -1] - phi[0, 0]))
+    probe_vals = tuple(float(phi[0, int(np.argmin(np.abs(x - px)))]) for px in probes)
+    return Diagnostics(state.t, e, p, 0.0, p, charge, charge, probe_vals)
+
+
+# ---------------------------------------------------------------------------
+# cases
+
+
+def _a2_state(geometry):
+    x = geometry.x
+    span = x[-1] - x[0]
+    phi = np.stack([0.2 * np.cos(2 * np.pi * x / span), 0.15 * np.sin(4 * np.pi * x / span)])
+    return FieldState(t=0.0, phi=phi, pi=0.05 * np.cos(np.pi * x / span) * np.ones_like(phi))
+
+
+def _case(name):
+    if name == "periodic":
+        geom = periodic_line(Grid1D(0.0, 16.0, 128))
+        model = SinhGordon(m=1.0, beta=1.0)
+        return model, geom, init_cosine(geom, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
+    if name == "line-sponge":
+        geom = line(Grid1D(-20.0, 20.0, 400), sponge_fraction=0.2)
+        model = KleinGordon(m=1.0)
+        return model, geom, init_wavepacket(geom, model, k0=2.0, width=2.0, x0=8.0, amplitude=0.1)
+    if name == "halfline-robin":
+        geom = half_line(Grid1D(-20.0, 0.0, 400), right=Robin(lam=-0.6))
+        model = KleinGordon(m=1.0)
+        return model, geom, init_boundary_mode(geom, model, lam_b=-0.6, amplitude=0.05)
+    if name == "halfline-toda-sinh":
+        model = SinhGordon(m=2.0, beta=np.sqrt(2.0))
+        geom = half_line(Grid1D(-12.0, 0.0, 240), right=TodaBoundary(b=(0.7, 0.7)))
+        return model, geom, init_gaussian(geom, amplitude=0.1, width=0.8, x0=-2.0)
+    if name == "halfline-toda-a2":
+        model = AffineToda(rs=build_root_system("A", 2), m=1.0, beta=0.7)
+        geom = half_line(Grid1D(-12.0, 0.0, 240), right=TodaBoundary(b=(0.5, -0.3, 0.4)))
+        return model, geom, _a2_state(geom)
+    if name == "interval-robin":
+        right = Robin(lam=0.5, offset=0.01)
+        geom = interval(Grid1D(-5.0, 5.0, 200), left=Robin(lam=0.25), right=right)
+        model = KleinGordon(m=1.0)
+        return model, geom, init_gaussian(geom, amplitude=0.1, width=0.8, x0=0.7)
+    if name == "defect-free":
+        model = KleinGordon(m=1.0)
+        defect = FreeDefect(lam=0.7, m=1.0)
+        geom = with_defect(Grid1D(-20.0, 20.0, 400), defect, sponge_fraction=0.1)
+        return model, geom, init_wavepacket(geom, model, k0=1.5, width=2.0, x0=-4.0, amplitude=0.1)
+    if name == "defect-backlund":
+        model = SineGordon(m=1.0, beta=1.0)
+        defect = SineGordonBacklund(lam=1.2, m=1.0, beta=1.0)
+        geom = with_defect(Grid1D(-16.0, 16.0, 256), defect, sponge_fraction=0.0)
+        return model, geom, init_soliton(geom, model, v=0.5, x0=-4.0)
+    raise KeyError(name)
+
+
+CASES = [
+    "periodic",
+    "line-sponge",
+    "halfline-robin",
+    "halfline-toda-sinh",
+    "halfline-toda-a2",
+    "interval-robin",
+    "defect-free",
+    "defect-backlund",
+]
+
+
+def _fields(state):
+    if isinstance(state, DefectState):
+        return (state.phi, state.pi_phi, state.psi, state.pi_psi)
+    return (state.phi, state.pi)
+
+
+def _assert_same_state(a, b):
+    assert type(a) is type(b)
+    assert a.t == b.t
+    for x, y in zip(_fields(a), _fields(b)):
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
+
+
+def _assert_same_diagnostics(state, ref, model, geom, probes):
+    got = diagnostics(state, model, geom, probes)
+    assert got == oracle_diagnostics(ref, model, geom, probes)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_step_and_diagnostics_match_two_force_oracle(name):
+    model, geom, state = _case(name)
+    lo, hi = geom.grid.x_min, geom.grid.x_max
+    probes = (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo), hi)
+    ref = state
+    for k in range(300):
+        state = step(state, model, geom)
+        ref = oracle_step(ref, model, geom)
+        if k % 50 == 49:
+            _assert_same_diagnostics(state, ref, model, geom, probes)
+    _assert_same_state(state, ref)
+    _assert_same_diagnostics(state, ref, model, geom, probes)
+
+
+def test_step_results_carry_force_of_their_plan():
+    model, geom, state = _case("halfline-robin")
+    out = step(state, model, geom)
+    assert out.plan is not None
+    assert np.array_equal(out.force, _force(out.phi, geom, model))
+    assert not out.phi.flags.writeable  # a result's fields cannot change under its force
+    out2 = step(out, model, geom)
+    assert out2.plan is out.plan
+
+
+@pytest.mark.parametrize("swap", ["model", "geometry"])
+def test_force_is_recomputed_under_another_plan(swap):
+    """A state stepped under (model, geometry) and then stepped under a
+    different one must match a fresh, untagged step."""
+    model, geom, state = _case("halfline-robin")
+    other_model, other_geom = model, geom
+    if swap == "model":
+        other_model = KleinGordon(m=0.8)
+    else:
+        other_geom = half_line(geom.grid, right=Robin(lam=-0.3))
+    tagged = step(state, model, geom)
+    fresh = FieldState(t=tagged.t, phi=tagged.phi.copy(), pi=tagged.pi.copy())
+    out = step(tagged, other_model, other_geom)
+    _assert_same_state(out, step(fresh, other_model, other_geom))
+    _assert_same_state(out, oracle_step(fresh, other_model, other_geom))
+
+
+def test_defect_force_is_recomputed_under_another_plan():
+    model, geom, state = _case("defect-backlund")
+    defect = SineGordonBacklund(lam=0.9, m=1.0, beta=1.0)
+    other = with_defect(geom.grid, defect, sponge_fraction=0.0)
+    tagged = step(state, model, geom)
+    fresh = DefectState(
+        t=tagged.t,
+        phi=tagged.phi.copy(),
+        pi_phi=tagged.pi_phi.copy(),
+        psi=tagged.psi.copy(),
+        pi_psi=tagged.pi_psi.copy(),
+    )
+    _assert_same_state(step(tagged, model, other), oracle_step(fresh, model, other))
+
+
+def test_evolve_history_matches_oracle_snapshots():
+    model, geom, state = _case("periodic")
+    out, history = evolve(state, model, geom, 64, save_every=16)
+    ref, times, snaps = state, [state.t], [state.phi.copy()]
+    for k in range(64):
+        ref = oracle_step(ref, model, geom)
+        if (k + 1) % 16 == 0:
+            times.append(ref.t)
+            snaps.append(ref.phi.copy())
+    _assert_same_state(out, ref)
+    assert list(history.times) == times
+    assert np.array_equal(history.phi, np.asarray(snaps))
+
+
+def test_non_finite_state_raises_step_failure_with_first_node():
+    phi = np.zeros((1, 20))
+    phi[0, 7] = np.nan
+    state = FieldState(t=1.5, phi=phi, pi=np.zeros((1, 20)))
+    with pytest.raises(StepFailure) as err:
+        state.check_finite()
+    assert err.value.state_dump["t"] == 1.5
+    assert err.value.state_dump["field"] == "phi"
+    assert err.value.state_dump["node"] == 7
