@@ -5,6 +5,10 @@ Matrices are nested tuples of ``Fraction``.  Cartan generators are stored as
 dual to any embedding-space vector ``v`` is ``diag(v)``, so that
 ``[H(u), E_beta] = (beta . u) E_beta`` and ``[E_beta, E_{-beta}] = H(beta)``
 hold exactly (all roots have length^2 = 2 here).
+
+The generators have at most r+1 nonzero entries each, so products skip
+zero entries (``mmul``); the arithmetic stays exact, and every relation
+``defining_rep`` verifies is checked on the full matrices.
 """
 
 from __future__ import annotations
@@ -57,12 +61,23 @@ def mscale(c: Fraction, a: Matrix) -> Matrix:
 
 
 def mmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-        for row in a
-    )
+    """Exact product ``a @ b``, summing over the nonzero entries only.
+
+    The generators are nearly all zeros, so each nonzero ``a[i][k]`` is
+    multiplied into the nonzero entries of row ``k`` of ``b`` (listed once
+    per call); the sums are the textbook ones without their zero terms.
+    """
+    ncols = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * ncols
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

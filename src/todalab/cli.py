@@ -2,7 +2,8 @@
 lax-check.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config), 2
-numerical failure (Newton / root finder, non-finite fields).  Every run
+numerical failure (Newton / root finder, non-finite fields) or a failed
+internal self-check of the exact algebra.  Every run
 writes a manifest next to its outputs; all file writes are atomic (temp
 file + rename).
 """
@@ -66,6 +67,7 @@ def _cmd_simulate(args) -> int:
     if len(sweeps) > 1:
         raise ValidationError("one --sweep key at a time")
     section, key, values = sweeps[0]
+    cfg.get(section, key)  # the target must be a known key
     base_out = Path(args.out) if args.out else Path(cfg.get("output", "directory") or ".")
     for value in values:  # disjoint configs, fully independent runs
         raw = {sec: dict(items) for sec, items in cfg.sections.items()}
@@ -150,7 +152,7 @@ def _cmd_reflect(args) -> int:
 
 def _cmd_derive_boundary(args) -> int:
     from .algebra import build_root_system, to_json_dict
-    from .laxboundary import adjacency_constraints, matrix_constraints, solve_k_expansion
+    from .laxboundary import adjacency_constraints, expansion_constraints, solve_k_expansion
 
     rs = build_root_system(args.family, args.rank)
     route = args.route
@@ -159,8 +161,8 @@ def _cmd_derive_boundary(args) -> int:
     adj = adjacency_constraints(rs)
     payload = adj.to_json_dict()
     if route in ("matrix", "both"):
-        mat = matrix_constraints(rs)
         exp = solve_k_expansion(rs)
+        mat = expansion_constraints(exp)
         payload["matrix_route"] = mat.to_json_dict()
         payload["routes_agree"] = mat.fixed == adj.fixed and mat.free == adj.free
         payload["k_series"] = {
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"todalab: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:  # raised by the exact solvers' self-checks
+        print(f"todalab: internal self-check failed: {exc}", file=sys.stderr)
         return 2
 
 

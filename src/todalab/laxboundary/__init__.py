@@ -4,6 +4,7 @@ the boundary K(lambda) constraint solver."""
 from .constraints import (
     ConstraintReport,
     adjacency_constraints,
+    expansion_constraints,
     matrix_constraints,
     routes_agree,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "adjacency_constraints",
     "boundary_potential",
     "curvature_residual",
+    "expansion_constraints",
     "k_gauge_residual",
     "lax_components",
     "lax_frame",

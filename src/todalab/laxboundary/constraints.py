@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..algebra.roots import RootSystem, affine_adjacency
-from .kmatrix import solve_k_expansion
+from .kmatrix import KExpansion, solve_k_expansion
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +68,9 @@ def adjacency_constraints(rs: RootSystem) -> ConstraintReport:
     )
 
 
-def matrix_constraints(rs: RootSystem) -> ConstraintReport:
-    """Constraint report from the order-by-order matrix solve (family A)."""
-    exp = solve_k_expansion(rs)
+def expansion_constraints(exp: KExpansion) -> ConstraintReport:
+    """Matrix-route constraint report of an already solved K series."""
+    rs = exp.rs
     return ConstraintReport(
         system=rs.name,
         rank=rs.rank,
@@ -79,6 +79,11 @@ def matrix_constraints(rs: RootSystem) -> ConstraintReport:
         free=exp.free_nodes,
         adjacency=tuple(affine_adjacency(rs)),
     )
+
+
+def matrix_constraints(rs: RootSystem) -> ConstraintReport:
+    """Constraint report from the order-by-order matrix solve (family A)."""
+    return expansion_constraints(solve_k_expansion(rs))
 
 
 def routes_agree(rs: RootSystem) -> bool:

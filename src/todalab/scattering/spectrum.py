@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import atan2, pi, sqrt
 
 import numpy as np
-from scipy.optimize import bisect
+from scipy.optimize import brentq
 
 from ..errors import NumericalError, ValidationError
 from .blocks import free_reflection
@@ -31,38 +32,42 @@ class SpectrumProblem:
             raise ValidationError("n_max must be at least 1")
 
 
-def _raw_arg(problem: SpectrumProblem, k: float) -> float:
-    r = free_reflection(k, problem.lam_plus) * free_reflection(k, problem.lam_minus)
-    return float(np.angle(r))
+def _phase(k, four_l: float, lam_plus: float, lam_minus: float, arctan2=atan2):
+    """Continuous total phase of e^{4ikL} R_+ R_- at k > 0 (a float, or an
+    array with ``arctan2=np.arctan2``).
 
-
-def _total_phase(problem: SpectrumProblem, k_grid: np.ndarray) -> np.ndarray:
-    """Unwrapped phase of e^{4ikL} R_+ R_- along the grid.
-
-    Quantized frequencies solve phase = 2 pi n.  Writing the interval mode as
-    a e^{ikx} + b e^{-ikx} and imposing the two Robin conditions with the
-    reflection factors in the half-line convention R = (ik+lam)/(ik-lam)
-    at both ends gives closure when e^{4ikL} R_+ R_- = 1 (equivalently, a
-    factorized condition e^{4ikL} = R'_+ R'_- for the factors in the outgoing
-    convention R' = 1/R); this orientation is pinned by direct eigenfunction
-    solves and by the simulated interval spectra.
+    With the half-line reflection factor R = (ik+lam)/(ik-lam) at both ends,
+    arg R = pi + 2 atan2(k, lam) (mod 2 pi), and this branch is continuous
+    for k > 0, so the total phase 4kL + sum_+- (pi + 2 atan2(k, lam_+-))
+    needs no unwrapping.  Closure e^{4ikL} R_+ R_- = 1 (equivalently
+    e^{4ikL} = R'_+ R'_- for the factors in the outgoing convention
+    R' = 1/R) is phase = 2 pi n; this orientation is pinned by direct
+    eigenfunction solves and by the simulated interval spectra.
     """
-    args = np.array([_raw_arg(problem, k) for k in k_grid])
-    return 4.0 * k_grid * problem.half_length + np.unwrap(args)
+    phase = four_l * k
+    phase += pi + 2.0 * arctan2(k, lam_plus)
+    phase += pi + 2.0 * arctan2(k, lam_minus)
+    return phase
 
 
 def interval_spectrum(problem: SpectrumProblem) -> list[float]:
     """First ``n_max`` positive roots of the two-boundary phase condition.
 
-    The phase is unwrapped along a grid of step pi/(40 L); every 2 pi n
-    branch crossing within a grid cell is bracketed and bisected to 1e-10
-    relative accuracy.  Inside a cell the reflection phase is re-unwrapped
-    against the cell's left edge, so the objective stays continuous even
-    across branch cuts of the raw angle.
+    The closed-form phase (``_phase``) is sampled on a grid of step
+    pi/(40 L) from k = 1e-9; every 2 pi n crossing within a grid cell is
+    bracketed and solved with ``brentq`` to 1e-12 relative accuracy.  Roots
+    come out strictly increasing; a crossing that repeats the previous root
+    (on a shared grid node) is dropped.  Each root is then checked against
+    the reflection factors themselves (``_check_closure``).
     """
     length = problem.half_length
+    args = (4.0 * length, problem.lam_plus, problem.lam_minus)
     dk = pi / (40.0 * length)
     k_floor = 1e-9
+    two_pi = 2.0 * pi
+
+    def f(k: float, target: float) -> float:
+        return _phase(k, *args) - target
 
     roots: list[float] = []
     n_points = 400
@@ -70,38 +75,55 @@ def interval_spectrum(problem: SpectrumProblem) -> list[float]:
     max_rounds = 200
     for _ in range(max_rounds):
         k_grid = k_floor + dk * np.arange(start, start + n_points + 1)
-        phase = _total_phase(problem, k_grid)
-        for i in range(n_points):
-            lo, hi = float(phase[i]), float(phase[i + 1])
+        phase = _phase(k_grid, *args, np.arctan2)
+        lo, hi = phase[:-1], phase[1:]
+        n_from = np.ceil(np.minimum(lo, hi) / two_pi - 1e-12).astype(int)
+        n_to = np.floor(np.maximum(lo, hi) / two_pi + 1e-12).astype(int)
+        for i in np.flatnonzero(n_from <= n_to):
             a, b = float(k_grid[i]), float(k_grid[i + 1])
-            raw_a = _raw_arg(problem, a)
-            unwrapped_a = lo - 4.0 * a * length  # the arg value used on the grid
-
-            def f(k: float, target: float) -> float:
-                raw = _raw_arg(problem, k)
-                arg = unwrapped_a + float(np.angle(np.exp(1j * (raw - raw_a))))
-                return 4.0 * k * length + arg - target
-
-            n_from = int(np.ceil(min(lo, hi) / (2.0 * pi) - 1e-12))
-            n_to = int(np.floor(max(lo, hi) / (2.0 * pi) + 1e-12))
-            for n in range(n_from, n_to + 1):
-                target = 2.0 * pi * n
-                if (lo - target) * (hi - target) > 0:
+            for n in range(n_from[i], n_to[i] + 1):
+                target = two_pi * n
+                if (lo[i] - target) * (hi[i] - target) > 0:
                     continue
-                try:
-                    root = bisect(f, a, b, args=(target,), rtol=1e-12, maxiter=200)
-                except Exception as exc:
-                    raise NumericalError(
-                        f"root escaped bracket on branch n={n} in [{a}, {b}]"
-                    ) from exc
+                fa, fb = f(a, target), f(b, target)
+                if fa * fb > 0:
+                    # np.arctan2 and math.atan2 may differ in the last bit:
+                    # the crossing sits on a grid node, within rounding
+                    root = a if abs(fa) < abs(fb) else b
+                else:
+                    try:
+                        root = brentq(f, a, b, args=(target,), xtol=1e-15, rtol=1e-12, maxiter=200)
+                    except RuntimeError as exc:
+                        raise NumericalError(
+                            f"root did not converge on branch n={n} in [{a}, {b}]"
+                        ) from exc
                 if root > k_floor * 10 and (not roots or root - roots[-1] > 1e-10):
                     roots.append(float(root))
                 if len(roots) >= problem.n_max:
-                    return roots[: problem.n_max]
+                    _check_closure(problem, roots)
+                    return roots
         start += n_points
     raise NumericalError(
         f"found only {len(roots)} of {problem.n_max} requested roots"
     )
+
+
+def _check_closure(problem: SpectrumProblem, roots: list[float]) -> None:
+    """Each root closes e^{4ikL} R_+ R_- = 1 with the reflection factors
+    themselves, which pins the closed-form phase to their convention."""
+    four_l = 4.0 * problem.half_length
+    for k in roots:
+        closure = (
+            cmath.exp(1j * four_l * k)
+            * free_reflection(k, problem.lam_plus)
+            * free_reflection(k, problem.lam_minus)
+        )
+        # the phase carries rounding ~ 4kL eps and the root 1e-12 relative
+        if abs(closure - 1.0) > 1e-9 * (1.0 + four_l * k):
+            raise NumericalError(
+                f"root k={k!r} does not close e^(4ikL) R+ R- = 1 "
+                f"(residual {abs(closure - 1.0):.3g})"
+            )
 
 
 def bound_state_frequency(m: float, lam_b: float) -> float:

@@ -6,7 +6,9 @@ imposed through second-order ghost cells.  Robin with ``lam = 0`` is Neumann;
 an optional constant offset gives the inhomogeneous Robin variant.
 
 ``bind(model)`` returns dB as a one-argument function with the model's
-data resolved once per run, or None where dB vanishes identically.
+data resolved once per run, or None where dB vanishes identically;
+``energy(model)`` does the same for the boundary energy B(phi), with the
+arithmetic of ``value``, which stays the per-call reference form.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ class Neumann:
     def value(self, model, phi_b: np.ndarray) -> float:
         return 0.0
 
+    def energy(self, model) -> None:
+        return None
+
 
 @dataclass(frozen=True)
 class Robin:
@@ -45,6 +50,18 @@ class Robin:
 
     def value(self, model, phi_b: np.ndarray) -> float:
         return float(np.sum(0.5 * self.lam * phi_b**2 - self.offset * phi_b))
+
+    def energy(self, model):
+        if model.n_components != 1:
+            return partial(self.value, model)
+        half_lam, offset = 0.5 * self.lam, self.offset
+
+        def energy(phi_b: np.ndarray) -> float:
+            # value() on a one-element array, in scalar arithmetic
+            x = float(phi_b[0])
+            return half_lam * (x * x) - offset * x
+
+        return energy
 
 
 @dataclass(frozen=True)
@@ -94,6 +111,16 @@ class TodaBoundary:
         b, alpha, m_t, beta_t = self._data(model)
         exps = np.exp(beta_t * (alpha @ phi_b) / 2.0)
         return float((m_t / beta_t**2) * np.dot(b, exps))
+
+    def energy(self, model):
+        b, alpha, m_t, beta_t = self._data(model)
+        scale = m_t / beta_t**2
+
+        def energy(phi_b: np.ndarray) -> float:
+            exps = np.exp(beta_t * (alpha @ phi_b) / 2.0)
+            return float(scale * np.dot(b, exps))
+
+        return energy
 
 
 BoundarySpec = Neumann | Robin | TodaBoundary

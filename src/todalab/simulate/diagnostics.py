@@ -47,13 +47,17 @@ def _beta_of(model) -> float:
 
 
 class _ObservePlan:
-    """Probe nodes and scratch buffers of ``diagnostics`` for one geometry,
-    state layout and probe list."""
+    """Probe nodes, boundary energy terms and scratch buffers of
+    ``diagnostics`` for one model, geometry, state layout and probe list."""
 
-    def __init__(self, geometry: Geometry, state, probes: tuple[float, ...]):
+    def __init__(self, model, geometry: Geometry, state, probes: tuple[float, ...]):
         x = geometry.x
         self.h = geometry.grid.h
         self.periodic = geometry.kind == "periodic"
+        # B(phi) resolved once, like the stepper's dB
+        left, right = geometry.boundary_ends
+        self.energy_left = left.energy(model) if left is not None else None
+        self.energy_right = right.energy(model) if right is not None else None
         if isinstance(state, DefectState):
             i0 = geometry.interface_index
             # (side, node): the left field at x < 0, the right field otherwise
@@ -95,7 +99,8 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
     samples at the nearest grid node."""
     probes = tuple(probes)
     plan = geometry.memo(
-        ("observe", state.phi.shape, probes), lambda: _ObservePlan(geometry, state, probes)
+        ("observe", model, state.phi.shape, probes),
+        lambda: _ObservePlan(model, geometry, state, probes),
     )
     h = plan.h
     beta = _beta_of(model)
@@ -152,11 +157,10 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
     else:
         e = _trapz_into(dens, h, plan.trapz)
         p = _trapz_into(flux, h, plan.trapz)
-    if geometry.kind in ("interval", "halfline"):
-        if geometry.right is not None:
-            e += geometry.right.value(model, phi[:, -1])
-        if geometry.kind == "interval" and geometry.left is not None:
-            e += geometry.left.value(model, phi[:, 0])
+    if plan.energy_right is not None:
+        e += plan.energy_right(phi[:, -1])
+    if plan.energy_left is not None:
+        e += plan.energy_left(phi[:, 0])
     charge = 0.0
     if beta and not plan.periodic:
         charge = float(beta / (2.0 * np.pi) * (phi[0, -1] - phi[0, 0]))

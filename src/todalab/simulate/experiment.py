@@ -94,13 +94,24 @@ class RunConfig:
     sections: dict[str, dict[str, str]]
 
     def get(self, section: str, key: str) -> str:
+        if section not in self.sections:
+            raise ValidationError(f"unknown config section [{section}]")
+        if key not in self.sections[section]:
+            raise ValidationError(f"unknown config key {key!r} in section [{section}]")
         return self.sections[section][key]
 
+    def _typed(self, section: str, key: str, kind, what: str):
+        value = self.get(section, key)
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValidationError(f"[{section}] {key} = {value!r} is not {what}") from None
+
     def getfloat(self, section: str, key: str) -> float:
-        return float(self.get(section, key))
+        return self._typed(section, key, float, "a number")
 
     def getint(self, section: str, key: str) -> int:
-        return int(self.get(section, key))
+        return self._typed(section, key, int, "an integer")
 
     def getbool(self, section: str, key: str) -> bool:
         return self.get(section, key).strip().lower() in ("1", "true", "yes", "on")
@@ -303,10 +314,18 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_", text=True)
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -62,6 +62,14 @@ class Geometry:
             raise ValidationError("interface index only defined for defect geometry")
         return round((0.0 - self.grid.x_min) / self.grid.h)
 
+    @property
+    def boundary_ends(self) -> tuple:
+        """(left, right) boundary specs of the ends that carry a boundary
+        term, None elsewhere (open and far ends are Neumann)."""
+        left = self.left if self.kind == "interval" else None
+        right = self.right if self.kind in ("interval", "halfline") else None
+        return left, right
+
     def memo(self, key, build):
         """Run data derived from this geometry (step and observation plans),
         built by ``build()`` on first use of ``key`` and kept with it."""

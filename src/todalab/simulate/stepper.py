@@ -77,9 +77,7 @@ class _BulkPlan:
         self.h2 = grid.h**2
         self.ghost = 2.0 * grid.h
         self.periodic = geometry.kind == "periodic"
-        left = geometry.left if geometry.kind == "interval" else None
-        right = geometry.right if geometry.kind in ("interval", "halfline") else None
-        # open/far ends are Neumann: no boundary term
+        left, right = geometry.boundary_ends
         self.db_left = left.bind(model) if left is not None else None
         self.db_right = right.bind(model) if right is not None else None
         self.damp = _sponge_profile(geometry)

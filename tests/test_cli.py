@@ -201,3 +201,74 @@ def test_t_final_off_the_step_grid_exits_one(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "t_final" in err and "nearest reachable t_final is 1.0" in err
+
+
+def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
+    """The matrix-route report and the K-series payload share one solve."""
+    import todalab.laxboundary as lb
+    from todalab.laxboundary import constraints
+
+    calls = []
+    solve = lb.solve_k_expansion
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lb, "solve_k_expansion", counted)
+    monkeypatch.setattr(constraints, "solve_k_expansion", counted)
+    assert main(["derive-boundary", "--family", "A", "--rank", "3", "--route", "both"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert calls == ["a3"]
+    assert payload["routes_agree"] is True
+    assert payload["matrix_route"]["route"] == "matrix"
+
+
+@pytest.mark.parametrize(
+    "replace, sweep, message",
+    [
+        ({"kind = sinh_gordon": "kind = sinh_gordon\nmass = abc"}, None, "[model] mass = 'abc' is not a number"),
+        ({"n_cells = 128": "n_cells = 12.5"}, None, "[grid] n_cells = '12.5' is not an integer"),
+        ({}, "nosuch.key=1", "unknown config section [nosuch]"),
+        ({}, "model.nosuch=1", "unknown config key 'nosuch' in section [model]"),
+    ],
+)
+def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):
+    path = _write_config(tmp_path, CFG, **replace)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--out", str(out)]
+    if sweep:
+        argv += ["--sweep", sweep]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not out.exists()
+
+
+def test_failed_self_check_exits_two_with_one_line(monkeypatch, capsys):
+    from todalab.algebra import reps
+
+    def broken(rep):
+        raise AssertionError("[E_beta, E_{-beta}] != beta.H")
+
+    monkeypatch.setattr(reps, "_verify", broken)
+    assert main(["derive-boundary", "--family", "A", "--rank", "2", "--route", "both"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["todalab: internal self-check failed: [E_beta, E_{-beta}] != beta.H"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_outputs_get_the_umask_mode(config_file, tmp_path, umask):
+    """Atomic writes end with the mode a plain open() would give, not 0600."""
+    import os
+
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    files = sorted(out.iterdir())
+    assert [f.name for f in files] == ["diagnostics.csv", "run.manifest", "snapshots.csv"]
+    for f in files:
+        assert f.stat().st_mode & 0o777 == 0o666 & ~umask

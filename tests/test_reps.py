@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todalab.algebra import build_root_system, defining_rep, dot
-from todalab.algebra.reps import commutator, is_zero, mscale, unit
+from todalab.algebra.reps import commutator, is_zero, mmul, mscale, unit
 from todalab.errors import ValidationError
 
 F = Fraction
@@ -63,3 +65,33 @@ def test_step_rejects_non_roots():
     rep = defining_rep(rs)
     with pytest.raises(ValidationError, match="not a root"):
         rep.step((F(2), F(-2), F(0)))
+
+
+_entries = st.one_of(
+    st.just(F(0)),
+    st.just(F(0)),
+    st.just(F(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def _square_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    mat = st.tuples(*[st.tuples(*[_entries] * n)] * n)
+    return draw(mat), draw(mat)
+
+
+@given(_square_pair())
+@settings(max_examples=200, deadline=None)
+def test_sparse_mmul_matches_textbook_product(pair):
+    """Skipping zero entries leaves every exact sum unchanged."""
+    a, b = pair
+    n = len(a)
+    textbook = tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), F(0)) for j in range(n))
+        for i in range(n)
+    )
+    got = mmul(a, b)
+    assert got == textbook
+    assert all(isinstance(x, F) for row in got for x in row)
