@@ -9,16 +9,40 @@ B_phiphi = B_psipsi; together with (1/2)(B_phi^2 - B_psi^2) = V(phi) - W(psi)
 it makes P + U conserved, where U = f - g evaluated at the interface.  Both
 built-in defects carry their own analytic first and second derivatives and a
 sampling check of the two constraint identities.
+
+Every method takes arrays or scalars.  Scalars (the interface Newton solve
+calls with Python floats) are evaluated with ``math``, arrays with numpy,
+through the same expressions: squares are written as products, so a scalar
+gives the same bits as that value in a one-element array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ValidationError
 from .models import KleinGordon, SineGordon
+
+
+def _sin(x):
+    if isinstance(x, np.ndarray):
+        return np.sin(x)
+    try:
+        return math.sin(x)
+    except ValueError:  # +-inf: numpy's nan, without its warning
+        return math.nan
+
+
+def _cos(x):
+    if isinstance(x, np.ndarray):
+        return np.cos(x)
+    try:
+        return math.cos(x)
+    except ValueError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -44,9 +68,8 @@ class FreeDefect:
             raise ValidationError("free defect requires KleinGordon bulk with matching mass")
 
     def b_value(self, phi, psi):
-        return (self.m * self.lam / 4.0) * (phi + psi) ** 2 + (self.m / (4.0 * self.lam)) * (
-            phi - psi
-        ) ** 2
+        s, d = phi + psi, phi - psi
+        return (self.m * self.lam / 4.0) * (s * s) + (self.m / (4.0 * self.lam)) * (d * d)
 
     def b_phi(self, phi, psi):
         return (self.m * self.lam / 2.0) * (phi + psi) + (self.m / (2.0 * self.lam)) * (phi - psi)
@@ -65,15 +88,14 @@ class FreeDefect:
         return self.m * self.lam / 2.0 - self.m / (2.0 * self.lam) + 0.0 * phi
 
     def u_value(self, phi, psi):
-        return (self.m * self.lam / 4.0) * (phi + psi) ** 2 - (self.m / (4.0 * self.lam)) * (
-            phi - psi
-        ) ** 2
+        s, d = phi + psi, phi - psi
+        return (self.m * self.lam / 4.0) * (s * s) - (self.m / (4.0 * self.lam)) * (d * d)
 
     def potential_left(self, phi):
-        return 0.5 * self.m**2 * phi**2
+        return 0.5 * self.m**2 * (phi * phi)
 
     def potential_right(self, psi):
-        return 0.5 * self.m**2 * psi**2
+        return 0.5 * self.m**2 * (psi * psi)
 
 
 @dataclass(frozen=True)
@@ -112,49 +134,49 @@ class SineGordonBacklund:
     def b_value(self, phi, psi):
         cf, cg = self._pre()
         b = self.beta
-        return -cf * np.cos(b * (phi + psi) / 2.0) - cg * np.cos(b * (phi - psi) / 2.0)
+        return -cf * _cos(b * (phi + psi) / 2.0) - cg * _cos(b * (phi - psi) / 2.0)
 
     def b_phi(self, phi, psi):
         m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / b) * np.sin(b * (phi + psi) / 2.0) + (m / (b * lam)) * np.sin(
+        return (m * lam / b) * _sin(b * (phi + psi) / 2.0) + (m / (b * lam)) * _sin(
             b * (phi - psi) / 2.0
         )
 
     def b_psi(self, phi, psi):
         m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / b) * np.sin(b * (phi + psi) / 2.0) - (m / (b * lam)) * np.sin(
+        return (m * lam / b) * _sin(b * (phi + psi) / 2.0) - (m / (b * lam)) * _sin(
             b * (phi - psi) / 2.0
         )
 
     def b_phiphi(self, phi, psi):
         m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / 2.0) * np.cos(b * (phi + psi) / 2.0) + (m / (2.0 * lam)) * np.cos(
+        return (m * lam / 2.0) * _cos(b * (phi + psi) / 2.0) + (m / (2.0 * lam)) * _cos(
             b * (phi - psi) / 2.0
         )
 
     def b_psipsi(self, phi, psi):
         # d(b_psi)/dpsi, derived independently of b_phiphi
         m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / b) * (b / 2.0) * np.cos(b * (phi + psi) / 2.0) - (
+        return (m * lam / b) * (b / 2.0) * _cos(b * (phi + psi) / 2.0) - (
             m / (b * lam)
-        ) * (-b / 2.0) * np.cos(b * (phi - psi) / 2.0)
+        ) * (-b / 2.0) * _cos(b * (phi - psi) / 2.0)
 
     def b_phipsi(self, phi, psi):
         m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / 2.0) * np.cos(b * (phi + psi) / 2.0) - (m / (2.0 * lam)) * np.cos(
+        return (m * lam / 2.0) * _cos(b * (phi + psi) / 2.0) - (m / (2.0 * lam)) * _cos(
             b * (phi - psi) / 2.0
         )
 
     def u_value(self, phi, psi):
         cf, cg = self._pre()
         b = self.beta
-        return -cf * np.cos(b * (phi + psi) / 2.0) + cg * np.cos(b * (phi - psi) / 2.0)
+        return -cf * _cos(b * (phi + psi) / 2.0) + cg * _cos(b * (phi - psi) / 2.0)
 
     def potential_left(self, phi):
-        return (self.m**2 / self.beta**2) * (1.0 - np.cos(self.beta * phi))
+        return (self.m**2 / self.beta**2) * (1.0 - _cos(self.beta * phi))
 
     def potential_right(self, psi):
-        return (self.m**2 / self.beta**2) * (1.0 - np.cos(self.beta * psi))
+        return (self.m**2 / self.beta**2) * (1.0 - _cos(self.beta * psi))
 
 
 DefectSpec = FreeDefect | SineGordonBacklund

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import StepFailure, ValidationError
 from . import initial as init_mod
 from .boundaries import Neumann, Robin, TodaBoundary
 from .defects import FreeDefect, SineGordonBacklund
@@ -295,22 +296,22 @@ class RunResult:
     def diagnostics_csv(self) -> str:
         cols = ["t", "E", "P", "U", "P_plus_U", "Q_topological"]
         cols += [f"probe_{i+1}" for i in range(len(self.probes))]
+        row_fmt = ",".join([FLOAT_FMT] * len(cols))
         lines = [",".join(cols)]
         for d in self.diagnostics:
-            row = [d.t, d.energy, d.momentum, d.defect_u, d.p_plus_u, d.topological_charge]
-            row += list(d.probes)
-            lines.append(",".join(FLOAT_FMT % v for v in row))
+            row = (d.t, d.energy, d.momentum, d.defect_u, d.p_plus_u, d.topological_charge)
+            lines.append(row_fmt % (row + tuple(d.probes)))
         return "\n".join(lines) + "\n"
 
     def snapshots_csv(self) -> str:
         if self.history is None:
             raise ValidationError("run was configured without snapshots")
         xs = self.history.x
-        header = ",".join(["t"] + [FLOAT_FMT % x for x in xs])
-        lines = [header]
-        for i, t in enumerate(self.history.times):
-            row = [FLOAT_FMT % t] + [FLOAT_FMT % v for v in self.history.phi[i, 0]]
-            lines.append(",".join(row))
+        x_fmt = ",".join([FLOAT_FMT] * len(xs))
+        row_fmt = FLOAT_FMT + "," + x_fmt
+        lines = ["t," + x_fmt % tuple(xs.tolist())]
+        for t, phi in zip(self.history.times.tolist(), self.history.phi[:, 0]):
+            lines.append(row_fmt % (t, *phi.tolist()))
         return "\n".join(lines) + "\n"
 
 
@@ -351,7 +352,10 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     """Execute a configured run; deterministic for a fixed config.
 
     Writes diagnostics CSV, optional snapshot CSV, and the manifest when an
-    output directory is set (from ``out_dir`` or [output] directory).
+    output directory is set (from ``out_dir`` or [output] directory).  A
+    run whose stepping fails writes none of them and creates no directory;
+    if the output directory already exists, it writes ``failure.json`` (the
+    message and the StepFailure state dump) there before re-raising.
     """
     model = _build_model(cfg)
     geometry = _build_geometry(cfg, model)
@@ -374,7 +378,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     observers = [(save_every, True, observe)]
     if snapshot_every > 0:
         observers.append((snapshot_every, False, snaps))
-    state = _drive(state, model, geometry, n_steps, observers)
+    directory = out_dir if out_dir is not None else (cfg.get("output", "directory") or None)
+    try:
+        state = _drive(state, model, geometry, n_steps, observers)
+    except StepFailure as exc:
+        if directory and Path(directory).is_dir():
+            dump = json.dumps({"error": str(exc), "state_dump": exc.state_dump}, indent=2, sort_keys=True)
+            _write_atomic(Path(directory) / "failure.json", dump + "\n")
+        raise
     history = snaps.history(geometry)
     result = RunResult(
         config=cfg,
@@ -387,7 +398,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         probes=probes,
     )
 
-    directory = out_dir if out_dir is not None else (cfg.get("output", "directory") or None)
     if directory:
         base = Path(directory)
         _write_atomic(base / cfg.get("output", "diagnostics_file"), result.diagnostics_csv())

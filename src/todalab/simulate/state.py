@@ -142,17 +142,52 @@ class DefectState:
     """Two scalar fields joined at x = 0: phi on the left grid (interface is
     its last node), psi on the right grid (interface is its first node).
 
-    ``f_phi``/``f_psi`` and ``plan`` are the end-of-step forces, as on
-    FieldState."""
+    A state made by ``step`` lives on two-sided arrays, laid out as
+    ``[phi | psi]`` with the interface node twice (n_left + n_right entries,
+    the layout of ``snapshots.csv``): ``two_sided`` is the field,
+    ``two_sided_pi`` the momentum [pi_phi | pi_psi] and ``force`` the force
+    at the end of the step, tagged with ``plan`` as on FieldState.  Its
+    ``phi``, ``pi_phi``, ``psi`` and ``pi_psi`` are read-only views into
+    them.  A state built by hand from the four side arrays has no two-sided
+    arrays; its first step joins them once.
+    """
 
     t: float
     phi: np.ndarray
     pi_phi: np.ndarray
     psi: np.ndarray
     pi_psi: np.ndarray
-    f_phi: np.ndarray | None = field(default=None, repr=False)
-    f_psi: np.ndarray | None = field(default=None, repr=False)
+    two_sided: np.ndarray | None = field(default=None, repr=False)
+    two_sided_pi: np.ndarray | None = field(default=None, repr=False)
+    force: np.ndarray | None = field(default=None, repr=False)
     plan: object = field(default=None, repr=False)
+
+    @classmethod
+    def from_two_sided(cls, t: float, u, pi, n_left: int, force=None, plan=None) -> DefectState:
+        """The state on two-sided field and momentum arrays ``u`` and ``pi``
+        (left side first n_left entries); they and ``force`` are made
+        read-only, and the side fields are views into them."""
+        for arr in (u, pi, force):
+            if arr is not None:
+                arr.flags.writeable = False
+        return cls(
+            t=t,
+            phi=u[:n_left],
+            pi_phi=pi[:n_left],
+            psi=u[n_left:],
+            pi_psi=pi[n_left:],
+            two_sided=u,
+            two_sided_pi=pi,
+            force=force,
+            plan=plan,
+        )
+
+    def joined(self) -> tuple[np.ndarray, np.ndarray]:
+        """(field, momentum) in the two-sided layout; joined from the side
+        arrays when the state was built by hand."""
+        if self.two_sided is not None:
+            return self.two_sided, self.two_sided_pi
+        return np.concatenate([self.phi, self.psi]), np.concatenate([self.pi_phi, self.pi_psi])
 
     def check_finite(self) -> None:
         _check_finite(

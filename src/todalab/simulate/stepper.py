@@ -18,9 +18,20 @@ force at the end of a step is the force at the start of the next one
 with its plan, and the next step under that plan evaluates the force once
 instead of twice.  The arithmetic and its order are those of the plain
 two-force step, so results are bit for bit the same.
+
+Both sides of a defect advance as one two-sided array ``[phi | psi]`` in
+which the interface node appears twice (n_left + n_right entries, the layout
+of ``snapshots.csv``).  One force evaluation covers both sides: the interior
+stencil runs over the whole array, whose stencil next to either interface
+reads that side's own interface value, the far ends are ghost Neumann nodes,
+and the two interface entries carry no Laplacian.  The kicks, the drift and
+the sponge damping are whole-array operations; the interface entries they
+touch are then overwritten by the Newton solve, which runs on Python floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -140,18 +151,9 @@ def _step_bulk(plan: _BulkPlan, state: FieldState) -> FieldState:
     )
 
 
-def _one_sided_left(arr: np.ndarray, h: float) -> float:
-    """d_x at the last node of a left-domain array (interface), second order."""
-    return (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * h)
-
-
-def _one_sided_right(arr: np.ndarray, h: float) -> float:
-    """d_x at the first node of a right-domain array (interface), second order."""
-    return (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * h)
-
-
 class _DefectPlan:
-    """Step constants of a run with a defect at x = 0."""
+    """Step constants and scratch buffer of a run with a defect at x = 0,
+    for states on the two-sided layout [phi | psi]."""
 
     def __init__(self, model, geometry: Geometry):
         if geometry.kind != "defect":
@@ -165,12 +167,14 @@ class _DefectPlan:
         self.model = model
         self.defect = geometry.defect
         self.shapes = (n_left, n_right)
+        self.n_left = n_left
         self.h = grid.h
         self.h2 = grid.h**2
         self.dt = grid.dt
         self.half_dt = 0.5 * grid.dt
         damp = _sponge_profile(geometry)
-        self.damp = None if damp is None else (damp[: i0 + 1], damp[i0:])
+        self.damp = None if damp is None else np.concatenate([damp[: i0 + 1], damp[i0:]])
+        self.kick = np.empty(n_left + n_right)  # scratch of the kicks and the drift
 
     def check(self, state) -> None:
         n_left, n_right = self.shapes
@@ -184,50 +188,54 @@ class _DefectPlan:
                 f"left and {n_right} right of the interface"
             )
 
-    def force(self, arr: np.ndarray, fixed_end: str) -> np.ndarray:
-        """Force on a half-domain: ghost Neumann at the far end, interface value
-        held as Dirichlet data (its own update comes from the sewing ODEs)."""
+    def force(self, u: np.ndarray) -> np.ndarray:
+        """Force on both sides of a two-sided field, as a new array: ghost
+        Neumann at the far ends, each interface value held as Dirichlet data
+        for its neighbour (its own update comes from the sewing ODEs), so the
+        interface entries carry no Laplacian."""
         h2 = self.h2
-        lap = np.empty_like(arr)
-        _interior_laplacian(arr, lap, h2)
-        if fixed_end == "right":  # left domain: far end at index 0
-            lap[0] = (2.0 * arr[1] - 2.0 * arr[0]) / h2
-            lap[-1] = 0.0
-        else:  # right domain: far end at last index
-            lap[-1] = (2.0 * arr[-2] - 2.0 * arr[-1]) / h2
-            lap[0] = 0.0
-        np.subtract(lap, self.model.gradient(arr[None, :])[0], out=lap)
-        return lap
+        f = np.empty_like(u)
+        _interior_laplacian(u, f, h2)
+        f[0] = (2.0 * u[1] - 2.0 * u[0]) / h2
+        f[-1] = (2.0 * u[-2] - 2.0 * u[-1]) / h2
+        a = self.n_left - 1
+        f[a : a + 2] = 0.0
+        np.subtract(f, self.model.gradient(u[None, :])[0], out=f)
+        return f
 
 
 def _step_defect(plan: _DefectPlan, state: DefectState) -> DefectState:
     if state.plan is plan:
-        f_phi, f_psi = state.f_phi, state.f_psi
+        u, pi, f = state.two_sided, state.two_sided_pi, state.force
     else:
         plan.check(state)
-        f_phi, f_psi = plan.force(state.phi, "right"), plan.force(state.psi, "left")
+        u, pi = state.joined()
+        f = plan.force(u)
     defect = plan.defect
     dt, h, half_dt = plan.dt, plan.h, plan.half_dt
-    phi, pi_phi = state.phi.copy(), state.pi_phi.copy()
-    psi, pi_psi = state.psi.copy(), state.pi_psi.copy()
+    a = plan.n_left - 1  # phi's interface node; psi's is a + 1
 
-    phi0_old, psi0_old = phi[-1], psi[0]
-    dphi_old = _one_sided_left(phi, h)
-    dpsi_old = _one_sided_right(psi, h)
+    # interface values and their one-sided second-order d_x, as Python floats
+    l2, l1, phi0_old, psi0_old, r1, r2 = u[a - 2 : a + 4].tolist()
+    dphi_old = (3.0 * phi0_old - 4.0 * l1 + l2) / (2.0 * h)
+    dpsi_old = (-3.0 * psi0_old + 4.0 * r1 - r2) / (2.0 * h)
 
-    # bulk half-kick + drift on interior nodes (interface enters their stencil
-    # at the old time level)
-    pi_phi[:-1] += half_dt * f_phi[:-1]
-    pi_psi[1:] += half_dt * f_psi[1:]
-    phi[:-1] += dt * pi_phi[:-1]
-    psi[1:] += dt * pi_psi[1:]
+    # bulk half-kick + drift (the interface enters the stencils next to it at
+    # the old time level; its own entries are overwritten below)
+    kick = plan.kick
+    np.multiply(f, half_dt, out=kick)
+    pi = np.add(pi, kick)
+    np.multiply(pi, dt, out=kick)
+    u = np.add(u, kick)
 
     # trapezoidal update of the interface pair
     rhs_phi = phi0_old + 0.5 * dt * (dpsi_old - defect.b_psi(phi0_old, psi0_old))
     rhs_psi = psi0_old + 0.5 * dt * (dphi_old + defect.b_phi(phi0_old, psi0_old))
     # new-time one-sided derivatives split into known interior part + interface term
-    dphi_known = (-4.0 * phi[-2] + phi[-3]) / (2.0 * h)
-    dpsi_known = (4.0 * psi[1] - psi[2]) / (2.0 * h)
+    l2, l1 = u[a - 2 : a].tolist()
+    r1, r2 = u[a + 2 : a + 4].tolist()
+    dphi_known = (-4.0 * l1 + l2) / (2.0 * h)
+    dpsi_known = (4.0 * r1 - r2) / (2.0 * h)
     cp, cm = 3.0 / (2.0 * h), -3.0 / (2.0 * h)
 
     u_phi, u_psi = phi0_old, psi0_old
@@ -245,7 +253,7 @@ def _step_defect(plan: _DefectPlan, state: DefectState) -> DefectState:
         j21 = -0.5 * dt * (cp + defect.b_phiphi(u_phi, u_psi))
         j22 = 1.0 - 0.5 * dt * defect.b_phipsi(u_phi, u_psi)
         det = j11 * j22 - j12 * j21
-        if det == 0.0 or not np.isfinite(det):
+        if det == 0.0 or not math.isfinite(det):
             break
         du_phi = -(j22 * g1 - j12 * g2) / det
         du_psi = -(-j21 * g1 + j11 * g2) / det
@@ -263,36 +271,26 @@ def _step_defect(plan: _DefectPlan, state: DefectState) -> DefectState:
         raise StepFailure(
             f"defect interface Newton failed to converge at t={state.t}",
             state_dump={
-                "t": state.t,
+                "t": float(state.t),
                 "phi0": float(phi0_old),
                 "psi0": float(psi0_old),
                 "u_phi": float(u_phi),
                 "u_psi": float(u_psi),
             },
         )
-    phi[-1], psi[0] = u_phi, u_psi
+    u[a], u[a + 1] = u_phi, u_psi
 
     # second bulk half-kick with the completed new-time fields
-    f_phi, f_psi = plan.force(phi, "right"), plan.force(psi, "left")
-    pi_phi[:-1] += half_dt * f_phi[:-1]
-    pi_psi[1:] += half_dt * f_psi[1:]
+    f = plan.force(u)
+    np.multiply(f, half_dt, out=kick)
+    np.add(pi, kick, out=pi)
     # interface velocities from the sewing conditions (diagnostic values)
-    pi_phi[-1] = (dpsi_known + cm * u_psi) - defect.b_psi(u_phi, u_psi)
-    pi_psi[0] = (dphi_known + cp * u_phi) + defect.b_phi(u_phi, u_psi)
+    pi[a] = (dpsi_known + cm * u_psi) - defect.b_psi(u_phi, u_psi)
+    pi[a + 1] = (dphi_known + cp * u_phi) + defect.b_phi(u_phi, u_psi)
 
     if plan.damp is not None:
-        pi_phi *= plan.damp[0]
-        pi_psi *= plan.damp[1]
-    return DefectState(
-        t=state.t + dt,
-        phi=_frozen(phi),
-        pi_phi=_frozen(pi_phi),
-        psi=_frozen(psi),
-        pi_psi=_frozen(pi_psi),
-        f_phi=_frozen(f_phi),
-        f_psi=_frozen(f_psi),
-        plan=plan,
-    )
+        np.multiply(pi, plan.damp, out=pi)
+    return DefectState.from_two_sided(state.t + dt, u, pi, plan.n_left, force=f, plan=plan)
 
 
 def _plan(state, model, geometry: Geometry):
@@ -323,8 +321,9 @@ class _Snapshots:
     def __call__(self, state) -> None:
         self.times.append(state.t)
         if isinstance(state, DefectState):
-            self.phi.append(np.concatenate([state.phi, state.psi])[None, :])
-            self.pi.append(np.concatenate([state.pi_phi, state.pi_psi])[None, :])
+            u, pi = state.joined()
+            self.phi.append(np.array(u[None, :], copy=True))
+            self.pi.append(np.array(pi[None, :], copy=True))
         else:
             self.phi.append(np.array(state.phi, copy=True))
             self.pi.append(np.array(state.pi, copy=True))

@@ -272,3 +272,38 @@ def test_outputs_get_the_umask_mode(config_file, tmp_path, umask):
     assert [f.name for f in files] == ["diagnostics.csv", "run.manifest", "snapshots.csv"]
     for f in files:
         assert f.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+BLOWUP_CFG = """\
+[model]
+kind = sinh_gordon
+
+[grid]
+t_final = 2.0
+
+[geometry]
+kind = line
+
+[initial]
+kind = gaussian
+amplitude = 40.0
+"""
+
+
+def test_failed_run_writes_failure_dump_and_no_data(tmp_path, capsys):
+    """sinh(40) overflows within a step: exit 2 with one stderr line, and
+    only failure.json (naming the time and the first non-finite node) in
+    the existing output directory."""
+    config = tmp_path / "blowup.ini"
+    config.write_text(BLOWUP_CFG)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("todalab: numerical failure: non-finite field values")
+    assert [f.name for f in out.iterdir()] == ["failure.json"]
+    failure = json.loads((out / "failure.json").read_text())
+    dump = failure["state_dump"]
+    assert dump["t"] > 0.0 and isinstance(dump["node"], int)
+    assert dump["field"] in ("phi", "pi")
+    assert failure["error"] == err[0].removeprefix("todalab: numerical failure: ")

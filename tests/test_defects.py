@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from todalab.errors import StepFailure, ValidationError
 from todalab.simulate import (
@@ -203,3 +205,84 @@ def test_newton_failure_raises_step_failure():
             state = step(state, model, geom)
     assert "t" in err.value.state_dump
     assert "phi0" in err.value.state_dump
+
+
+# ---------------------------------------------------------------------------
+# scalar and array evaluation of the defect potentials
+
+_PAIR_METHODS = ("b_value", "b_phi", "b_psi", "b_phiphi", "b_psipsi", "b_phipsi", "u_value")
+_field = st.floats(min_value=-50.0, max_value=50.0)
+_lam = st.one_of(st.floats(min_value=-5.0, max_value=-0.1), st.floats(min_value=0.1, max_value=5.0))
+_positive = st.floats(min_value=0.2, max_value=3.0)
+
+
+def _make_defect(kind, lam, m, beta):
+    return FreeDefect(lam=lam, m=m) if kind == "free" else SineGordonBacklund(lam=lam, m=m, beta=beta)
+
+
+@given(st.sampled_from(["free", "backlund"]), _lam, _positive, _positive, _field, _field)
+# x ** 2 through libm pow differs from x * x for this x (and for x / 2)
+@example("free", 0.8, 1.0, 1.0, 25.163621, 0.0)
+@settings(max_examples=200, deadline=None)
+def test_scalar_defect_values_have_the_bits_of_one_element_arrays(kind, lam, m, beta, phi, psi):
+    """The Newton solve evaluates on Python floats, the diagnostics on numpy
+    scalars, the constraint check on arrays: all three give the same bits."""
+    defect = _make_defect(kind, lam, m, beta)
+    calls = [(name, (phi, psi)) for name in _PAIR_METHODS]
+    calls += [("potential_left", (phi,)), ("potential_right", (psi,))]
+    for name, args in calls:
+        method = getattr(defect, name)
+        want = method(*(np.array([a]) for a in args))
+        assert want.shape == (1,)
+        for scalars in (args, tuple(np.float64(a) for a in args)):
+            got = method(*scalars)
+            assert np.ndim(got) == 0
+            assert np.float64(got).tobytes() == want.tobytes(), (name, scalars)
+
+
+@given(st.sampled_from(["free", "backlund"]), _lam, _positive, _positive, _field, _field)
+@settings(max_examples=200, deadline=None)
+def test_defect_potential_identity_holds_on_random_samples(kind, lam, m, beta, phi, psi):
+    """(1/2)(B_phi^2 - B_psi^2) = V(phi) - W(psi) to 1e-12 of the size of its terms."""
+    defect = _make_defect(kind, lam, m, beta)
+    b_phi2, b_psi2 = defect.b_phi(phi, psi) ** 2, defect.b_psi(phi, psi) ** 2
+    v, w = defect.potential_left(phi), defect.potential_right(psi)
+    scale = max(1.0, b_phi2, b_psi2, abs(v), abs(w))
+    assert abs(0.5 * (b_phi2 - b_psi2) - (v - w)) <= 1e-12 * scale
+
+
+def test_newton_failure_dump_holds_plain_floats():
+    import json
+
+    class HostileDefect(SineGordonBacklund):
+        def b_psi(self, phi, psi):
+            return 1e6 * np.sin(1e6 * (phi + psi))
+
+        def b_phi(self, phi, psi):
+            return 1e6 * np.cos(1e6 * (phi - psi))
+
+    defect = HostileDefect(lam=1.0, m=1.0, beta=1.0)
+    geom = with_defect(Grid1D(-10.0, 10.0, 64), defect, sponge_fraction=0.0)
+    model = SineGordon(m=1.0, beta=1.0)
+    state = init_soliton(geom, model, v=0.5, x0=-3.0)
+    with pytest.raises(StepFailure) as err:
+        for _ in range(50):
+            state = step(state, model, geom)
+    dump = err.value.state_dump
+    assert set(dump) == {"t", "phi0", "psi0", "u_phi", "u_psi"}
+    assert all(type(v) is float for v in dump.values())
+    assert json.loads(json.dumps(dump)).keys() == dump.keys()
+
+
+def test_non_finite_interface_fails_the_newton_solve():
+    """Fields are checked for finiteness only at observation points, so the
+    Newton solve can meet an infinite interface value: it reports a
+    StepFailure, not a math domain error from the scalar sine."""
+    model = SineGordon(m=1.0, beta=1.0)
+    geom = with_defect(Grid1D(-10.0, 10.0, 64), SineGordonBacklund(lam=1.0), sponge_fraction=0.0)
+    state = init_soliton(geom, model, v=0.5, x0=-3.0)
+    phi = state.phi.copy()
+    phi[-1] = np.inf
+    hand_built = type(state)(t=0.0, phi=phi, pi_phi=state.pi_phi, psi=state.psi, pi_psi=state.pi_psi)
+    with pytest.raises(StepFailure, match="Newton"), np.errstate(invalid="ignore"):
+        step(hand_built, model, geom)

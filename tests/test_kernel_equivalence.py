@@ -280,6 +280,24 @@ def _case(name):
         defect = SineGordonBacklund(lam=1.2, m=1.0, beta=1.0)
         geom = with_defect(Grid1D(-16.0, 16.0, 256), defect, sponge_fraction=0.0)
         return model, geom, init_soliton(geom, model, v=0.5, x0=-4.0)
+    if name == "defect-backlund-off-centre":  # unequal halves: 101 nodes left, 301 right
+        model = SineGordon(m=1.0, beta=1.0)
+        defect = SineGordonBacklund(lam=0.9, m=1.0, beta=1.0)
+        geom = with_defect(Grid1D(-10.0, 30.0, 400), defect, sponge_fraction=0.1)
+        return model, geom, init_soliton(geom, model, v=0.4, x0=-3.0)
+    if name == "defect-free-hand-built":  # the two sides jump at x = 0
+        model = KleinGordon(m=1.0)
+        geom = with_defect(Grid1D(-20.0, 20.0, 400), FreeDefect(lam=0.7, m=1.0), sponge_fraction=0.1)
+        i0 = geom.interface_index
+        xl, xr = geom.x[: i0 + 1], geom.x[i0:]
+        state = DefectState(
+            t=0.0,
+            phi=0.1 * np.exp(-((xl + 3.0) ** 2)),
+            pi_phi=0.05 * np.sin(xl) * np.exp(-((xl + 3.0) ** 2)),
+            psi=0.08 * np.exp(-((xr - 2.0) ** 2)),
+            pi_psi=np.zeros_like(xr),
+        )
+        return model, geom, state
     raise KeyError(name)
 
 
@@ -292,6 +310,8 @@ CASES = [
     "interval-robin",
     "defect-free",
     "defect-backlund",
+    "defect-backlund-off-centre",
+    "defect-free-hand-built",
 ]
 
 
@@ -394,3 +414,32 @@ def test_non_finite_state_raises_step_failure_with_first_node():
     assert err.value.state_dump["t"] == 1.5
     assert err.value.state_dump["field"] == "phi"
     assert err.value.state_dump["node"] == 7
+
+
+# ---------------------------------------------------------------------------
+# the two-sided defect layout
+
+
+def test_defect_step_results_are_read_only_views_of_two_sided_arrays():
+    model, geom, state = _case("defect-backlund")
+    out = step(state, model, geom)
+    n_left = len(out.phi)
+    assert out.two_sided.shape == out.two_sided_pi.shape == (n_left + len(out.psi),)
+    sides = [
+        (out.phi, out.two_sided[:n_left]),
+        (out.psi, out.two_sided[n_left:]),
+        (out.pi_phi, out.two_sided_pi[:n_left]),
+        (out.pi_psi, out.two_sided_pi[n_left:]),
+    ]
+    for side, part in sides:
+        assert np.shares_memory(side, part) and np.array_equal(side, part)
+        assert not side.flags.writeable
+        with pytest.raises(ValueError):
+            side[0] = 1.0
+    for arr in (out.two_sided, out.two_sided_pi, out.force):
+        assert not arr.flags.writeable
+    # the one force is the two half-domain forces side by side
+    h = geom.grid.h
+    halves = [_interior_force(out.phi, model, h, "right"), _interior_force(out.psi, model, h, "left")]
+    assert np.array_equal(out.force, np.concatenate(halves))
+    assert step(out, model, geom).plan is out.plan
