@@ -48,10 +48,6 @@ def unit(n: int, i: int, j: int) -> Matrix:
     )
 
 
-def madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def msub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -82,10 +78,6 @@ def mmul(a: Matrix, b: Matrix) -> Matrix:
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return msub(mmul(a, b), mmul(b, a))
-
-
-def anticommutator(a: Matrix, b: Matrix) -> Matrix:
-    return madd(mmul(a, b), mmul(b, a))
 
 
 def is_zero(a: Matrix) -> bool:

@@ -114,12 +114,6 @@ class RootSystem:
             return self.alpha0
         return self.simple_roots[i - 1]
 
-    def affine_coeffs(self, i: int) -> tuple[int, ...]:
-        """Expansion of the node-``i`` vector over the simple roots."""
-        if i == 0:
-            return tuple(-n for n in self.marks[1:])
-        return tuple(1 if a == i - 1 else 0 for a in range(self.rank))
-
     def to_rootspace(self, vec: Sequence[Fraction]) -> np.ndarray:
         """Coordinates of an embedding-space vector in the orthonormal basis."""
         return self.orthobasis @ np.asarray([float(x) for x in vec])

@@ -201,22 +201,18 @@ def _cmd_lax_check(args) -> int:
         report = {}
         for lam in lambdas:
             res = curvature_residual(result.history, frame, lam, m=m_t, beta=beta_t)
-            qs = [
-                monodromy_charge(
-                    result.history.x,
-                    result.history.phi[i],
-                    result.history.pi[i],
-                    frame,
-                    lam,
-                    m=m_t,
-                    beta=beta_t,
-                    geometry=result.geometry.kind if result.geometry.kind == "periodic" else "line",
-                )
-                for i in range(len(result.history.times))
-            ]
-            qs = np.asarray(qs)
+            qs = monodromy_charge(
+                result.history.x,
+                result.history.phi,
+                result.history.pi,
+                frame,
+                lam,
+                m=m_t,
+                beta=beta_t,
+                geometry=result.geometry.kind if result.geometry.kind == "periodic" else "line",
+            )
             drift = float(np.max(np.abs(qs - qs[0])) / max(1e-30, abs(qs[0])))
-            report[FLOAT_FMT % lam] = {"curvature_rms": res, "monodromy_drift": drift}
+            report[repr(lam)] = {"curvature_rms": res, "monodromy_drift": drift}
         return report
 
     cfg = load_config(args.config)

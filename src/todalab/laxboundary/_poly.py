@@ -88,11 +88,6 @@ class Poly:
                     out[mono] = s
         return Poly(self.nvars, out)
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def content_monomial(self) -> Monomial:
         """Componentwise-minimal exponent vector dividing every term."""
         if not self.terms:

@@ -179,10 +179,6 @@ def pmat_acomm(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return pmat_add(pmat_mul(a, b), pmat_mul(b, a))
 
 
-def pmat_is_zero(a: PolyMatrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def pmat_eval(a: PolyMatrix, values: Sequence) -> np.ndarray:
     return np.array(
         [[float(x.substitute(values)) for x in row] for row in a], dtype=float

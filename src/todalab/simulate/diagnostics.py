@@ -140,17 +140,26 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
         np.divide(grad, 2.0 * h, out=grad)
     else:
         _gradient_into(phi, h, grad)
-    # dens = 0.5 sum_a pi_a^2 + 0.5 sum_a (d_x phi_a)^2 + V(phi)
-    np.square(pi, out=work)
-    np.add.reduce(work, axis=0, out=dens)
+    # dens = 0.5 sum_a pi_a^2 + 0.5 sum_a (d_x phi_a)^2 + V(phi); with one
+    # component the sums are the squares themselves, bit for bit
+    single = len(phi) == 1
+    if single:
+        np.square(pi[0], out=dens)
+        np.square(grad[0], out=flux)
+    else:
+        np.square(pi, out=work)
+        np.add.reduce(work, axis=0, out=dens)
+        np.square(grad, out=work)
+        np.add.reduce(work, axis=0, out=flux)
     np.multiply(dens, 0.5, out=dens)
-    np.square(grad, out=work)
-    np.add.reduce(work, axis=0, out=flux)
     np.multiply(flux, 0.5, out=flux)
     np.add(dens, flux, out=dens)
     np.add(dens, model.potential(phi), out=dens)
-    np.multiply(pi, grad, out=work)
-    np.add.reduce(work, axis=0, out=flux)
+    if single:
+        np.multiply(pi[0], grad[0], out=flux)
+    else:
+        np.multiply(pi, grad, out=work)
+        np.add.reduce(work, axis=0, out=flux)
     if plan.periodic:
         e = float(np.sum(dens) * h)
         p = float(np.sum(flux) * h)
