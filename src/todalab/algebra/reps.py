@@ -1,14 +1,18 @@
 """Exact defining representation of the A-family algebras.
 
-Matrices are nested tuples of ``Fraction``.  Cartan generators are stored as
-``H_a = diag(alpha_a)`` (rational, one per simple root); the Cartan element
-dual to any embedding-space vector ``v`` is ``diag(v)``, so that
-``[H(u), E_beta] = (beta . u) E_beta`` and ``[E_beta, E_{-beta}] = H(beta)``
-hold exactly (all roots have length^2 = 2 here).
+Matrices are nested tuples of exact numbers.  The A-family roots have
+integer coordinates, so the representation itself is integer: step operators
+``E_{e_i - e_j}`` are integer matrix units and the Cartan generators are
+``H_a = diag(alpha_a)`` with integer entries (one per simple root).  The
+Cartan element dual to any embedding-space vector ``v`` is ``diag(v)`` with
+``Fraction`` entries, so that ``[H(u), E_beta] = (beta . u) E_beta`` and
+``[E_beta, E_{-beta}] = H(beta)`` hold exactly (all roots have length^2 = 2
+here).  Ints compare and hash equal to the ``Fraction`` of the same value,
+so integer and rational matrices mix freely.
 
 The generators have at most r+1 nonzero entries each, so products skip
 zero entries (``mmul``); the arithmetic stays exact, and every relation
-``defining_rep`` verifies is checked on the full matrices.
+``defining_rep`` verifies is checked on the full matrices, in integers.
 """
 
 from __future__ import annotations
@@ -18,33 +22,24 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import ValidationError
-from .roots import RootSystem, Vector, dot, _vneg
+from .roots import RootSystem, Vector
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def zeros(n: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
-def eye(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def diag(values: Sequence[Fraction]) -> Matrix:
+def diag(values: Sequence[int | Fraction]) -> Matrix:
+    """Diagonal matrix of ``values``; its zeros have the type of the values."""
     n = len(values)
     return tuple(
-        tuple(Fraction(values[i]) if i == j else Fraction(0) for j in range(n))
+        tuple(values[i] if i == j else 0 * values[i] for j in range(n))
         for i in range(n)
     )
 
 
 def unit(n: int, i: int, j: int) -> Matrix:
+    """Integer matrix unit with a 1 at (i, j)."""
     return tuple(
-        tuple(Fraction(1 if (a, b) == (i, j) else 0) for b in range(n))
-        for a in range(n)
+        tuple(1 if (a, b) == (i, j) else 0 for b in range(n)) for a in range(n)
     )
 
 
@@ -62,12 +57,15 @@ def mmul(a: Matrix, b: Matrix) -> Matrix:
     The generators are nearly all zeros, so each nonzero ``a[i][k]`` is
     multiplied into the nonzero entries of row ``k`` of ``b`` (listed once
     per call); the sums are the textbook ones without their zero terms.
+    They start from the zero of ``a``'s entries, so integer matrices multiply
+    in ints and ``Fraction`` matrices give ``Fraction`` entries throughout.
     """
     ncols = len(b[0]) if b else 0
+    zero = 0 * a[0][0] if a and a[0] else 0
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [Fraction(0)] * ncols
+        acc = [zero] * ncols
         for x, b_row in zip(row, b_rows):
             if x:
                 for j, y in b_row:
@@ -118,31 +116,33 @@ def defining_rep(rs: RootSystem) -> MatrixRep:
     n = rs.rank + 1
     e_mats: dict[Vector, Matrix] = {}
     for root in rs.roots:
-        i = root.vector.index(Fraction(1))
-        j = root.vector.index(Fraction(-1))
-        e_mats[root.vector] = unit(n, i, j)
-    h_mats = tuple(diag(a) for a in rs.simple_roots)
+        iv = tuple(int(x) for x in root.vector)
+        e_mats[root.vector] = unit(n, iv.index(1), iv.index(-1))
+    h_mats = tuple(diag(tuple(int(x) for x in a)) for a in rs.simple_roots)
     rep = MatrixRep(rs=rs, n=n, h_mats=h_mats, e_mats=e_mats)
     _verify(rep)
     return rep
 
 
 def _verify(rep: MatrixRep) -> None:
+    """Check the relations on the full matrices of ``rep``, in integers."""
+    # step operators keyed by the integer coordinates of their roots
+    by_ints = {tuple(int(x) for x in vec): e for vec, e in rep.e_mats.items()}
     rs = rep.rs
-    for a, h in zip(rs.simple_roots, rep.h_mats):
-        for root in rs.roots:
-            want = mscale(dot(root.vector, a), rep.e_mats[root.vector])
-            if commutator(h, rep.e_mats[root.vector]) != want:
+    nodes = [tuple(int(x) for x in rs.affine_vector(i)) for i in range(rs.rank + 1)]
+    for a, h in zip(nodes[1:], rep.h_mats):
+        for iv, e in by_ints.items():
+            want = mscale(sum(x * y for x, y in zip(iv, a)), e)
+            if commutator(h, e) != want:
                 raise AssertionError("[H_a, E_beta] != (beta.a) E_beta")
-    for root in rs.roots:
-        got = commutator(rep.e_mats[root.vector], rep.e_mats[_vneg(root.vector)])
-        if got != rep.cartan_element(root.vector):
+    for iv, e in by_ints.items():
+        got = commutator(e, by_ints[tuple(-x for x in iv)])
+        if got != diag(iv):
             raise AssertionError("[E_beta, E_{-beta}] != beta.H")
-    nodes = [rs.affine_vector(i) for i in range(rs.rank + 1)]
     for i, ai in enumerate(nodes):
         for j, aj in enumerate(nodes):
             if i == j:
                 continue
-            got = commutator(rep.e_mats[ai], rep.e_mats[_vneg(aj)])
+            got = commutator(by_ints[ai], by_ints[tuple(-x for x in aj)])
             if not is_zero(got):
                 raise AssertionError("[E_{alpha_i}, E_{-alpha_j}] != 0 for i != j")

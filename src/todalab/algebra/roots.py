@@ -1,15 +1,22 @@
-"""Simply-laced root systems (A, D, E) in exact rational arithmetic.
+"""Simply-laced root systems (A, D, E) on the integer root lattice.
 
-Simple roots use the standard Euclidean embeddings (integer and half-integer
-coordinates), so every inner product is an exact ``Fraction``.  The full root
-set is generated height-by-height: for roots of a simply-laced system,
-``beta + alpha_i`` is a root iff ``beta . alpha_i == -1``.
+Every root is an integer combination of simple roots, and the integer
+Cartan matrix gives every inner product: ``beta . alpha_i = sum_j c_j C_ji``
+for ``beta = sum_j c_j alpha_j``.  The positive roots are closed
+height-by-height on these integer coefficient tuples: for roots of a
+simply-laced system, ``beta + alpha_i`` is a root iff ``beta . alpha_i == -1``.
+
+Simple roots use the standard Euclidean embeddings, whose coordinates are
+integers or half-integers, so the embedding vectors are computed doubled, in
+integers, and turned into exact ``Fraction`` coordinates once, as the output
+view (``Root.vector``, ``simple_roots``, ``alpha0``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 from typing import Sequence
 
@@ -118,77 +125,94 @@ class RootSystem:
         """Coordinates of an embedding-space vector in the orthonormal basis."""
         return self.orthobasis @ np.asarray([float(x) for x in vec])
 
+    @cached_property
+    def affine_rootspace(self) -> np.ndarray:
+        """Read-only (rank + 1, rank) float64 array; row i is the affine root i
+        in the orthonormal basis, ``to_rootspace(affine_vector(i))``."""
+        out = np.asarray(
+            [self.to_rootspace(self.affine_vector(i)) for i in range(self.rank + 1)],
+            dtype=float,
+        )
+        out.setflags(write=False)
+        return out
+
 
 def affine_adjacency(rs: RootSystem) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, of affine Dynkin nodes with ``alpha_i . alpha_j == -1``."""
-    vecs = [rs.affine_vector(i) for i in range(rs.rank + 1)]
-    return [
-        (i, j)
-        for i in range(rs.rank + 1)
-        for j in range(i + 1, rs.rank + 1)
-        if dot(vecs[i], vecs[j]) == Fraction(-1)
+    """Pairs (i, j), i < j, of affine Dynkin nodes with ``alpha_i . alpha_j == -1``.
+
+    Read from the integers: ``alpha_i . alpha_j = C_ij`` for simple roots, and
+    ``alpha0 = -sum_i n_i alpha_i`` gives ``alpha0 . alpha_j = -sum_i n_i C_ij``.
+    """
+    r, cartan = rs.rank, rs.cartan
+    pairs = [
+        (0, j + 1)
+        for j in range(r)
+        if -sum(rs.marks[i + 1] * cartan[i][j] for i in range(r)) == -1
     ]
+    pairs += [(i + 1, j + 1) for i in range(r) for j in range(i + 1, r) if cartan[i][j] == -1]
+    return pairs
 
 
-def _simple_root_vectors(family: str, rank: int) -> list[Vector]:
-    zero = Fraction(0)
-    one = Fraction(1)
-    half = Fraction(1, 2)
+def _doubled_simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
+    """Simple roots with every coordinate doubled, so all entries are integers."""
     if family == "A":
         dim = rank + 1
         roots = []
         for i in range(rank):
-            v = [zero] * dim
-            v[i], v[i + 1] = one, -one
+            v = [0] * dim
+            v[i], v[i + 1] = 2, -2
             roots.append(tuple(v))
         return roots
     if family == "D":
         dim = rank
         roots = []
         for i in range(rank - 1):
-            v = [zero] * dim
-            v[i], v[i + 1] = one, -one
+            v = [0] * dim
+            v[i], v[i + 1] = 2, -2
             roots.append(tuple(v))
-        v = [zero] * dim
-        v[rank - 2] = one
-        v[rank - 1] = one
+        v = [0] * dim
+        v[rank - 2] = 2
+        v[rank - 1] = 2
         roots.append(tuple(v))
         return roots
     # E_r as the first r Bourbaki simple roots of E8, embedded in R^8.
-    a1 = tuple([half, -half, -half, -half, -half, -half, -half, half])
-    a2 = tuple([one, one] + [zero] * 6)
+    a1 = (1, -1, -1, -1, -1, -1, -1, 1)
+    a2 = (2, 2, 0, 0, 0, 0, 0, 0)
     chain = []
     for i in range(6):
-        v = [zero] * 8
-        v[i], v[i + 1] = -one, one
+        v = [0] * 8
+        v[i], v[i + 1] = -2, 2
         chain.append(tuple(v))  # e_{i+2} - e_{i+1}
     all8 = [a1, a2] + chain
     return all8[:rank]
 
 
-def _close_positive_roots(simple: list[Vector]) -> dict[Vector, tuple[int, ...]]:
-    """All positive roots with their simple-root expansions, by height closure."""
-    rank = len(simple)
-    known: dict[Vector, tuple[int, ...]] = {}
-    frontier: dict[Vector, tuple[int, ...]] = {}
-    for i, a in enumerate(simple):
-        coeffs = tuple(1 if j == i else 0 for j in range(rank))
-        known[a] = coeffs
-        frontier[a] = coeffs
+def _close_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Simple-root expansions of all positive roots, by height closure.
+
+    Each root ``beta = sum_j c_j alpha_j`` carries its inner products
+    ``beta . alpha_i = sum_j c_j C_ji`` with the simple roots; adding
+    ``alpha_i`` to ``beta`` adds row ``i`` of the Cartan matrix to them.
+    """
+    rank = len(cartan)
+    frontier: dict[tuple[int, ...], tuple[int, ...]] = {
+        tuple(1 if j == i else 0 for j in range(rank)): cartan[i] for i in range(rank)
+    }
+    known = dict(frontier)
     while frontier:
-        nxt: dict[Vector, tuple[int, ...]] = {}
-        for beta, coeffs in frontier.items():
-            for i, alpha in enumerate(simple):
-                if dot(beta, alpha) == Fraction(-1):
-                    gamma = _vadd(beta, alpha)
-                    if gamma not in known:
-                        c = tuple(
-                            coeffs[j] + (1 if j == i else 0) for j in range(rank)
-                        )
-                        known[gamma] = c
-                        nxt[gamma] = c
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for coeffs, prods in frontier.items():
+            for i, p in enumerate(prods):
+                if p == -1:
+                    c = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1 :]
+                    if c not in known:
+                        known[c] = nxt[c] = tuple(x + y for x, y in zip(prods, cartan[i]))
         frontier = nxt
-    return known
+    return list(known)
+
+
+# Fraction(k, 2) for every doubled coordinate a root of norm^2 2 can have.
+_HALVES = {k: Fraction(k, 2) for k in range(-2, 3)}
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -209,18 +233,23 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             f"supported: {SUPPORTED_SYSTEMS}"
         )
 
-    simple = _simple_root_vectors(fam, rank)
-    for a in simple:
-        if dot(a, a) != Fraction(2):
-            raise AssertionError(f"simple root {a} does not have length^2 = 2")
+    simple2 = _doubled_simple_roots(fam, rank)
+    cartan = tuple(
+        tuple(sum(x * y for x, y in zip(a, b)) // 4 for b in simple2) for a in simple2
+    )
+    for i, row in enumerate(cartan):
+        if row[i] != 2:
+            raise AssertionError(f"simple root {i + 1} does not have length^2 = 2")
 
-    positives = _close_positive_roots(simple)
-    roots: list[Root] = []
-    for vec, coeffs in positives.items():
+    positives = _close_positive_roots(cartan)
+    doubled = (np.asarray(positives) @ np.asarray(simple2)).tolist()  # exact int64
+    keyed = []  # (height, doubled vector, coeffs)
+    for coeffs, vec2 in zip(positives, doubled):
         h = sum(coeffs)
-        roots.append(Root(vec, coeffs, h))
-        roots.append(Root(_vneg(vec), tuple(-c for c in coeffs), -h))
-    roots.sort(key=lambda r: (r.height, r.vector))
+        keyed.append((h, tuple(vec2), coeffs))
+        keyed.append((-h, tuple(-x for x in vec2), tuple(-c for c in coeffs)))
+    keyed.sort()
+    roots = [Root(tuple(_HALVES[x] for x in v), c, h) for h, v, c in keyed]
 
     expected = _ROOT_COUNT[fam](rank)
     if len(roots) != expected:
@@ -228,15 +257,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             f"{fam}{rank}: generated {len(roots)} roots, expected {expected}"
         )
 
-    highest = max(roots, key=lambda r: r.height)
+    # the lowest root is minus the highest one
+    highest, lowest = roots[-1], roots[0]
     marks = (1,) + highest.coeffs
-    alpha0 = _vneg(highest.vector)
-    if _vadd(alpha0, highest.vector) != tuple([Fraction(0)] * len(alpha0)):
-        raise AssertionError("alpha0 is not minus the highest root")
-
-    cartan = tuple(
-        tuple(int(2 * dot(a, b) / dot(b, b)) for b in simple) for a in simple
-    )
     coxeter = len(roots) // rank
     if coxeter != highest.height + 1:
         raise AssertionError("Coxeter number mismatch between |roots|/r and height")
@@ -244,19 +267,19 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(
         family=fam,
         rank=rank,
-        simple_roots=tuple(simple),
+        simple_roots=tuple(tuple(_HALVES[x] for x in a) for a in simple2),
         marks=marks,
-        alpha0=alpha0,
+        alpha0=lowest.vector,
         cartan=cartan,
         coxeter_number=coxeter,
         roots=tuple(roots),
-        orthobasis=_gram_schmidt(simple),
+        orthobasis=_gram_schmidt(simple2),
     )
 
 
-def _gram_schmidt(simple: list[Vector]) -> np.ndarray:
+def _gram_schmidt(simple2: list[tuple[int, ...]]) -> np.ndarray:
     """Orthonormal basis (rows) of the span of the simple roots, float64."""
-    vecs = np.asarray([[float(x) for x in v] for v in simple])
+    vecs = np.asarray(simple2, dtype=float) / 2.0
     basis: list[np.ndarray] = []
     for v in vecs:
         w = v.copy()
@@ -273,11 +296,8 @@ def _gram_schmidt(simple: list[Vector]) -> np.ndarray:
 
 def mass_coefficients(rs: RootSystem) -> list[float]:
     """Node masses m_i = sqrt(n_i |alpha_i|^2 / 8), i = 0..rank (positive branch)."""
-    out = []
-    for i in range(rs.rank + 1):
-        norm2 = dot(rs.affine_vector(i), rs.affine_vector(i))
-        out.append(sqrt(rs.marks[i] * float(norm2) / 8.0))
-    return out
+    # every affine root of a simply-laced system has |alpha_i|^2 = 2
+    return [sqrt(n * 2.0 / 8.0) for n in rs.marks]
 
 
 def to_json_dict(rs: RootSystem) -> dict:

@@ -502,7 +502,4 @@ def boundary_potential(
     elif magnitudes is None:
         raise ValidationError("rank-one boundary needs caller-supplied magnitudes")
     bvals = tuple(s * m for s, m in zip(signs, magnitudes))
-    alpha = np.asarray(
-        [rs.to_rootspace(rs.affine_vector(i)) for i in range(nnodes)], dtype=float
-    )
-    return BoundaryPotential(rs=rs, b=bvals, _alpha=alpha)
+    return BoundaryPotential(rs=rs, b=bvals, _alpha=rs.affine_rootspace)

@@ -51,14 +51,11 @@ def lax_frame(rs: RootSystem, rep: MatrixRep | None = None) -> LaxFrame:
             for basis_row in [tuple(r) for r in rs.orthobasis]
         ]
     ).astype(complex)
-    alpha_rootspace = np.array(
-        [rs.to_rootspace(rs.affine_vector(i)) for i in nodes], dtype=float
-    )
     return LaxFrame(
         rs=rs,
         n=rep.n,
         masses=np.asarray(mass_coefficients(rs)),
-        alpha_rootspace=alpha_rootspace,
+        alpha_rootspace=rs.affine_rootspace,
         e_plus=e_plus,
         e_minus=e_minus,
         h_dirs=h_dirs,

@@ -63,10 +63,7 @@ class AffineToda:
     _marks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        alpha = np.asarray(
-            [self.rs.to_rootspace(self.rs.affine_vector(i)) for i in range(self.rs.rank + 1)]
-        )
-        object.__setattr__(self, "_alpha", alpha)
+        object.__setattr__(self, "_alpha", self.rs.affine_rootspace)
         object.__setattr__(self, "_marks", np.asarray(self.rs.marks, dtype=float))
 
     @property
