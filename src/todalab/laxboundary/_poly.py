@@ -23,7 +23,7 @@ class Poly:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
                 if c != 0:
                     clean[tuple(mono)] = c
         self.terms = clean

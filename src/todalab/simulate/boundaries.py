@@ -5,10 +5,12 @@ Each spec provides the normal-derivative function dB(phi): the condition is
 imposed through second-order ghost cells.  Robin with ``lam = 0`` is Neumann;
 an optional constant offset gives the inhomogeneous Robin variant.
 
-``bind(model)`` returns dB as a one-argument function with the model's
-data resolved once per run, or None where dB vanishes identically;
-``energy(model)`` does the same for the boundary energy B(phi), with the
-arithmetic of ``value``, which stays the per-call reference form.
+``bind(model)`` returns dB with the model's data resolved once per run, as
+a function from the list of boundary values (Python floats, one per
+component) to the list of dB components, with the arithmetic of ``db``; it
+is None where dB vanishes identically.  ``energy(model)`` does the same for
+the boundary energy B(phi), with the arithmetic of ``value``; ``db`` and
+``value`` stay the per-call reference forms.
 """
 
 from __future__ import annotations
@@ -46,7 +48,13 @@ class Robin:
         return self.lam * phi_b - self.offset
 
     def bind(self, model):
-        return partial(self.db, model)
+        lam, offset = self.lam, self.offset
+
+        def db(phi_b: list[float]) -> list[float]:
+            # db() node by node, in scalar arithmetic
+            return [lam * x - offset for x in phi_b]
+
+        return db
 
     def value(self, model, phi_b: np.ndarray) -> float:
         return float(np.sum(0.5 * self.lam * phi_b**2 - self.offset * phi_b))
@@ -95,15 +103,15 @@ class TodaBoundary:
         return np.asarray(self.b, dtype=float), alpha, m_t, beta_t
 
     def db(self, model, phi_b: np.ndarray) -> np.ndarray:
-        return self.bind(model)(phi_b)
+        return np.asarray(self.bind(model)(phi_b))
 
     def bind(self, model):
         b, alpha, m_t, beta_t = self._data(model)
         scale = m_t / (2.0 * beta_t)
 
-        def db(phi_b: np.ndarray) -> np.ndarray:
+        def db(phi_b) -> list[float]:
             exps = np.exp(beta_t * (alpha @ phi_b) / 2.0)
-            return scale * (alpha.T @ (b * exps))
+            return (scale * (alpha.T @ (b * exps))).tolist()
 
         return db
 

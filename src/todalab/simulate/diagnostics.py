@@ -1,4 +1,27 @@
-"""Conserved-quantity diagnostics and frequency/phase measurements."""
+"""Conserved-quantity diagnostics and frequency/phase measurements.
+
+Energy and momentum are trapezoid integrals of the densities
+
+    e = 1/2 sum_a pi_a^2 + 1/2 sum_a (d_x phi_a)^2 + V(phi),    p = sum_a pi_a d_x phi_a,
+
+with d_x phi the ``np.gradient`` stencil (the central difference around a
+periodic ring).  ``diagnostics`` keeps one buffer of the doubled density
+D = sum_a pi_a^2 + sum_a (d_x phi_a)^2 + 2 V and takes
+
+    E = sum_i (D_i + D_{i+1}) (h/4),    P = sum_i (p_i + p_{i+1}) (h/2),
+
+or (sum_i D_i h) / 2 and sum_i p_i h on a ring, each sum by numpy's
+pairwise ``np.add.reduce``, the reduction ``np.sum`` runs.  Scaling by a
+power of two is exact in binary floating point, and rounding
+commutes with it, so D_i is exactly 2 e_i, D_i + D_{i+1} is exactly twice
+e_i + e_{i+1}, and (D_i + D_{i+1}) (h/4) is exactly ((e_i + e_{i+1}) h) / 2,
+the addend of ``np.trapezoid(e, dx=h)``.  The pairwise sum then adds the same
+addends in the same order, so E and P equal the ``np.gradient`` /
+``np.trapezoid`` form bit for bit, with the two ``x 0.5`` passes and one
+pass of each trapezoid left out.  The exceptions are values at the edges of
+the double range: a square, a density or an addend below 2**-1022
+(subnormal, where halving drops bits) or a doubled density that overflows.
+"""
 
 from __future__ import annotations
 
@@ -23,36 +46,81 @@ class Diagnostics:
 
 
 def _gradient_into(arr: np.ndarray, h: float, out: np.ndarray) -> None:
-    """np.gradient(arr, h, axis=-1) (second-order inside, first-order ends),
-    the same operations written into ``out``."""
-    n = arr.shape[-1]
-    inner = out[..., 1:-1]
-    np.subtract(arr[..., 2:], arr[..., :-2], out=inner)
+    """np.gradient(arr, h, axis=-1) of the rows of a 2-D ``arr`` (second
+    order inside, first order at the ends), the same operations written
+    into ``out``."""
+    inner = out[:, 1:-1]
+    np.subtract(arr[:, 2:], arr[:, :-2], out=inner)
     np.divide(inner, 2.0 * h, out=inner)
-    ends = out[..., :: n - 1]  # nodes 0 and n-1: f[1] - f[0], f[n-1] - f[n-2]
-    np.subtract(arr[..., 1 :: n - 2], arr[..., : n - 1 : n - 2], out=ends)
-    np.divide(ends, h, out=ends)
-
-
-def _trapz_into(values: np.ndarray, h: float, out: np.ndarray) -> float:
-    """np.trapezoid(values, dx=h), using ``out`` (one shorter) as scratch."""
-    np.add(values[1:], values[:-1], out=out)
-    np.multiply(out, h, out=out)
-    np.divide(out, 2.0, out=out)
-    return float(out.sum())
+    # end nodes (f[1] - f[0]) / h and (f[n-1] - f[n-2]) / h on Python floats,
+    # without the per-call cost of tiny array ops
+    for c, ((a0, a1), (b1, b0)) in enumerate(zip(arr[:, :2].tolist(), arr[:, -2:].tolist())):
+        out[c, 0] = (a1 - a0) / h
+        out[c, -1] = (b0 - b1) / h
 
 
 def _beta_of(model) -> float:
     return getattr(model, "beta", 0.0)
 
 
+class _Integrals:
+    """Gradient and integrand buffers of the energy and momentum integrals
+    of fields of shape (n_components, n), and the integration weights."""
+
+    def __init__(self, n_components: int, n: int, h: float, periodic: bool):
+        self.grad = np.empty((n_components, n))
+        # rows are summed through ``work``; one row is squared in place
+        self.work = np.empty((n_components, n)) if n_components > 1 else None
+        self.dens, self.flux = np.empty(n), np.empty(n)
+        self.pair = np.empty(n - 1)
+        self.h, self.quarter_h, self.half_h = h, h / 4.0, h / 2.0
+        self.periodic = periodic
+
+    def __call__(self, phi: np.ndarray, pi: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+        """E and P of field ``phi`` and momentum ``pi``; ``v``, the potential
+        density, is doubled in place."""
+        grad, work, dens, flux, h = self.grad, self.work, self.dens, self.flux, self.h
+        if self.periodic:
+            np.subtract(np.roll(phi, -1, axis=-1), np.roll(phi, 1, axis=-1), out=grad)
+            np.divide(grad, 2.0 * h, out=grad)
+        else:
+            _gradient_into(phi, h, grad)
+        if work is None:
+            pi, grad = pi[0], grad[0]
+            np.square(pi, out=dens)
+            np.square(grad, out=flux)
+        else:
+            np.square(pi, out=work)
+            np.add.reduce(work, axis=0, out=dens)
+            np.square(grad, out=work)
+            np.add.reduce(work, axis=0, out=flux)
+        np.add(dens, flux, out=dens)
+        np.multiply(v, 2.0, out=v)
+        np.add(dens, v, out=dens)
+        if work is None:
+            flux = np.multiply(grad, pi, out=grad)  # in place of the spent gradient
+        else:
+            np.multiply(pi, grad, out=work)
+            np.add.reduce(work, axis=0, out=flux)
+        total = np.add.reduce  # np.sum without its Python wrapper
+        if self.periodic:
+            return float(total(dens) * h) / 2.0, float(total(flux) * h)
+        pair = self.pair
+        np.add(dens[1:], dens[:-1], out=pair)
+        np.multiply(pair, self.quarter_h, out=pair)
+        e = float(total(pair))
+        np.add(flux[1:], flux[:-1], out=pair)
+        np.multiply(pair, self.half_h, out=pair)
+        return e, float(total(pair))
+
+
 class _ObservePlan:
-    """Probe nodes, boundary energy terms and scratch buffers of
+    """Probe nodes, boundary energy terms and integral buffers of
     ``diagnostics`` for one model, geometry, state layout and probe list."""
 
     def __init__(self, model, geometry: Geometry, state, probes: tuple[float, ...]):
         x = geometry.x
-        self.h = geometry.grid.h
+        h = geometry.grid.h
         self.periodic = geometry.kind == "periodic"
         # B(phi) resolved once, like the stepper's dB
         left, right = geometry.boundary_ends
@@ -67,49 +135,35 @@ class _ObservePlan:
                 else (1, int(np.argmin(np.abs(x[i0:] - px))))
                 for px in probes
             ]
-            # gradient, density, flux and trapezoid scratch of each side
-            self.sides = [
-                (np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1))
-                for n in (len(state.phi), len(state.psi))
-            ]
+            self.sides = [_Integrals(1, len(a), h, False) for a in (state.phi, state.psi)]
         else:
             self.probes = [int(np.argmin(np.abs(x - px))) for px in probes]
-            n = state.phi.shape[-1]
-            self.grad, self.work = np.empty(state.phi.shape), np.empty(state.phi.shape)
-            self.dens, self.flux, self.trapz = np.empty(n), np.empty(n), np.empty(n - 1)
-
-
-def _defect_side(arr, pi, model, h, bufs) -> tuple[float, float]:
-    """Energy and momentum integrals of one side of the defect."""
-    grad, dens, flux, scratch = bufs
-    _gradient_into(arr, h, grad)
-    np.square(pi, out=dens)
-    np.multiply(dens, 0.5, out=dens)
-    np.square(grad, out=flux)
-    np.multiply(flux, 0.5, out=flux)
-    np.add(dens, flux, out=dens)
-    np.add(dens, model.potential(arr[None, :]), out=dens)
-    np.multiply(pi, grad, out=flux)
-    return _trapz_into(dens, h, scratch), _trapz_into(flux, h, scratch)
+            self.integrals = _Integrals(*state.phi.shape, h, self.periodic)
 
 
 def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()) -> Diagnostics:
     """Energy, momentum (paper convention P = int d_t phi d_x phi), defect
     functional U, P + U, and topological charge; probe values are field
-    samples at the nearest grid node."""
+    samples at the nearest grid node.
+
+    E and P equal the ``np.gradient`` / ``np.trapezoid`` integrals bit for
+    bit (see the module docstring), except where a squared value, a density
+    or a trapezoid addend is subnormal (below 2**-1022) or a doubled density
+    overflows; there the equality is not proven.
+    """
     probes = tuple(probes)
     plan = geometry.memo(
         ("observe", model, state.phi.shape, probes),
         lambda: _ObservePlan(model, geometry, state, probes),
     )
-    h = plan.h
     beta = _beta_of(model)
 
     if isinstance(state, DefectState):
         defect = geometry.defect
         e = u = p = 0.0
-        for arr, pi, bufs in zip((state.phi, state.psi), (state.pi_phi, state.pi_psi), plan.sides):
-            de, dp = _defect_side(arr, pi, model, h, bufs)
+        for arr, pi, side in zip((state.phi, state.psi), (state.pi_phi, state.pi_psi), plan.sides):
+            arr = arr[None, :]
+            de, dp = side(arr, pi[None, :], model.potential(arr))
             e += de
             p += dp
         phi0, psi0 = state.phi[-1], state.psi[0]
@@ -133,39 +187,8 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
             probes=tuple(float(sides[side][idx]) for side, idx in plan.probes),
         )
 
-    phi, pi = state.phi, state.pi
-    grad, work, dens, flux = plan.grad, plan.work, plan.dens, plan.flux
-    if plan.periodic:
-        np.subtract(np.roll(phi, -1, axis=-1), np.roll(phi, 1, axis=-1), out=grad)
-        np.divide(grad, 2.0 * h, out=grad)
-    else:
-        _gradient_into(phi, h, grad)
-    # dens = 0.5 sum_a pi_a^2 + 0.5 sum_a (d_x phi_a)^2 + V(phi); with one
-    # component the sums are the squares themselves, bit for bit
-    single = len(phi) == 1
-    if single:
-        np.square(pi[0], out=dens)
-        np.square(grad[0], out=flux)
-    else:
-        np.square(pi, out=work)
-        np.add.reduce(work, axis=0, out=dens)
-        np.square(grad, out=work)
-        np.add.reduce(work, axis=0, out=flux)
-    np.multiply(dens, 0.5, out=dens)
-    np.multiply(flux, 0.5, out=flux)
-    np.add(dens, flux, out=dens)
-    np.add(dens, model.potential(phi), out=dens)
-    if single:
-        np.multiply(pi[0], grad[0], out=flux)
-    else:
-        np.multiply(pi, grad, out=work)
-        np.add.reduce(work, axis=0, out=flux)
-    if plan.periodic:
-        e = float(np.sum(dens) * h)
-        p = float(np.sum(flux) * h)
-    else:
-        e = _trapz_into(dens, h, plan.trapz)
-        p = _trapz_into(flux, h, plan.trapz)
+    phi = state.phi
+    e, p = plan.integrals(phi, state.pi, model.potential(phi))
     if plan.energy_right is not None:
         e += plan.energy_right(phi[:, -1])
     if plan.energy_left is not None:

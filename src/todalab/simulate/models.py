@@ -16,13 +16,21 @@ from ..algebra.roots import RootSystem, build_root_system
 from ..errors import ValidationError
 
 
+def _scaled_row_sum(scale: float, terms: np.ndarray) -> np.ndarray:
+    """scale * np.sum(terms, axis=0), written into the fresh array ``terms``
+    or its row sum.  The terms are never -0.0, so one row is its own sum,
+    without a pass that adds it to zero."""
+    total = terms[0] if len(terms) == 1 else np.add.reduce(terms, axis=0)
+    return np.multiply(total, scale, out=total)
+
+
 @dataclass(frozen=True)
 class KleinGordon:
     m: float = 1.0
     n_components = 1
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
-        return 0.5 * self.m**2 * np.sum(phi**2, axis=0)
+        return _scaled_row_sum(0.5 * self.m**2, phi**2)
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
         return self.m**2 * phi
@@ -35,7 +43,7 @@ class SineGordon:
     n_components = 1
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
-        return (self.m**2 / self.beta**2) * np.sum(1.0 - np.cos(self.beta * phi), axis=0)
+        return _scaled_row_sum(self.m**2 / self.beta**2, 1.0 - np.cos(self.beta * phi))
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
         return (self.m**2 / self.beta) * np.sin(self.beta * phi)
@@ -48,7 +56,7 @@ class SinhGordon:
     n_components = 1
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
-        return (self.m**2 / self.beta**2) * np.sum(np.cosh(self.beta * phi) - 1.0, axis=0)
+        return _scaled_row_sum(self.m**2 / self.beta**2, np.cosh(self.beta * phi) - 1.0)
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
         return (self.m**2 / self.beta) * np.sinh(self.beta * phi)

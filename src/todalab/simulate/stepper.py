@@ -16,8 +16,11 @@ model check) sits in a step plan built once per (model, geometry).  The
 force at the end of a step is the force at the start of the next one
 ("first same as last"), so each state made by ``step`` carries it, tagged
 with its plan, and the next step under that plan evaluates the force once
-instead of twice.  The arithmetic and its order are those of the plain
-two-force step, so results are bit for bit the same.
+instead of twice.  On a single domain the half-kick force * dt/2 that ends
+a step also starts the next one, so it is reused from the plan's buffer
+when the step continues from the state the plan made last.  The arithmetic
+and its order are those of the plain two-force step, so results are bit
+for bit the same.
 
 Both sides of a defect advance as one two-sided array ``[phi | psi]`` in
 which the interface node appears twice (n_left + n_right entries, the layout
@@ -81,7 +84,7 @@ class _BulkPlan:
 
     def __init__(self, model, geometry: Geometry):
         grid = geometry.grid
-        self.model = model
+        self.model, self.geometry = model, geometry
         self.shape = (model.n_components, len(geometry.x))
         self.dt = grid.dt
         self.half_dt = 0.5 * grid.dt
@@ -94,6 +97,8 @@ class _BulkPlan:
         self.damp = _sponge_profile(geometry)
         self.kick = np.empty(self.shape)  # scratch of the bulk step
         self.pi_half = np.empty(self.shape)
+        # the state whose force * dt/2 ``kick`` holds: the last step's result
+        self.kicked = None
 
     def check(self, state) -> None:
         if not isinstance(state, FieldState) or state.phi.shape != self.shape:
@@ -108,36 +113,40 @@ class _BulkPlan:
         h2 = self.h2
         f = np.empty_like(phi)
         _interior_laplacian(phi, f, h2)
-        # end nodes row by row in scalar arithmetic: the same operations as
-        # on whole columns, without the per-call cost of tiny array ops
+        # end nodes row by row on Python floats, one tolist() per end pair:
+        # the same operations as on whole columns, without the per-call cost
+        # of tiny array ops
+        lo, hi = phi[:, :2].tolist(), phi[:, -2:].tolist()
         if self.periodic:
-            for p, q in zip(phi, f):
-                q[0] = (p[1] - 2.0 * p[0] + p[-1]) / h2
-                q[-1] = (p[0] - 2.0 * p[-1] + p[-2]) / h2
+            for c, ((a0, a1), (b1, b0)) in enumerate(zip(lo, hi)):
+                f[c, 0] = (a1 - 2.0 * a0 + b0) / h2
+                f[c, -1] = (a0 - 2.0 * b0 + b1) / h2
         else:
-            db_l = self.db_left(phi[:, 0]) if self.db_left is not None else None
-            db_r = self.db_right(phi[:, -1]) if self.db_right is not None else None
-            for c, (p, q) in enumerate(zip(phi, f)):
-                v0 = 2.0 * p[1] - 2.0 * p[0]
-                v1 = 2.0 * p[-2] - 2.0 * p[-1]
+            db_l = self.db_left([a0 for a0, _ in lo]) if self.db_left is not None else None
+            db_r = self.db_right([b0 for _, b0 in hi]) if self.db_right is not None else None
+            for c, ((a0, a1), (b1, b0)) in enumerate(zip(lo, hi)):
+                v0 = 2.0 * a1 - 2.0 * a0
+                v1 = 2.0 * b1 - 2.0 * b0
                 if db_l is not None:
                     v0 = v0 - self.ghost * db_l[c]
                 if db_r is not None:
                     v1 = v1 - self.ghost * db_r[c]
-                q[0] = v0 / h2
-                q[-1] = v1 / h2
+                f[c, 0] = v0 / h2
+                f[c, -1] = v1 / h2
         np.subtract(f, self.model.gradient(phi), out=f)
         return f
 
 
 def _step_bulk(plan: _BulkPlan, state: FieldState) -> FieldState:
-    if state.plan is plan:
-        f = state.force
-    else:
-        plan.check(state)
-        f = plan.force(state.phi)
     kick, pi_half = plan.kick, plan.pi_half
-    np.multiply(f, plan.half_dt, out=kick)
+    if state.plan is not plan:
+        plan.check(state)
+        np.multiply(plan.force(state.phi), plan.half_dt, out=kick)
+    elif plan.kicked is not state:
+        np.multiply(state.force, plan.half_dt, out=kick)
+    # else the step that made ``state`` left its last half-kick, the same
+    # product, in ``kick``
+    plan.kicked = None
     np.add(state.pi, kick, out=pi_half)
     np.multiply(pi_half, plan.dt, out=kick)
     phi = np.add(state.phi, kick)
@@ -146,9 +155,11 @@ def _step_bulk(plan: _BulkPlan, state: FieldState) -> FieldState:
     pi = np.add(pi_half, kick)
     if plan.damp is not None:
         np.multiply(pi, plan.damp, out=pi)
-    return FieldState(
+    out = FieldState(
         t=state.t + plan.dt, phi=_frozen(phi), pi=_frozen(pi), force=_frozen(f), plan=plan
     )
+    plan.kicked = out
+    return out
 
 
 class _DefectPlan:
@@ -164,7 +175,7 @@ class _DefectPlan:
         n_left, n_right = i0 + 1, grid.n_cells + 1 - i0
         if min(n_left, n_right) < 3:
             raise ValidationError("the defect interface needs at least two cells on each side")
-        self.model = model
+        self.model, self.geometry = model, geometry
         self.defect = geometry.defect
         self.shapes = (n_left, n_right)
         self.n_left = n_left
@@ -196,8 +207,9 @@ class _DefectPlan:
         h2 = self.h2
         f = np.empty_like(u)
         _interior_laplacian(u, f, h2)
-        f[0] = (2.0 * u[1] - 2.0 * u[0]) / h2
-        f[-1] = (2.0 * u[-2] - 2.0 * u[-1]) / h2
+        (a0, a1), (b1, b0) = u[:2].tolist(), u[-2:].tolist()
+        f[0] = (2.0 * a1 - 2.0 * a0) / h2
+        f[-1] = (2.0 * b1 - 2.0 * b0) / h2
         a = self.n_left - 1
         f[a : a + 2] = 0.0
         np.subtract(f, self.model.gradient(u[None, :])[0], out=f)
@@ -296,6 +308,9 @@ def _step_defect(plan: _DefectPlan, state: DefectState) -> DefectState:
 def _plan(state, model, geometry: Geometry):
     """The step plan for this kind of state under (model, geometry), built
     on first use and kept with the geometry."""
+    plan = state.plan
+    if plan is not None and plan.model is model and plan.geometry is geometry:
+        return plan  # the plan that made the state, without the memo lookup
     if isinstance(state, DefectState):
         return geometry.memo(("step-defect", model), lambda: _DefectPlan(model, geometry))
     return geometry.memo(("step", model), lambda: _BulkPlan(model, geometry))

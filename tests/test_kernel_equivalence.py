@@ -5,6 +5,9 @@ results must be equal bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from todalab.algebra import build_root_system
 from todalab.errors import StepFailure
@@ -443,3 +446,141 @@ def test_defect_step_results_are_read_only_views_of_two_sided_arrays():
     halves = [_interior_force(out.phi, model, h, "right"), _interior_force(out.psi, model, h, "left")]
     assert np.array_equal(out.force, np.concatenate(halves))
     assert step(out, model, geom).plan is out.plan
+
+
+def test_half_kick_is_reused_only_from_the_plans_last_state():
+    model, geom, state = _case("line-sponge")
+    ref1 = oracle_step(state, model, geom)
+    ref2 = oracle_step(ref1, model, geom)
+    ref3 = oracle_step(ref2, model, geom)
+    s1 = step(state, model, geom)
+    s2 = step(s1, model, geom)  # continues from the plan's last state
+    s2_again = step(s1, model, geom)  # s2 came after s1
+    s3 = step(s2, model, geom)  # s2_again came after s2
+    for got, ref in ((s2, ref2), (s2_again, ref2), (s3, ref3)):
+        _assert_same_state(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# diagnostics on random states
+
+_MODELS = {
+    "klein-gordon": KleinGordon(m=1.0),
+    "sine-gordon": SineGordon(m=1.0, beta=1.0),
+    "sinh-gordon": SinhGordon(m=2.0, beta=np.sqrt(2.0)),
+    "a2-toda": AffineToda(rs=build_root_system("A", 2), m=1.0, beta=0.7),
+}
+_TODA_B = {"sinh-gordon": (0.7, 0.7), "a2-toda": (0.5, -0.3, 0.4)}
+_GEOMETRY_MODELS = (
+    [(g, m) for g in ("periodic", "line-sponge", "halfline-robin", "interval-robin") for m in _MODELS]
+    + [("halfline-toda", m) for m in _TODA_B]
+    + [("defect-free", "klein-gordon"), ("defect-backlund", "sine-gordon")]
+)
+
+# 0 and |x| in [1e-100, 5]: no square, density or trapezoid addend is
+# subnormal, where the doubled-density form is not proven equal
+_VALUES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda x, neg: -x if neg else x, st.floats(1e-100, 5.0), st.booleans()),
+)
+
+
+def _random_geometry(name, model_name, n_cells):
+    grid = Grid1D(-3.0, 2.0, n_cells)
+    if name == "periodic":
+        return periodic_line(grid)
+    if name == "line-sponge":
+        return line(grid, sponge_fraction=0.2)
+    if name == "halfline-robin":
+        return half_line(Grid1D(-5.0, 0.0, n_cells), right=Robin(lam=-0.6, offset=0.01))
+    if name == "halfline-toda":
+        return half_line(Grid1D(-5.0, 0.0, n_cells), right=TodaBoundary(b=_TODA_B[model_name]))
+    if name == "interval-robin":
+        return interval(grid, left=Robin(lam=0.25), right=Robin(lam=0.5, offset=0.01))
+    symmetric = Grid1D(-2.5, 2.5, n_cells)
+    if name == "defect-free":
+        return with_defect(symmetric, FreeDefect(lam=0.7, m=1.0), sponge_fraction=0.1)
+    return with_defect(symmetric, SineGordonBacklund(lam=1.2, m=1.0, beta=1.0), sponge_fraction=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_diagnostics_match_oracle_on_random_states(data):
+    geom_name, model_name = data.draw(st.sampled_from(_GEOMETRY_MODELS))
+    model = _MODELS[model_name]
+    geom = _random_geometry(geom_name, model_name, 2 * data.draw(st.integers(8, 40)))
+
+    def field(shape):
+        return data.draw(arrays(np.float64, shape, elements=_VALUES))
+
+    t = data.draw(st.floats(0.0, 100.0))
+    if geom.kind == "defect":
+        n_left = geom.interface_index + 1
+        n_right = len(geom.x) + 1 - n_left
+        state = DefectState(
+            t=t, phi=field(n_left), pi_phi=field(n_left), psi=field(n_right), pi_psi=field(n_right)
+        )
+    else:
+        shape = (model.n_components, len(geom.x))
+        state = FieldState(t=t, phi=field(shape), pi=field(shape))
+    lo, hi = geom.grid.x_min, geom.grid.x_max
+    probes = (lo, 0.3 * lo + 0.7 * hi, hi)
+    assert diagnostics(state, model, geom, probes) == oracle_diagnostics(state, model, geom, probes)
+
+
+# ---------------------------------------------------------------------------
+# the finite check
+
+
+def _first_bad(t, fields):
+    """The StepFailure dump of a full node-by-node scan."""
+    for name, arr in fields.items():
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            *component, node = (int(i) for i in bad[0])
+            dump = {"t": t, "field": name, "node": node}
+            if component:
+                dump["component"] = component[0]
+            return dump
+    return None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, component, node",
+    [("phi", 0, 0), ("phi", 2, 19), ("pi", 1, 7), ("pi", 0, 19)],
+)
+def test_one_non_finite_node_gives_the_scan_dump(bad, name, component, node):
+    rng = np.random.default_rng(3)
+    fields = {"phi": rng.normal(size=(3, 20)), "pi": rng.normal(size=(3, 20))}
+    fields[name][component, node] = bad
+    fields["phi"][1, 3] = 1e200  # a large finite value ahead of the bad one
+    state = FieldState(t=2.25, **fields)
+    with pytest.raises(StepFailure) as err, np.errstate(over="ignore"):
+        state.check_finite()
+    expected = {"t": 2.25, "field": name, "node": node, "component": component}
+    assert err.value.state_dump == expected == _first_bad(2.25, fields)
+
+
+@pytest.mark.parametrize("name", ["phi", "pi_phi", "psi", "pi_psi"])
+@pytest.mark.parametrize("node", [0, 5, 10])
+def test_one_non_finite_defect_node_gives_the_scan_dump(name, node):
+    fields = {key: np.linspace(-1.0, 1.0, 11) for key in ("phi", "pi_phi", "psi", "pi_psi")}
+    fields[name][node] = np.nan
+    state = DefectState(t=0.5, **fields)
+    with pytest.raises(StepFailure) as err:
+        state.check_finite()
+    assert err.value.state_dump == {"t": 0.5, "field": name, "node": node} == _first_bad(0.5, fields)
+
+
+def test_finite_state_whose_sum_of_squares_overflows_passes():
+    rng = np.random.default_rng(4)
+    phi = 1e200 * rng.uniform(0.5, 2.0, size=(2, 50))
+    pi = -phi
+    flat = phi.ravel()
+    side = phi[0]
+    # the stepping loop checks under this error state
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(flat, flat))
+        FieldState(t=1.0, phi=phi, pi=pi).check_finite()
+        DefectState(t=1.0, phi=side, pi_phi=side, psi=side, pi_psi=side).check_finite()
