@@ -9,7 +9,6 @@ from .constraints import (
     routes_agree,
 )
 from .kmatrix import (
-    BoundaryPotential,
     KExpansion,
     a1_k_matrix,
     boundary_potential,
@@ -27,7 +26,6 @@ from .lax import (
 )
 
 __all__ = [
-    "BoundaryPotential",
     "ConstraintReport",
     "GaugeComponents",
     "KExpansion",

@@ -27,7 +27,9 @@ import numpy as np
 from ..algebra.reps import MatrixRep, defining_rep
 from ..algebra.roots import RootSystem, _vneg
 from ..errors import PoleError, ValidationError
+from ..simulate import AffineToda, TodaBoundary
 from ._poly import Poly
+from .lax import lax_frame
 
 F = Fraction
 
@@ -432,16 +434,15 @@ def k_gauge_residual(
     """Max-norm residual of the boundary gauge condition in normalized units.
 
     lhs = (1/2) [K, dB/dphi . H]_+ , rhs = -[K, sum_i m_i (lam E_i -
-    E_{-i}/lam) e^{alpha_i . phi / 2}] with B = sum_i b_i e^{alpha_i . phi/2}.
+    E_{-i}/lam) e^{alpha_i . phi / 2}] with B = sum_i b_i e^{alpha_i . phi/2},
+    the ``TodaBoundary`` with coefficients b bound to ``AffineToda(rs)``.
     """
-    from .lax import lax_frame  # local import to avoid a cycle
-
     frame = lax_frame(rs)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (rs.rank,):
         raise ValidationError(f"phi must have {rs.rank} components")
+    db = np.asarray(TodaBoundary(b=tuple(b)).bind(AffineToda(rs))(phi))
     expf = np.exp(frame.alpha_rootspace @ phi / 2.0)
-    db = np.einsum("i,ia,i->a", np.asarray(b, dtype=float), frame.alpha_rootspace, expf) / 2.0
     m_mat = np.einsum("a,aij->ij", db, frame.h_dirs).astype(complex)
     n_mat = np.einsum(
         "i,ijk->jk",
@@ -457,30 +458,15 @@ def k_gauge_residual(
 # boundary potentials
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryPotential:
-    """B(phi) = sum_i b_i exp(alpha_i . phi / 2) with its gradient."""
-
-    rs: RootSystem
-    b: tuple[float, ...]
-    _alpha: np.ndarray = field(repr=False)
-
-    def __call__(self, phi: Sequence[float]) -> float:
-        phi = np.asarray(phi, dtype=float)
-        return float(np.dot(self.b, np.exp(self._alpha @ phi / 2.0)))
-
-    def gradient(self, phi: Sequence[float]) -> np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-        expf = np.exp(self._alpha @ phi / 2.0)
-        return np.einsum("i,ia->a", np.asarray(self.b) * expf, self._alpha) / 2.0
-
-
 def boundary_potential(
     rs: RootSystem,
     signs: Sequence[int],
     magnitudes: Sequence[float] | None = None,
-) -> BoundaryPotential:
+) -> TodaBoundary:
     """Boundary potential from a sign choice.
+
+    Normalized units are ``AffineToda(rs)`` (m = beta = 1), where the
+    returned boundary is B = sum_i b_i exp(alpha_i . phi / 2).
 
     For rank >= 2 the magnitudes are fixed to 2 sqrt(n_i) by the constraint
     b_i^2 = 4 n_i; supplying anything else is rejected.  The rank-one system
@@ -502,4 +488,4 @@ def boundary_potential(
     elif magnitudes is None:
         raise ValidationError("rank-one boundary needs caller-supplied magnitudes")
     bvals = tuple(s * m for s, m in zip(signs, magnitudes))
-    return BoundaryPotential(rs=rs, b=bvals, _alpha=rs.affine_rootspace)
+    return TodaBoundary(b=bvals)

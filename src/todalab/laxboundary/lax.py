@@ -18,6 +18,7 @@ import numpy as np
 from ..algebra.reps import MatrixRep, defining_rep
 from ..algebra.roots import RootSystem, _vneg, mass_coefficients
 from ..errors import ValidationError
+from ..simulate import toda_units
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,25 +104,10 @@ def lax_components(
 
 
 def toda_frame_for(model) -> tuple[LaxFrame, float, float]:
-    """(frame, m_toda, beta_toda) for a simulate-module model.
-
-    The hyperbolic scalar model maps onto the rank-one system with
-    ``m -> m/2`` and ``beta -> beta/sqrt(2)``; multi-component models pass
-    through unchanged.  Models with trigonometric potential are rejected: the
-    gauge construction used here assumes a real coupling.
-    """
-    from ..simulate import models as sim_models  # deferred: avoid import cycle
-    from ..algebra.roots import build_root_system
-
-    if isinstance(model, sim_models.SinhGordon):
-        frame = lax_frame(build_root_system("A", 1))
-        return frame, model.m / 2.0, model.beta / np.sqrt(2.0)
-    if isinstance(model, sim_models.AffineToda):
-        return lax_frame(model.rs), model.m, model.beta
-    raise ValidationError(
-        f"no real Lax frame for model {type(model).__name__}; "
-        "use SinhGordon or AffineToda"
-    )
+    """(frame, m_toda, beta_toda) for a simulate-module model, through
+    ``simulate.toda_units``."""
+    rs, m, beta = toda_units(model)
+    return lax_frame(rs), m, beta
 
 
 def curvature_residual(history, frame: LaxFrame, lam: complex, m: float = 1.0, beta: float = 1.0) -> float:

@@ -19,7 +19,7 @@ from .initial import (
     init_soliton,
     init_wavepacket,
 )
-from .models import AffineToda, KleinGordon, Model, SineGordon, SinhGordon, make_model
+from .models import AffineToda, KleinGordon, Model, SineGordon, SinhGordon, make_model, toda_units
 from .state import (
     DefectState,
     FieldHistory,
@@ -71,6 +71,7 @@ __all__ = [
     "measure_reflection_phase",
     "periodic_line",
     "step",
+    "toda_units",
     "vacuum_state",
     "with_defect",
 ]

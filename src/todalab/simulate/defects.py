@@ -4,11 +4,11 @@ The sewing conditions at x = 0 are
 
     d_x phi = d_t psi - dB/dphi,        d_x psi = d_t phi + dB/dpsi,
 
-with B(phi, psi) = f(phi + psi) + g(phi - psi).  The split form guarantees
-B_phiphi = B_psipsi; together with (1/2)(B_phi^2 - B_psi^2) = V(phi) - W(psi)
-it makes P + U conserved, where U = f - g evaluated at the interface.  Both
-built-in defects carry their own analytic first and second derivatives and a
-sampling check of the two constraint identities.
+with B(phi, psi) = f(phi + psi) + g(phi - psi).  Each defect states f, g and
+their first two derivatives; ``SplitDefect`` derives every partial of B and
+U = f - g from them, so B_phiphi = B_psipsi = f'' + g'' holds by
+construction.  Together with (1/2)(B_phi^2 - B_psi^2) = V(phi) - W(psi),
+which ``constraint_residuals`` samples, the split makes P + U conserved.
 
 Every method takes arrays or scalars.  Scalars (the interface Newton solve
 calls with Python floats) are evaluated with ``math``, arrays with numpy,
@@ -45,12 +45,44 @@ def _cos(x):
         return math.nan
 
 
+class SplitDefect:
+    """B(phi, psi) = f(phi + psi) + g(phi - psi) and its derivatives.
+
+    A defect states f, g and their first two derivatives (``df``, ``d2f``,
+    ``dg``, ``d2g``) as functions of one argument, plus ``potential_left``;
+    the same bulk model sits on both sides, so W = V.
+    """
+
+    def b_value(self, phi, psi):
+        return self.f(phi + psi) + self.g(phi - psi)
+
+    def b_phi(self, phi, psi):
+        return self.df(phi + psi) + self.dg(phi - psi)
+
+    def b_psi(self, phi, psi):
+        return self.df(phi + psi) - self.dg(phi - psi)
+
+    def b_phiphi(self, phi, psi):
+        return self.d2f(phi + psi) + self.d2g(phi - psi)
+
+    b_psipsi = b_phiphi
+
+    def b_phipsi(self, phi, psi):
+        return self.d2f(phi + psi) - self.d2g(phi - psi)
+
+    def u_value(self, phi, psi):
+        return self.f(phi + psi) - self.g(phi - psi)
+
+    def potential_right(self, psi):
+        return self.potential_left(psi)
+
+
 @dataclass(frozen=True)
-class FreeDefect:
+class FreeDefect(SplitDefect):
     """Pair of free fields with equal mass; extra parameter lam free.
 
-    B = (m lam / 4)(phi + psi)^2 + (m / 4 lam)(phi - psi)^2; the defect
-    disappears as lam -> 0 (fields match across x = 0 in that limit).
+    f(s) = (m lam / 4) s^2, g(d) = (m / 4 lam) d^2; the defect disappears as
+    lam -> 0 (fields match across x = 0 in that limit).
     """
 
     lam: float
@@ -67,43 +99,34 @@ class FreeDefect:
         if not isinstance(model, KleinGordon) or model.m != self.m:
             raise ValidationError("free defect requires KleinGordon bulk with matching mass")
 
-    def b_value(self, phi, psi):
-        s, d = phi + psi, phi - psi
-        return (self.m * self.lam / 4.0) * (s * s) + (self.m / (4.0 * self.lam)) * (d * d)
+    def f(self, s):
+        return (self.m * self.lam / 4.0) * (s * s)
 
-    def b_phi(self, phi, psi):
-        return (self.m * self.lam / 2.0) * (phi + psi) + (self.m / (2.0 * self.lam)) * (phi - psi)
+    def df(self, s):
+        return (self.m * self.lam / 2.0) * s
 
-    def b_psi(self, phi, psi):
-        return (self.m * self.lam / 2.0) * (phi + psi) - (self.m / (2.0 * self.lam)) * (phi - psi)
+    def d2f(self, s):
+        return self.m * self.lam / 2.0 + 0.0 * s
 
-    def b_phiphi(self, phi, psi):
-        return self.m * self.lam / 2.0 + self.m / (2.0 * self.lam) + 0.0 * phi
+    def g(self, d):
+        return (self.m / (4.0 * self.lam)) * (d * d)
 
-    def b_psipsi(self, phi, psi):
-        # d(b_psi)/dpsi, derived independently of b_phiphi
-        return self.m * self.lam / 2.0 - (self.m / (2.0 * self.lam)) * (-1.0) + 0.0 * psi
+    def dg(self, d):
+        return (self.m / (2.0 * self.lam)) * d
 
-    def b_phipsi(self, phi, psi):
-        return self.m * self.lam / 2.0 - self.m / (2.0 * self.lam) + 0.0 * phi
-
-    def u_value(self, phi, psi):
-        s, d = phi + psi, phi - psi
-        return (self.m * self.lam / 4.0) * (s * s) - (self.m / (4.0 * self.lam)) * (d * d)
+    def d2g(self, d):
+        return self.m / (2.0 * self.lam) + 0.0 * d
 
     def potential_left(self, phi):
         return 0.5 * self.m**2 * (phi * phi)
 
-    def potential_right(self, psi):
-        return 0.5 * self.m**2 * (psi * psi)
-
 
 @dataclass(frozen=True)
-class SineGordonBacklund:
+class SineGordonBacklund(SplitDefect):
     """Backlund transformation frozen at x = 0 as the defect condition.
 
-    B = -(2 m lam / beta^2) cos(beta (phi + psi)/2)
-        -(2 m / (beta^2 lam)) cos(beta (phi - psi)/2).
+    f(s) = -(2 m lam / beta^2) cos(beta s / 2),
+    g(d) = -(2 m / (beta^2 lam)) cos(beta d / 2).
     """
 
     lam: float
@@ -127,56 +150,26 @@ class SineGordonBacklund:
                 "Backlund defect requires SineGordon bulk with matching (m, beta)"
             )
 
-    def _pre(self):
-        m, b, lam = self.m, self.beta, self.lam
-        return 2.0 * m * lam / b**2, 2.0 * m / (b**2 * lam)
+    def f(self, s):
+        return -(2.0 * self.m * self.lam / self.beta**2) * _cos(self.beta * s / 2.0)
 
-    def b_value(self, phi, psi):
-        cf, cg = self._pre()
-        b = self.beta
-        return -cf * _cos(b * (phi + psi) / 2.0) - cg * _cos(b * (phi - psi) / 2.0)
+    def df(self, s):
+        return (self.m * self.lam / self.beta) * _sin(self.beta * s / 2.0)
 
-    def b_phi(self, phi, psi):
-        m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / b) * _sin(b * (phi + psi) / 2.0) + (m / (b * lam)) * _sin(
-            b * (phi - psi) / 2.0
-        )
+    def d2f(self, s):
+        return (self.m * self.lam / 2.0) * _cos(self.beta * s / 2.0)
 
-    def b_psi(self, phi, psi):
-        m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / b) * _sin(b * (phi + psi) / 2.0) - (m / (b * lam)) * _sin(
-            b * (phi - psi) / 2.0
-        )
+    def g(self, d):
+        return -(2.0 * self.m / (self.beta**2 * self.lam)) * _cos(self.beta * d / 2.0)
 
-    def b_phiphi(self, phi, psi):
-        m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / 2.0) * _cos(b * (phi + psi) / 2.0) + (m / (2.0 * lam)) * _cos(
-            b * (phi - psi) / 2.0
-        )
+    def dg(self, d):
+        return (self.m / (self.beta * self.lam)) * _sin(self.beta * d / 2.0)
 
-    def b_psipsi(self, phi, psi):
-        # d(b_psi)/dpsi, derived independently of b_phiphi
-        m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / b) * (b / 2.0) * _cos(b * (phi + psi) / 2.0) - (
-            m / (b * lam)
-        ) * (-b / 2.0) * _cos(b * (phi - psi) / 2.0)
-
-    def b_phipsi(self, phi, psi):
-        m, b, lam = self.m, self.beta, self.lam
-        return (m * lam / 2.0) * _cos(b * (phi + psi) / 2.0) - (m / (2.0 * lam)) * _cos(
-            b * (phi - psi) / 2.0
-        )
-
-    def u_value(self, phi, psi):
-        cf, cg = self._pre()
-        b = self.beta
-        return -cf * _cos(b * (phi + psi) / 2.0) + cg * _cos(b * (phi - psi) / 2.0)
+    def d2g(self, d):
+        return (self.m / (2.0 * self.lam)) * _cos(self.beta * d / 2.0)
 
     def potential_left(self, phi):
         return (self.m**2 / self.beta**2) * (1.0 - _cos(self.beta * phi))
-
-    def potential_right(self, psi):
-        return (self.m**2 / self.beta**2) * (1.0 - _cos(self.beta * psi))
 
 
 DefectSpec = FreeDefect | SineGordonBacklund
@@ -185,8 +178,8 @@ DefectSpec = FreeDefect | SineGordonBacklund
 def constraint_residuals(defect: DefectSpec, phi: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
     """Max residuals of the two defect-potential identities on samples.
 
-    First: B_phiphi - B_psipsi, with both second partials evaluated from
-    their own analytic expressions.  Second: (1/2)(B_phi^2 - B_psi^2) -
+    First: B_phiphi - B_psipsi, zero by construction for a ``SplitDefect``
+    unless a subclass overrides either.  Second: (1/2)(B_phi^2 - B_psi^2) -
     (V(phi) - W(psi)).
     """
     wave = np.max(np.abs(defect.b_phiphi(phi, psi) - defect.b_psipsi(phi, psi)))

@@ -90,6 +90,23 @@ class AffineToda:
 Model = KleinGordon | SineGordon | SinhGordon | AffineToda
 
 
+def toda_units(model) -> tuple[RootSystem, float, float]:
+    """(root system, m, beta) of the affine Toda form of a model.
+
+    The hyperbolic scalar model is the rank-one system with ``m -> m/2`` and
+    ``beta -> beta/sqrt(2)``; AffineToda passes through.  Models with a
+    trigonometric potential have no real-coupling Toda form.
+    """
+    if isinstance(model, SinhGordon):
+        return build_root_system("A", 1), model.m / 2.0, model.beta / np.sqrt(2.0)
+    if isinstance(model, AffineToda):
+        return model.rs, model.m, model.beta
+    raise ValidationError(
+        f"{type(model).__name__} has no real Lax frame or Toda boundary; "
+        "use SinhGordon or AffineToda"
+    )
+
+
 def make_model(kind: str, m: float = 1.0, beta: float = 1.0, family: str = "A", rank: int = 1) -> Model:
     kind = kind.lower().replace("-", "_")
     if kind == "klein_gordon":

@@ -1,5 +1,7 @@
 """Defect sewing conditions, conservation of E and P + U, and transmission."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +56,14 @@ def test_analytic_derivatives_match_finite_differences(defect):
         fd_ps = (defect.b_phi(phi, psi + eps) - defect.b_phi(phi, psi - eps)) / (2 * eps)
         assert defect.b_phiphi(phi, psi) == pytest.approx(fd_pp, rel=1e-5, abs=1e-8)
         assert defect.b_phipsi(phi, psi) == pytest.approx(fd_ps, rel=1e-5, abs=1e-8)
+        # b_psipsi is b_phiphi by construction: check it against b_psi itself
+        fd_ss = (defect.b_psi(phi, psi + eps) - defect.b_psi(phi, psi - eps)) / (2 * eps)
+        assert defect.b_psipsi(phi, psi) == pytest.approx(fd_ss, rel=1e-5, abs=1e-8)
+        # U = f - g: U_phi = B_psi and U_psi = B_phi
+        fd_u_phi = (defect.u_value(phi + eps, psi) - defect.u_value(phi - eps, psi)) / (2 * eps)
+        fd_u_psi = (defect.u_value(phi, psi + eps) - defect.u_value(phi, psi - eps)) / (2 * eps)
+        assert defect.b_psi(phi, psi) == pytest.approx(fd_u_phi, rel=1e-6, abs=1e-9)
+        assert defect.b_phi(phi, psi) == pytest.approx(fd_u_psi, rel=1e-6, abs=1e-9)
 
 
 def test_defect_parameter_must_be_nonzero():
@@ -238,6 +248,131 @@ def test_scalar_defect_values_have_the_bits_of_one_element_arrays(kind, lam, m, 
             got = method(*scalars)
             assert np.ndim(got) == 0
             assert np.float64(got).tobytes() == want.tobytes(), (name, scalars)
+
+
+# The hand-written derivatives the (f, g) split replaced, kept as the
+# reference whose bits the derived methods must reproduce.
+
+
+def _ref_sin(x):
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+
+
+def _ref_cos(x):
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+class _HandWrittenFree:
+    def __init__(self, lam, m):
+        self.lam, self.m = lam, m
+
+    def b_value(self, phi, psi):
+        s, d = phi + psi, phi - psi
+        return (self.m * self.lam / 4.0) * (s * s) + (self.m / (4.0 * self.lam)) * (d * d)
+
+    def b_phi(self, phi, psi):
+        return (self.m * self.lam / 2.0) * (phi + psi) + (self.m / (2.0 * self.lam)) * (phi - psi)
+
+    def b_psi(self, phi, psi):
+        return (self.m * self.lam / 2.0) * (phi + psi) - (self.m / (2.0 * self.lam)) * (phi - psi)
+
+    def b_phiphi(self, phi, psi):
+        return self.m * self.lam / 2.0 + self.m / (2.0 * self.lam) + 0.0 * phi
+
+    def b_psipsi(self, phi, psi):
+        return self.m * self.lam / 2.0 - (self.m / (2.0 * self.lam)) * (-1.0) + 0.0 * psi
+
+    def b_phipsi(self, phi, psi):
+        return self.m * self.lam / 2.0 - self.m / (2.0 * self.lam) + 0.0 * phi
+
+    def u_value(self, phi, psi):
+        s, d = phi + psi, phi - psi
+        return (self.m * self.lam / 4.0) * (s * s) - (self.m / (4.0 * self.lam)) * (d * d)
+
+    def potential_left(self, phi):
+        return 0.5 * self.m**2 * (phi * phi)
+
+    def potential_right(self, psi):
+        return 0.5 * self.m**2 * (psi * psi)
+
+
+class _HandWrittenBacklund:
+    def __init__(self, lam, m, beta):
+        self.lam, self.m, self.beta = lam, m, beta
+
+    def _pre(self):
+        m, b, lam = self.m, self.beta, self.lam
+        return 2.0 * m * lam / b**2, 2.0 * m / (b**2 * lam)
+
+    def b_value(self, phi, psi):
+        cf, cg = self._pre()
+        b = self.beta
+        return -cf * _ref_cos(b * (phi + psi) / 2.0) - cg * _ref_cos(b * (phi - psi) / 2.0)
+
+    def b_phi(self, phi, psi):
+        m, b, lam = self.m, self.beta, self.lam
+        return (m * lam / b) * _ref_sin(b * (phi + psi) / 2.0) + (m / (b * lam)) * _ref_sin(
+            b * (phi - psi) / 2.0
+        )
+
+    def b_psi(self, phi, psi):
+        m, b, lam = self.m, self.beta, self.lam
+        return (m * lam / b) * _ref_sin(b * (phi + psi) / 2.0) - (m / (b * lam)) * _ref_sin(
+            b * (phi - psi) / 2.0
+        )
+
+    def b_phiphi(self, phi, psi):
+        m, b, lam = self.m, self.beta, self.lam
+        return (m * lam / 2.0) * _ref_cos(b * (phi + psi) / 2.0) + (m / (2.0 * lam)) * _ref_cos(
+            b * (phi - psi) / 2.0
+        )
+
+    def b_psipsi(self, phi, psi):
+        m, b, lam = self.m, self.beta, self.lam
+        return (m * lam / b) * (b / 2.0) * _ref_cos(b * (phi + psi) / 2.0) - (
+            m / (b * lam)
+        ) * (-b / 2.0) * _ref_cos(b * (phi - psi) / 2.0)
+
+    def b_phipsi(self, phi, psi):
+        m, b, lam = self.m, self.beta, self.lam
+        return (m * lam / 2.0) * _ref_cos(b * (phi + psi) / 2.0) - (m / (2.0 * lam)) * _ref_cos(
+            b * (phi - psi) / 2.0
+        )
+
+    def u_value(self, phi, psi):
+        cf, cg = self._pre()
+        b = self.beta
+        return -cf * _ref_cos(b * (phi + psi) / 2.0) + cg * _ref_cos(b * (phi - psi) / 2.0)
+
+    def potential_left(self, phi):
+        return (self.m**2 / self.beta**2) * (1.0 - _ref_cos(self.beta * phi))
+
+    def potential_right(self, psi):
+        return (self.m**2 / self.beta**2) * (1.0 - _ref_cos(self.beta * psi))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@given(st.sampled_from(["free", "backlund"]), _lam, _positive, _positive, _field, _field)
+@settings(max_examples=200, deadline=None)
+def test_derived_defect_methods_have_the_bits_of_the_hand_written_forms(kind, lam, m, beta, phi, psi):
+    """Every method derived from (f, g) gives the hand-written form's bits on
+    floats and on one-element arrays.  b_psipsi is b_phiphi itself; the old
+    separate form rounded differently, so it agrees to 1e-15 of
+    |f''| + |g''| = max(|B_phiphi|, |B_phipsi|)."""
+    defect = _make_defect(kind, lam, m, beta)
+    ref = _HandWrittenFree(lam, m) if kind == "free" else _HandWrittenBacklund(lam, m, beta)
+    assert type(defect).b_psipsi is type(defect).b_phiphi
+    for a, b in ((phi, psi), (np.array([phi]), np.array([psi]))):
+        for name in ("b_value", "b_phi", "b_psi", "b_phiphi", "b_phipsi", "u_value"):
+            assert _bits(getattr(defect, name)(a, b)) == _bits(getattr(ref, name)(a, b)), name
+        assert _bits(defect.potential_left(a)) == _bits(ref.potential_left(a))
+        assert _bits(defect.potential_right(b)) == _bits(ref.potential_right(b))
+        assert _bits(defect.b_psipsi(a, b)) == _bits(defect.b_phiphi(a, b))
+        scale = max(abs(defect.b_phiphi(a, b)), abs(defect.b_phipsi(a, b)))
+        assert abs(defect.b_psipsi(a, b) - ref.b_psipsi(a, b)) <= 1e-15 * scale
 
 
 @given(st.sampled_from(["free", "backlund"]), _lam, _positive, _positive, _field, _field)

@@ -19,6 +19,7 @@ from todalab.simulate import (
     FreeDefect,
     Grid1D,
     KleinGordon,
+    Neumann,
     Robin,
     SineGordon,
     SineGordonBacklund,
@@ -36,6 +37,7 @@ from todalab.simulate import (
     line,
     periodic_line,
     step,
+    toda_units,
     with_defect,
 )
 
@@ -65,6 +67,34 @@ def _sponge_profile(geometry):
     return np.exp(-sigma * geometry.grid.dt)
 
 
+def _toda_data(boundary, model):
+    rs, m_t, beta_t = toda_units(model)
+    return np.asarray(boundary.b, dtype=float), rs.affine_rootspace, m_t, beta_t
+
+
+def _boundary_db(boundary, model, phi_b):
+    """dB at the boundary values phi_b, in array arithmetic."""
+    if isinstance(boundary, Neumann):
+        return np.zeros_like(phi_b)
+    if isinstance(boundary, Robin):
+        return boundary.lam * phi_b - boundary.offset
+    b, alpha, m_t, beta_t = _toda_data(boundary, model)
+    scale = m_t / (2.0 * beta_t)
+    exps = np.exp(beta_t * (alpha @ phi_b) / 2.0)
+    return scale * (alpha.T @ (b * exps))
+
+
+def _boundary_energy(boundary, model, phi_b):
+    """B at the boundary values phi_b, in array arithmetic."""
+    if isinstance(boundary, Neumann):
+        return 0.0
+    if isinstance(boundary, Robin):
+        return float(np.sum(0.5 * boundary.lam * phi_b**2 - boundary.offset * phi_b))
+    b, alpha, m_t, beta_t = _toda_data(boundary, model)
+    exps = np.exp(beta_t * (alpha @ phi_b) / 2.0)
+    return float((m_t / beta_t**2) * np.dot(b, exps))
+
+
 def _laplacian(phi, geometry, model):
     h = geometry.grid.h
     lap = np.empty_like(phi)
@@ -74,8 +104,8 @@ def _laplacian(phi, geometry, model):
     lap[..., 1:-1] = (phi[..., 2:] - 2.0 * phi[..., 1:-1] + phi[..., :-2]) / h**2
     left = geometry.left if geometry.kind == "interval" else None
     right = geometry.right if geometry.kind in ("interval", "halfline") else None
-    db_left = left.db(model, phi[..., 0]) if left is not None else 0.0
-    db_right = right.db(model, phi[..., -1]) if right is not None else 0.0
+    db_left = _boundary_db(left, model, phi[..., 0]) if left is not None else 0.0
+    db_right = _boundary_db(right, model, phi[..., -1]) if right is not None else 0.0
     lap[..., 0] = (2.0 * phi[..., 1] - 2.0 * phi[..., 0] - 2.0 * h * db_left) / h**2
     lap[..., -1] = (2.0 * phi[..., -2] - 2.0 * phi[..., -1] - 2.0 * h * db_right) / h**2
     return lap
@@ -226,9 +256,9 @@ def oracle_diagnostics(state, model, geometry, probes=()):
     p = _trapz(np.sum(pi * grad, axis=0), h, periodic)
     if geometry.kind in ("interval", "halfline"):
         if geometry.right is not None:
-            e += geometry.right.value(model, phi[:, -1])
+            e += _boundary_energy(geometry.right, model, phi[:, -1])
         if geometry.kind == "interval" and geometry.left is not None:
-            e += geometry.left.value(model, phi[:, 0])
+            e += _boundary_energy(geometry.left, model, phi[:, 0])
     charge = 0.0
     if beta and not periodic:
         charge = float(beta / (2.0 * np.pi) * (phi[0, -1] - phi[0, 0]))

@@ -16,6 +16,7 @@ from todalab.laxboundary import (
 )
 from todalab.laxboundary._poly import Poly
 from todalab.laxboundary.kmatrix import pmat_eval
+from todalab.simulate import AffineToda, TodaBoundary
 
 F = Fraction
 
@@ -136,25 +137,34 @@ def test_matrix_route_rejects_other_families():
 # boundary potentials
 
 
+def _normalized(bp, rs):
+    """B and dB of a boundary in normalized units (m = beta = 1)."""
+    model = AffineToda(rs)
+    return bp.energy(model), bp.bind(model)
+
+
 def test_boundary_potential_rank_one_evaluation(rs1):
     bp = boundary_potential(rs1, signs=(1, 1), magnitudes=(2.0, 2.0))
-    assert bp([0.0]) == pytest.approx(4.0)
+    assert isinstance(bp, TodaBoundary)
+    energy, db = _normalized(bp, rs1)
+    assert energy(np.array([0.0])) == pytest.approx(4.0)
     # symmetric coefficients: gradient vanishes at the origin
-    assert bp.gradient([0.0]) == pytest.approx([0.0])
+    assert db([0.0]) == pytest.approx([0.0])
 
 
 def test_boundary_potential_gradient_is_the_derivative(rs1):
     rs = build_root_system("A", 2)
     bp = boundary_potential(rs, signs=(1, -1, 1))
+    energy, db = _normalized(bp, rs)
     rng = np.random.default_rng(3)
     for _ in range(5):
         phi = rng.uniform(-0.5, 0.5, size=2)
-        grad = bp.gradient(phi)
+        grad = db(phi)
         eps = 1e-6
         for a in range(2):
             e = np.zeros(2)
             e[a] = eps
-            fd = (bp(phi + e) - bp(phi - e)) / (2 * eps)
+            fd = (energy(phi + e) - energy(phi - e)) / (2 * eps)
             assert grad[a] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -163,14 +173,19 @@ def test_boundary_terms_square_to_bulk_terms():
     with the same constant 4 n_i at every node and every field value."""
     rs = build_root_system("A", 2)
     bp = boundary_potential(rs, signs=(1, 1, 1))
+    energy, _ = _normalized(bp, rs)
     rng = np.random.default_rng(5)
     alphas = [np.asarray(rs.to_rootspace(rs.affine_vector(i))) for i in range(3)]
     for _ in range(5):
         phi = rng.uniform(-0.7, 0.7, size=2)
+        terms = []
         for i in range(3):
             term = bp.b[i] * np.exp(alphas[i] @ phi / 2.0)
             bulk = rs.marks[i] * np.exp(alphas[i] @ phi)
             assert term**2 / bulk == pytest.approx(4.0 * rs.marks[i])
+            terms.append(term)
+        # the terms are those of the boundary's own B
+        assert energy(phi) == pytest.approx(sum(terms), rel=1e-14)
 
 
 def test_boundary_potential_rejects_off_constraint_magnitudes():
@@ -179,6 +194,9 @@ def test_boundary_potential_rejects_off_constraint_magnitudes():
         boundary_potential(rs, signs=(1, 1, 1), magnitudes=(1.0, 1.0, 1.0))
     with pytest.raises(ValidationError, match="magnitudes"):
         boundary_potential(build_root_system("A", 1), signs=(1, 1))
+    # the required magnitudes themselves are accepted
+    required = [2.0 * np.sqrt(n) for n in rs.marks]
+    assert boundary_potential(rs, signs=(1, 1, 1), magnitudes=required).b == tuple(required)
 
 
 def test_boundary_potential_d4_uses_marks():
@@ -186,3 +204,6 @@ def test_boundary_potential_d4_uses_marks():
     bp = boundary_potential(rs, signs=tuple([1] * 5))
     expected = sorted(2.0 * np.sqrt(n) for n in rs.marks)
     assert sorted(bp.b) == pytest.approx(expected)
+    # one coefficient per affine node: it binds to the D4 model
+    energy, _ = _normalized(bp, rs)
+    assert energy(np.zeros(4)) == pytest.approx(sum(expected))

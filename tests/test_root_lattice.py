@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from todalab.algebra import affine_adjacency, build_root_system, dot, mass_coefficients
 from todalab.laxboundary import boundary_potential, lax_frame
-from todalab.simulate.models import AffineToda
+from todalab.simulate import AffineToda, SinhGordon, TodaBoundary, toda_units
 
 F = Fraction
 
@@ -152,6 +152,18 @@ def test_affine_rootspace_matches_per_node_projection(family, rank):
 
 def test_models_share_the_cached_affine_rootspace():
     rs = build_root_system("A", 2)
-    assert AffineToda(rs)._alpha is rs.affine_rootspace
+    model = AffineToda(rs)
+    assert model._alpha is rs.affine_rootspace
     assert lax_frame(rs).alpha_rootspace is rs.affine_rootspace
-    assert boundary_potential(rs, (1, 1, 1))._alpha is rs.affine_rootspace
+    bp = boundary_potential(rs, (1, 1, 1))
+    assert bp._data(model)[1] is rs.affine_rootspace
+    # the scalar model binds through the one unit map to the A1 system
+    m, beta = 1.3, 0.8
+    sinh, a1 = SinhGordon(m, beta), AffineToda(build_root_system("A", 1), m / 2.0, beta / sqrt(2.0))
+    boundary = TodaBoundary(b=(0.7, -0.4))
+    assert toda_units(sinh)[1:] == (a1.m, a1.beta)
+    assert np.array_equal(boundary._data(sinh)[1], a1.rs.affine_rootspace)
+    for phi in (0.0, 0.37, -1.2):
+        assert boundary.bind(sinh)([phi]) == boundary.bind(a1)([phi])
+        b_sinh = boundary.energy(sinh)(np.array([phi]))
+        assert np.float64(b_sinh).tobytes() == np.float64(boundary.energy(a1)(np.array([phi]))).tobytes()
