@@ -13,6 +13,9 @@ so integer and rational matrices mix freely.
 The generators have at most r+1 nonzero entries each, so products skip
 zero entries (``mmul``); the arithmetic stays exact, and every relation
 ``defining_rep`` verifies is checked on the full matrices, in integers.
+The same functions serve matrices of polynomials in the boundary
+coefficients (``laxboundary.kmatrix``): they only add, subtract and
+multiply entries, and test them for zero.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ def unit(n: int, i: int, j: int) -> Matrix:
     return tuple(
         tuple(1 if (a, b) == (i, j) else 0 for b in range(n)) for a in range(n)
     )
+
+
+def madd(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def msub(a: Matrix, b: Matrix) -> Matrix:
@@ -78,6 +85,10 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return msub(mmul(a, b), mmul(b, a))
 
 
+def anticommutator(a: Matrix, b: Matrix) -> Matrix:
+    return madd(mmul(a, b), mmul(b, a))
+
+
 def is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
@@ -97,6 +108,14 @@ class MatrixRep:
             return self.e_mats[key]
         except KeyError:
             raise ValidationError(f"{vec} is not a root of {self.rs.name}") from None
+
+    def node_steps(self) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+        """(E_{alpha_i}, E_{-alpha_i}) for the affine nodes i = 0..r."""
+        nodes = [self.rs.affine_vector(i) for i in range(self.rs.rank + 1)]
+        return (
+            tuple(self.step(v) for v in nodes),
+            tuple(self.step([-x for x in v]) for v in nodes),
+        )
 
     def cartan_element(self, vec: Sequence[Fraction]) -> Matrix:
         """diag(v): the Cartan-subalgebra element paired with embedding vector v."""
@@ -139,10 +158,8 @@ def _verify(rep: MatrixRep) -> None:
         got = commutator(e, by_ints[tuple(-x for x in iv)])
         if got != diag(iv):
             raise AssertionError("[E_beta, E_{-beta}] != beta.H")
-    for i, ai in enumerate(nodes):
-        for j, aj in enumerate(nodes):
-            if i == j:
-                continue
-            got = commutator(by_ints[ai], by_ints[tuple(-x for x in aj)])
-            if not is_zero(got):
+    e_plus, e_minus = rep.node_steps()
+    for i, e in enumerate(e_plus):
+        for j, f in enumerate(e_minus):
+            if i != j and not is_zero(commutator(e, f)):
                 raise AssertionError("[E_{alpha_i}, E_{-alpha_j}] != 0 for i != j")

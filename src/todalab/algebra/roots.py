@@ -47,10 +47,6 @@ def _vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
 @dataclass(frozen=True)
 class Root:
     """A root: embedding vector, expansion over simple roots, and height."""

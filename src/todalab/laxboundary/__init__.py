@@ -5,7 +5,6 @@ from .constraints import (
     ConstraintReport,
     adjacency_constraints,
     expansion_constraints,
-    matrix_constraints,
     routes_agree,
 )
 from .kmatrix import (
@@ -38,7 +37,6 @@ __all__ = [
     "k_gauge_residual",
     "lax_components",
     "lax_frame",
-    "matrix_constraints",
     "monodromy_charge",
     "routes_agree",
     "solve_k_expansion",

@@ -2,7 +2,9 @@
 
 Just enough for the boundary K-matrix solver: sums, products, scalar
 multiples, monomial-content stripping, and point evaluation, all with
-``Fraction`` coefficients.  Monomials are exponent tuples.
+``Fraction`` coefficients.  Monomials are exponent tuples.  A number on
+either side of ``*`` scales, so the exact matrices of ``algebra.reps`` take
+``Poly`` entries as they are.
 """
 
 from __future__ import annotations
@@ -76,7 +78,9 @@ class Poly:
             return Poly.zero(self.nvars)
         return Poly(self.nvars, {m: c * f for m, c in self.terms.items()})
 
-    def __mul__(self, other: "Poly") -> "Poly":
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            return self.scale(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -87,6 +91,8 @@ class Poly:
                 else:
                     out[mono] = s
         return Poly(self.nvars, out)
+
+    __rmul__ = __mul__
 
     def content_monomial(self) -> Monomial:
         """Componentwise-minimal exponent vector dividing every term."""

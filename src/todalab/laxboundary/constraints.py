@@ -81,13 +81,8 @@ def expansion_constraints(exp: KExpansion) -> ConstraintReport:
     )
 
 
-def matrix_constraints(rs: RootSystem) -> ConstraintReport:
-    """Constraint report from the order-by-order matrix solve (family A)."""
-    return expansion_constraints(solve_k_expansion(rs))
-
-
 def routes_agree(rs: RootSystem) -> bool:
     """Exact agreement of the two constraint routes (family A only)."""
     adj = adjacency_constraints(rs)
-    mat = matrix_constraints(rs)
+    mat = expansion_constraints(solve_k_expansion(rs))
     return adj.fixed == mat.fixed and adj.free == mat.free

@@ -12,20 +12,33 @@ the first order pins k_1 = sum_i b_i E_{alpha_i} (equivalently the displayed
 gradient of the boundary term), the second shows K_2 - k_1^2/2 is central
 (k_2 = 0 after normalization), and the third either solves for k_3 or emits
 polynomial obstructions whose vanishing constrains the b_i.
+
+The matrix arithmetic (products, commutators, anticommutators) is that of
+``algebra.reps``, run on ``Poly`` entries; this module only sets up and
+solves the linear systems.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
-from ..algebra.reps import MatrixRep, defining_rep
-from ..algebra.roots import RootSystem, _vneg
+from ..algebra.reps import (
+    Matrix,
+    MatrixRep,
+    anticommutator,
+    commutator,
+    defining_rep,
+    madd,
+    mmul,
+    mscale,
+    msub,
+)
+from ..algebra.roots import RootSystem
 from ..errors import PoleError, ValidationError
 from ..simulate import AffineToda, TodaBoundary
 from ._poly import Poly
@@ -33,7 +46,7 @@ from .lax import lax_frame
 
 F = Fraction
 
-PolyMatrix = list[list[Poly]]
+PolyMatrix = Matrix  # entries are Poly
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +107,6 @@ class ExactLinearSolver:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel_basis(self) -> list[dict[int, F]]:
-        free = [c for c in range(self.ncols) if c not in self.pivots]
-        basis = []
-        for fcol in free:
-            vec = {fcol: F(1)}
-            for pcol, idx in self.pivots.items():
-                coeff = self.reduced[idx].get(fcol, F(0))
-                if coeff != 0:
-                    vec[pcol] = -coeff
-            basis.append(vec)
-        return basis
-
     def solve(self, rhs: Sequence[Poly]) -> tuple[list[Poly], list[Poly]]:
         """Particular solution (free variables = 0) and cokernel obstructions."""
         if len(rhs) != self.nrows:
@@ -133,61 +134,6 @@ class ExactLinearSolver:
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrices
-
-
-def pmat_zero(n: int, nvars: int) -> PolyMatrix:
-    return [[Poly.zero(nvars) for _ in range(n)] for _ in range(n)]
-
-
-def pmat_from_exact(mat, nvars: int) -> PolyMatrix:
-    return [[Poly.const(nvars, x) for x in row] for row in mat]
-
-
-def pmat_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def pmat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def pmat_scale(a: PolyMatrix, factor) -> PolyMatrix:
-    if isinstance(factor, Poly):
-        return [[factor * x for x in row] for row in a]
-    return [[x.scale(factor) for x in row] for row in a]
-
-
-def pmat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    n = len(a)
-    nvars = a[0][0].nvars
-    out = pmat_zero(n, nvars)
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if not aik:
-                continue
-            for j in range(n):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
-
-
-def pmat_comm(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return pmat_sub(pmat_mul(a, b), pmat_mul(b, a))
-
-
-def pmat_acomm(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return pmat_add(pmat_mul(a, b), pmat_mul(b, a))
-
-
-def pmat_eval(a: PolyMatrix, values: Sequence) -> np.ndarray:
-    return np.array(
-        [[float(x.substitute(values)) for x in row] for row in a], dtype=float
-    )
-
-
-# ---------------------------------------------------------------------------
 # the solver
 
 
@@ -199,27 +145,14 @@ class KExpansion:
     k1: PolyMatrix
     k2_is_zero: bool
     k3: PolyMatrix
-    series_k2: PolyMatrix
-    series_k3: PolyMatrix
     obstructions: list[Poly]
     fixed_nodes: dict[int, int]  # node -> forced value of b_i^2
     free_nodes: tuple[int, ...]
-    d_beta: dict[tuple[int, int], str] = field(default_factory=dict)
-
-    @property
-    def fully_constrained(self) -> bool:
-        return len(self.fixed_nodes) == self.rs.rank + 1
-
-    def sign_choices(self) -> list[tuple[int, ...]] | None:
-        if not self.fully_constrained:
-            return None
-        return list(product((1, -1), repeat=self.rs.rank + 1))
 
 
 def _node_data(rs: RootSystem, rep: MatrixRep):
     nodes = range(rs.rank + 1)
-    e_plus = [rep.step(rs.affine_vector(i)) for i in nodes]
-    e_minus = [rep.step(_vneg(rs.affine_vector(i))) for i in nodes]
+    e_plus, e_minus = rep.node_steps()
     alpha_h = [rep.cartan_element(rs.affine_vector(i)) for i in nodes]
     # family A is simply-laced with unit marks: m_i = 1/2 exactly
     masses = [F(1, 2) for _ in nodes]
@@ -250,15 +183,11 @@ def _adjoint_system(rs: RootSystem, rep: MatrixRep) -> ExactLinearSolver:
 
 
 def _flatten_rhs(mats: list[PolyMatrix]) -> list[Poly]:
-    out: list[Poly] = []
-    for m in mats:
-        for row in m:
-            out.extend(row)
-    return out
+    return [x for m in mats for row in m for x in row]
 
 
 def _unflatten(vec: list[Poly], n: int) -> PolyMatrix:
-    return [[vec[i * n + j] for j in range(n)] for i in range(n)]
+    return tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n))
 
 
 def _remove_trace(mat: PolyMatrix) -> PolyMatrix:
@@ -266,10 +195,11 @@ def _remove_trace(mat: PolyMatrix) -> PolyMatrix:
     tr = mat[0][0]
     for i in range(1, n):
         tr = tr + mat[i][i]
-    out = [row[:] for row in mat]
-    for i in range(n):
-        out[i][i] = out[i][i] - tr.scale(F(1, n))
-    return out
+    shift = tr.scale(F(1, n))
+    return tuple(
+        tuple(x - shift if i == j else x for j, x in enumerate(row))
+        for i, row in enumerate(mat)
+    )
 
 
 def _is_central(mat: PolyMatrix) -> bool:
@@ -316,9 +246,9 @@ def _constrained_nodes(obstructions: list[Poly], nnodes: int) -> dict[int, int]:
 def solve_k_expansion(rs: RootSystem, rep: MatrixRep | None = None) -> KExpansion:
     """Solve the gauge condition order by order in the defining representation.
 
-    Family A, rank <= 5 (the matrix route).  Returns the exact expansion data
-    and the constraint report; cross-check against ``adjacency_constraints``
-    for the combinatorial route.
+    Family A, rank <= 5 (the matrix route).  Returns the exact expansion data;
+    ``expansion_constraints`` reads its constraint report, to cross-check
+    against ``adjacency_constraints`` for the combinatorial route.
     """
     if rs.family != "A":
         raise ValidationError("matrix route requires family A")
@@ -331,48 +261,50 @@ def solve_k_expansion(rs: RootSystem, rep: MatrixRep | None = None) -> KExpansio
     e_plus, _, alpha_h, masses = _node_data(rs, rep)
     solver = _adjoint_system(rs, rep)
 
-    kernel = solver.kernel_basis()
-    if len(kernel) != 1:
+    if solver.ncols - solver.rank != 1:
         raise AssertionError("adjoint system kernel is not one-dimensional")
 
     b = [Poly.var(nv, i) for i in range(nnodes)]
-    alpha_h_p = [pmat_from_exact(m, nv) for m in alpha_h]
-    e_plus_p = [pmat_from_exact(m, nv) for m in e_plus]
+    # constant generators as Poly matrices, so both orders of a product
+    # sum Poly entries
+    one = Poly.const(nv, 1)
+    alpha_h_p = [mscale(one, m) for m in alpha_h]
+    e_plus_p = [mscale(one, m) for m in e_plus]
 
     # order lambda^0: m_i [K1, E_{-i}] = (b_i/2) alpha_i.H
-    rhs0 = [pmat_scale(alpha_h_p[i], b[i].scale(F(1, 2))) for i in range(nnodes)]
+    rhs0 = [mscale(b[i].scale(F(1, 2)), alpha_h_p[i]) for i in range(nnodes)]
     sol, obs = solver.solve(_flatten_rhs(rhs0))
     if obs:
         raise AssertionError("unexpected obstruction at order lambda^0")
     k1 = _remove_trace(_unflatten(sol, n))
-    expected_k1 = pmat_zero(n, nv)
-    for i in range(nnodes):
-        expected_k1 = pmat_add(expected_k1, pmat_scale(e_plus_p[i], b[i]))
-    if any(x != y for rx, ry in zip(k1, expected_k1) for x, y in zip(rx, ry)):
+    expected_k1 = mscale(b[0], e_plus_p[0])
+    for i in range(1, nnodes):
+        expected_k1 = madd(expected_k1, mscale(b[i], e_plus_p[i]))
+    if k1 != expected_k1:
         raise AssertionError("k1 does not reproduce the boundary-gradient form")
 
     # order lambda^1: m_i [K2, E_{-i}] = (b_i/4) [k1, alpha_i.H]_+
     rhs1 = [
-        pmat_scale(pmat_acomm(k1, alpha_h_p[i]), b[i].scale(F(1, 4)))
+        mscale(b[i].scale(F(1, 4)), anticommutator(k1, alpha_h_p[i]))
         for i in range(nnodes)
     ]
     sol, obs = solver.solve(_flatten_rhs(rhs1))
     if obs:
         raise AssertionError("unexpected obstruction at order lambda^1")
-    series_k2 = _unflatten(sol, n)
-    k1_sq = pmat_mul(k1, k1)
-    k2_is_zero = _is_central(pmat_sub(series_k2, pmat_scale(k1_sq, F(1, 2))))
+    k1_sq = mmul(k1, k1)
+    k2_is_zero = _is_central(msub(_unflatten(sol, n), mscale(F(1, 2), k1_sq)))
     if not k2_is_zero:
         raise AssertionError("K2 - k1^2/2 is not central; k2 does not vanish")
 
     # order lambda^2: m_i [K3, E_{-i}] = (b_i/8) [k1^2, alpha_i.H]_+ + m_i [k1, E_i]
-    rhs2 = []
-    for i in range(nnodes):
-        term = pmat_scale(pmat_acomm(k1_sq, alpha_h_p[i]), b[i].scale(F(1, 8)))
-        term = pmat_add(term, pmat_scale(pmat_comm(k1, e_plus_p[i]), masses[i]))
-        rhs2.append(term)
+    rhs2 = [
+        madd(
+            mscale(b[i].scale(F(1, 8)), anticommutator(k1_sq, alpha_h_p[i])),
+            mscale(masses[i], commutator(k1, e_plus_p[i])),
+        )
+        for i in range(nnodes)
+    ]
     sol, obstructions = solver.solve(_flatten_rhs(rhs2))
-    series_k3 = _unflatten(sol, n)
 
     fixed = _constrained_nodes(obstructions, nnodes)
     free = tuple(i for i in range(nnodes) if i not in fixed)
@@ -380,26 +312,17 @@ def solve_k_expansion(rs: RootSystem, rep: MatrixRep | None = None) -> KExpansio
     # rhs2 was assembled with K2 = k1^2/2, i.e. in the gauge k2 = 0 where
     # K3 = k3 + k1^3/6; the remaining scalar-rescale freedom only shifts the
     # trace, which is removed.
-    k1_cu = pmat_mul(k1_sq, k1)
-    k3 = _remove_trace(pmat_sub(series_k3, pmat_scale(k1_cu, F(1, 6))))
-    d_beta = {
-        (p, q): str(k3[p][q])
-        for p in range(n)
-        for q in range(n)
-        if p != q and k3[p][q]
-    }
+    k1_cu = mmul(k1_sq, k1)
+    k3 = _remove_trace(msub(_unflatten(sol, n), mscale(F(1, 6), k1_cu)))
 
     return KExpansion(
         rs=rs,
         k1=k1,
         k2_is_zero=k2_is_zero,
         k3=k3,
-        series_k2=series_k2,
-        series_k3=series_k3,
         obstructions=obstructions,
         fixed_nodes=fixed,
         free_nodes=free,
-        d_beta=d_beta,
     )
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ..algebra.reps import MatrixRep, defining_rep
-from ..algebra.roots import RootSystem, _vneg, mass_coefficients
+from ..algebra.roots import RootSystem, mass_coefficients
 from ..errors import ValidationError
 from ..simulate import toda_units
 
@@ -36,16 +36,10 @@ class LaxFrame:
 
 def lax_frame(rs: RootSystem, rep: MatrixRep | None = None) -> LaxFrame:
     rep = rep if rep is not None else defining_rep(rs)
-    nodes = range(rs.rank + 1)
-    e_plus = np.array(
-        [[[float(x) for x in row] for row in rep.step(rs.affine_vector(i))] for i in nodes]
-    ).astype(complex)
-    e_minus = np.array(
-        [
-            [[float(x) for x in row] for row in rep.step(_vneg(rs.affine_vector(i)))]
-            for i in nodes
-        ]
-    ).astype(complex)
+    e_plus, e_minus = (
+        np.array([[[float(x) for x in row] for row in e] for e in mats]).astype(complex)
+        for mats in rep.node_steps()
+    )
     h_dirs = np.array(
         [
             [[float(x) for x in row] for row in rep.cartan_element(list(map(float, basis_row)))]

@@ -6,7 +6,6 @@ from .defects import DefectSpec, FreeDefect, SineGordonBacklund, constraint_resi
 from .diagnostics import (
     Diagnostics,
     diagnostics,
-    fourier_amplitude,
     measure_frequency,
     measure_reflection_phase,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "constraint_residuals",
     "diagnostics",
     "evolve",
-    "fourier_amplitude",
     "half_line",
     "init_boundary_mode",
     "init_cosine",

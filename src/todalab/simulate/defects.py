@@ -92,9 +92,6 @@ class FreeDefect(SplitDefect):
         if self.lam == 0:
             raise ValidationError("defect parameter lam must be nonzero")
 
-    def bulk_model(self) -> KleinGordon:
-        return KleinGordon(m=self.m)
-
     def validate_model(self, model) -> None:
         if not isinstance(model, KleinGordon) or model.m != self.m:
             raise ValidationError("free defect requires KleinGordon bulk with matching mass")
@@ -136,9 +133,6 @@ class SineGordonBacklund(SplitDefect):
     def __post_init__(self):
         if self.lam == 0:
             raise ValidationError("defect parameter lam must be nonzero")
-
-    def bulk_model(self) -> SineGordon:
-        return SineGordon(m=self.m, beta=self.beta)
 
     def validate_model(self, model) -> None:
         if (

@@ -253,15 +253,6 @@ def measure_frequency(
     return float(omega)
 
 
-def fourier_amplitude(series: np.ndarray, dt: float, omega: float) -> complex:
-    """Windowed discrete Fourier amplitude of exp(-i omega t) at a known omega."""
-    s = np.asarray(series, dtype=float)
-    n = len(s)
-    t = dt * np.arange(n)
-    window = np.hanning(n)
-    return complex(np.sum(s * window * np.exp(1j * omega * t)) * dt)
-
-
 def measure_reflection_phase(
     series: np.ndarray,
     dt: float,

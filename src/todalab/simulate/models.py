@@ -9,6 +9,7 @@ to SinhGordon(2m, b*sqrt(2)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -90,6 +91,12 @@ class AffineToda:
 Model = KleinGordon | SineGordon | SinhGordon | AffineToda
 
 
+@cache
+def _a1() -> RootSystem:
+    """The one A1 system behind every hyperbolic scalar model."""
+    return build_root_system("A", 1)
+
+
 def toda_units(model) -> tuple[RootSystem, float, float]:
     """(root system, m, beta) of the affine Toda form of a model.
 
@@ -98,7 +105,7 @@ def toda_units(model) -> tuple[RootSystem, float, float]:
     trigonometric potential have no real-coupling Toda form.
     """
     if isinstance(model, SinhGordon):
-        return build_root_system("A", 1), model.m / 2.0, model.beta / np.sqrt(2.0)
+        return _a1(), model.m / 2.0, model.beta / np.sqrt(2.0)
     if isinstance(model, AffineToda):
         return model.rs, model.m, model.beta
     raise ValidationError(

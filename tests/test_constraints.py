@@ -3,7 +3,12 @@
 import pytest
 
 from todalab.algebra import build_root_system
-from todalab.laxboundary import adjacency_constraints, matrix_constraints, routes_agree
+from todalab.laxboundary import (
+    adjacency_constraints,
+    expansion_constraints,
+    routes_agree,
+    solve_k_expansion,
+)
 
 
 def test_rank_one_has_no_adjacent_pair_and_stays_free():
@@ -69,6 +74,6 @@ def test_json_report_shape():
 
 
 def test_matrix_report_carries_route_label():
-    report = matrix_constraints(build_root_system("A", 2))
+    report = expansion_constraints(solve_k_expansion(build_root_system("A", 2)))
     assert report.route == "matrix"
     assert report.fixed == {0: 4, 1: 4, 2: 4}

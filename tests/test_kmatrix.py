@@ -11,14 +11,21 @@ from todalab.errors import PoleError, ValidationError
 from todalab.laxboundary import (
     a1_k_matrix,
     boundary_potential,
+    expansion_constraints,
     k_gauge_residual,
     solve_k_expansion,
 )
 from todalab.laxboundary._poly import Poly
-from todalab.laxboundary.kmatrix import pmat_eval
 from todalab.simulate import AffineToda, TodaBoundary
 
 F = Fraction
+
+
+def pmat_eval(a, values) -> np.ndarray:
+    """Float matrix of a Poly matrix at the point ``values``."""
+    return np.array(
+        [[float(x.substitute(values)) for x in row] for row in a], dtype=float
+    )
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +42,7 @@ def test_rank_one_is_unconstrained(exp1):
     assert exp1.fixed_nodes == {}
     assert exp1.free_nodes == (0, 1)
     assert exp1.obstructions == []
-    assert exp1.sign_choices() is None
+    assert expansion_constraints(exp1).sign_vectors() is None
 
 
 def test_rank_one_k1_and_k3_match_hand_expansion(exp1):
@@ -119,8 +126,9 @@ def test_rank_two_obstructions_factor_as_adjacent_pairs():
 def test_all_sign_choices_solve_every_obstruction():
     rs = build_root_system("A", 3)
     exp = solve_k_expansion(rs)
-    assert exp.fully_constrained
-    choices = exp.sign_choices()
+    report = expansion_constraints(exp)
+    assert report.fully_constrained
+    choices = report.sign_vectors()
     assert len(choices) == 2 ** 4
     for signs in choices:
         point = [F(2 * s) for s in signs]

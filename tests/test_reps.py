@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab.algebra import build_root_system, defining_rep, dot
-from todalab.algebra.reps import commutator, is_zero, mmul, mscale, unit
+from todalab.algebra.reps import anticommutator, commutator, is_zero, mmul, mscale, unit
 from todalab.errors import ValidationError
+from todalab.laxboundary._poly import Poly
 
 F = Fraction
 
@@ -95,3 +96,45 @@ def test_sparse_mmul_matches_textbook_product(pair):
     got = mmul(a, b)
     assert got == textbook
     assert all(isinstance(x, F) for row in got for x in row)
+
+
+_NV = 2
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_polys = st.one_of(
+    st.just(Poly.zero(_NV)),
+    st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=2)] * _NV), _coeffs, max_size=3
+    ).map(lambda terms: Poly(_NV, terms)),
+)
+
+
+@st.composite
+def _poly_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    mat = st.tuples(*[st.tuples(*[_polys] * n)] * n)
+    return draw(mat), draw(mat)
+
+
+def _dense_product(a, b):
+    n = len(a)
+    out = [[Poly.zero(_NV) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+@given(_poly_pair(), st.one_of(st.integers(-5, 5), _coeffs))
+@settings(max_examples=100, deadline=None)
+def test_poly_matrices_match_dense_oracle(pair, k):
+    """The exact matrix algebra runs unchanged on Poly entries."""
+    a, b = pair
+    ab, ba = _dense_product(a, b), _dense_product(b, a)
+    n = len(a)
+    idx = [(i, j) for i in range(n) for j in range(n)]
+    assert all(mmul(a, b)[i][j] == ab[i][j] for i, j in idx)
+    assert all(commutator(a, b)[i][j] == ab[i][j] - ba[i][j] for i, j in idx)
+    assert all(anticommutator(a, b)[i][j] == ab[i][j] + ba[i][j] for i, j in idx)
+    p = a[0][0]
+    assert k * p == p * k == p.scale(k)
