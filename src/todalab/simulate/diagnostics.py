@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from .state import DefectState, Geometry
+from .state import Geometry, check_state
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,20 @@ class _ObservePlan:
     ``diagnostics`` for one model, geometry, state layout and probe list."""
 
     def __init__(self, model, geometry: Geometry, state, probes: tuple[float, ...]):
-        x = geometry.x
+        check_state(geometry, state, model)
+        x = geometry.state_x
         h = geometry.grid.h
         self.periodic = geometry.kind == "periodic"
         # B(phi) resolved once, like the stepper's dB
         left, right = geometry.boundary_ends
         self.energy_left = left.energy(model) if left is not None else None
         self.energy_right = right.energy(model) if right is not None else None
-        if isinstance(state, DefectState):
-            i0 = geometry.interface_index
-            # (side, node): the left field at x < 0, the right field otherwise
+        self.defect = geometry.defect if geometry.kind == "defect" else None
+        if self.defect is not None:
+            n = state.n_left
+            # entries of the two-sided row: the left field at x < 0, the right field otherwise
             self.probes = [
-                (0, int(np.argmin(np.abs(x[: i0 + 1] - px))))
-                if px < 0
-                else (1, int(np.argmin(np.abs(x[i0:] - px))))
+                int(np.argmin(np.abs(x[:n] - px))) if px < 0 else n + int(np.argmin(np.abs(x[n:] - px)))
                 for px in probes
             ]
             self.sides = [_Integrals(1, len(a), h, False) for a in (state.phi, state.psi)]
@@ -158,24 +158,24 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
     )
     beta = _beta_of(model)
 
-    if isinstance(state, DefectState):
-        defect = geometry.defect
+    if plan.defect is not None:
+        phi, psi = state.phi, state.psi
         e = u = p = 0.0
-        for arr, pi, side in zip((state.phi, state.psi), (state.pi_phi, state.pi_psi), plan.sides):
+        for arr, pi, side in zip((phi, psi), (state.pi_phi, state.pi_psi), plan.sides):
             arr = arr[None, :]
             de, dp = side(arr, pi[None, :], model.potential(arr))
             e += de
             p += dp
-        phi0, psi0 = state.phi[-1], state.psi[0]
-        e += float(defect.b_value(phi0, psi0))
-        u = float(defect.u_value(phi0, psi0))
+        phi0, psi0 = phi[-1], psi[0]
+        e += float(plan.defect.b_value(phi0, psi0))
+        u = float(plan.defect.u_value(phi0, psi0))
         if beta:
             coeff = beta / (2.0 * np.pi)
-            field_charge = coeff * ((phi0 - state.phi[0]) + (state.psi[-1] - psi0))
-            total_charge = coeff * (state.psi[-1] - state.phi[0])
+            field_charge = coeff * ((phi0 - phi[0]) + (psi[-1] - psi0))
+            total_charge = coeff * (psi[-1] - phi[0])
         else:
             field_charge = total_charge = 0.0
-        sides = (state.phi, state.psi)
+        row = state.two_sided
         return Diagnostics(
             t=state.t,
             energy=e,
@@ -184,7 +184,7 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
             p_plus_u=p + u,
             topological_charge=total_charge,
             field_charge=field_charge,
-            probes=tuple(float(sides[side][idx]) for side, idx in plan.probes),
+            probes=tuple(float(row[idx]) for idx in plan.probes),
         )
 
     phi = state.phi

@@ -5,23 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .state import DefectState, FieldState, Geometry
+from .state import DefectState, FieldState, Geometry, state_on
 
 
 def _scalar_state(geometry: Geometry, profile, velocity) -> FieldState | DefectState:
-    """Assemble a (scalar-field) state from profile/velocity callables."""
-    x = geometry.x
-    if geometry.kind == "defect":
-        i0 = geometry.interface_index
-        xl, xr = x[: i0 + 1], x[i0:]
-        return DefectState(
-            t=0.0,
-            phi=profile(xl),
-            pi_phi=velocity(xl),
-            psi=profile(xr),
-            pi_psi=velocity(xr),
-        )
-    return FieldState(t=0.0, phi=profile(x)[None, :], pi=velocity(x)[None, :])
+    """Assemble a (scalar-field) state from profile/velocity callables,
+    evaluated on the state's nodes ``geometry.state_x``."""
+    x = geometry.state_x
+    return state_on(geometry, 0.0, profile(x)[None, :], velocity(x)[None, :])
 
 
 def init_wavepacket(
@@ -100,7 +91,7 @@ def init_boundary_mode(geometry: Geometry, model, lam_b: float, amplitude: float
     x = geometry.x
 
     phi = amplitude * np.exp(-lam_b * (x - x_b))
-    return FieldState(t=0.0, phi=phi[None, :], pi=np.zeros((1, len(x))))
+    return state_on(geometry, 0.0, phi[None, :], np.zeros((1, len(x))))
 
 
 def init_gaussian(geometry: Geometry, amplitude: float, width: float, x0: float):

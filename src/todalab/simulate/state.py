@@ -58,6 +58,17 @@ class Geometry:
         return self.grid.nodes(periodic=self.kind == "periodic")
 
     @property
+    def state_x(self) -> np.ndarray:
+        """Nodes of a state's field: ``x``, except on a defect, where the
+        interface node x = 0 appears twice, [left side | right side] (the
+        layout of a DefectState's two-sided arrays and of ``snapshots.csv``)."""
+        x = self.x
+        if self.kind != "defect":
+            return x
+        i0 = self.interface_index
+        return np.concatenate([x[: i0 + 1], x[i0:]])
+
+    @property
     def interface_index(self) -> int:
         if self.kind != "defect":
             raise ValidationError("interface index only defined for defect geometry")
@@ -143,61 +154,81 @@ class FieldState:
         if self.phi.shape != self.pi.shape:
             raise ValidationError("phi and pi must have matching shapes")
 
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(field, momentum), shape (n_components, len(geometry.state_x))."""
+        return self.phi, self.pi
+
     def check_finite(self) -> None:
         _check_finite(self.t, {"phi": self.phi, "pi": self.pi})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DefectState:
     """Two scalar fields joined at x = 0: phi on the left grid (interface is
     its last node), psi on the right grid (interface is its first node).
 
-    A state made by ``step`` lives on two-sided arrays, laid out as
-    ``[phi | psi]`` with the interface node twice (n_left + n_right entries,
-    the layout of ``snapshots.csv``): ``two_sided`` is the field,
-    ``two_sided_pi`` the momentum [pi_phi | pi_psi] and ``force`` the force
-    at the end of the step, tagged with ``plan`` as on FieldState.  Its
-    ``phi``, ``pi_phi``, ``psi`` and ``pi_psi`` are read-only views into
-    them.  A state built by hand from the four side arrays has no two-sided
-    arrays; its first step joins them once.
+    Both live on one two-sided array on ``Geometry.state_x``: ``two_sided``
+    is [phi | psi] with the interface node twice (phi the first ``n_left``
+    entries) and ``two_sided_pi`` the momentum [pi_phi | pi_psi]; ``rows``
+    is their (1, n_left + n_right) view, which ``step`` advances like a
+    single-domain field.  ``phi``, ``pi_phi``, ``psi`` and ``pi_psi`` are
+    read-only views into them.  A state made by ``step`` also carries the
+    force at its field, tagged with ``plan`` as on FieldState.
+
+    ``DefectState(t, phi, pi_phi, psi, pi_psi)`` joins the side arrays once;
+    ``from_two_sided`` takes two-sided arrays without a copy.
     """
 
     t: float
-    phi: np.ndarray
-    pi_phi: np.ndarray
-    psi: np.ndarray
-    pi_psi: np.ndarray
-    two_sided: np.ndarray | None = field(default=None, repr=False)
-    two_sided_pi: np.ndarray | None = field(default=None, repr=False)
+    two_sided: np.ndarray
+    two_sided_pi: np.ndarray
+    n_left: int
     force: np.ndarray | None = field(default=None, repr=False)
     plan: object = field(default=None, repr=False)
+
+    def __init__(self, t: float, phi, pi_phi, psi, pi_psi):
+        if np.shape(phi) != np.shape(pi_phi) or np.shape(psi) != np.shape(pi_psi):
+            raise ValidationError("each side's field and momentum must have matching shapes")
+        u, pi = np.concatenate([phi, psi]), np.concatenate([pi_phi, pi_psi])
+        self._hold(t, u, pi, len(phi))
 
     @classmethod
     def from_two_sided(cls, t: float, u, pi, n_left: int, force=None, plan=None) -> DefectState:
         """The state on two-sided field and momentum arrays ``u`` and ``pi``
-        (left side first n_left entries); they and ``force`` are made
-        read-only, and the side fields are views into them."""
+        (left side first n_left entries), without a copy; they and
+        ``force`` are made read-only."""
+        state = cls.__new__(cls)
+        state._hold(t, u, pi, n_left, force, plan)
+        return state
+
+    def _hold(self, t, u, pi, n_left, force=None, plan=None) -> None:
         for arr in (u, pi, force):
             if arr is not None:
                 arr.flags.writeable = False
-        return cls(
-            t=t,
-            phi=u[:n_left],
-            pi_phi=pi[:n_left],
-            psi=u[n_left:],
-            pi_psi=pi[n_left:],
-            two_sided=u,
-            two_sided_pi=pi,
-            force=force,
-            plan=plan,
-        )
+        # past the frozen dataclass's __setattr__
+        vars(self).update(t=t, two_sided=u, two_sided_pi=pi, n_left=n_left, force=force, plan=plan)
 
-    def joined(self) -> tuple[np.ndarray, np.ndarray]:
-        """(field, momentum) in the two-sided layout; joined from the side
-        arrays when the state was built by hand."""
-        if self.two_sided is not None:
-            return self.two_sided, self.two_sided_pi
-        return np.concatenate([self.phi, self.psi]), np.concatenate([self.pi_phi, self.pi_psi])
+    @property
+    def phi(self) -> np.ndarray:
+        return self.two_sided[: self.n_left]
+
+    @property
+    def pi_phi(self) -> np.ndarray:
+        return self.two_sided_pi[: self.n_left]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.two_sided[self.n_left :]
+
+    @property
+    def pi_psi(self) -> np.ndarray:
+        return self.two_sided_pi[self.n_left :]
+
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(field, momentum), shape (1, len(geometry.state_x))."""
+        return self.two_sided[None, :], self.two_sided_pi[None, :]
 
     def check_finite(self) -> None:
         _check_finite(
@@ -216,16 +247,45 @@ class FieldHistory:
     pi: np.ndarray
 
 
-def vacuum_state(geometry: Geometry, n_components: int = 1) -> FieldState | DefectState:
-    nx = len(geometry.x)
+def state_on(geometry: Geometry, t: float, phi, pi, force=None, plan=None):
+    """The state of ``geometry``'s kind on field and momentum rows ``phi``
+    and ``pi`` (shape (n_components, len(geometry.state_x))), without a
+    copy: a DefectState of their one row on a defect, a FieldState elsewhere.
+    Its arrays are made read-only."""
     if geometry.kind == "defect":
-        i0 = geometry.interface_index
-        n_left, n_right = i0 + 1, nx - i0
-        return DefectState(
-            t=0.0,
-            phi=np.zeros(n_left),
-            pi_phi=np.zeros(n_left),
-            psi=np.zeros(n_right),
-            pi_psi=np.zeros(n_right),
+        n_left = geometry.interface_index + 1
+        force = None if force is None else force[0]
+        return DefectState.from_two_sided(t, phi[0], pi[0], n_left, force=force, plan=plan)
+    for arr in (phi, pi, force):
+        if arr is not None:
+            arr.flags.writeable = False
+    return FieldState(t=t, phi=phi, pi=pi, force=force, plan=plan)
+
+
+def check_state(geometry: Geometry, state, model) -> None:
+    """Raise a ValidationError unless ``state`` is the kind of state of
+    ``geometry`` (a DefectState on a defect, a FieldState elsewhere) with
+    ``model.n_components`` rows on ``geometry.state_x``."""
+    kind = DefectState if geometry.kind == "defect" else FieldState
+    if not isinstance(state, kind):
+        raise ValidationError(
+            f"a {type(state).__name__} does not fit a {geometry.kind} geometry, "
+            f"whose states are {kind.__name__}s"
         )
-    return FieldState(t=0.0, phi=np.zeros((n_components, nx)), pi=np.zeros((n_components, nx)))
+    shape = (model.n_components, len(geometry.state_x))
+    got = state.rows[0].shape
+    if got != shape:
+        raise ValidationError(
+            f"state fields {got} do not fit the {type(model).__name__} model on this "
+            f"grid: expected (n_components, n_nodes) = {shape}"
+        )
+    if kind is DefectState and state.n_left != geometry.interface_index + 1:
+        raise ValidationError(
+            f"the state's left field has {state.n_left} nodes, the grid "
+            f"{geometry.interface_index + 1} up to the interface"
+        )
+
+
+def vacuum_state(geometry: Geometry, n_components: int = 1) -> FieldState | DefectState:
+    shape = (n_components, len(geometry.state_x))
+    return state_on(geometry, 0.0, np.zeros(shape), np.zeros(shape))

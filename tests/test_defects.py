@@ -81,6 +81,30 @@ def test_defect_model_mismatch_rejected():
         step(state, SineGordon(m=1.0), geom)
 
 
+def test_state_of_the_wrong_kind_is_refused():
+    """A defect geometry steps and observes only DefectStates, and the other
+    geometries only FieldStates: a FieldState on a defect would run as a
+    plain line with its defect silently dropped."""
+    model = SineGordon(m=1.0, beta=1.0)
+    grid = Grid1D(-10.0, 10.0, 100)
+    defect_geom = with_defect(grid, SineGordonBacklund(lam=1.0), sponge_fraction=0.0)
+    line_geom = line(grid, sponge_fraction=0.0)
+    cases = [
+        (init_soliton(line_geom, model, v=0.5, x0=-3.0), defect_geom),
+        (init_soliton(defect_geom, model, v=0.5, x0=-3.0), line_geom),
+    ]
+    for state, geom in cases:
+        calls = [
+            lambda: step(state, model, geom),
+            lambda: evolve(state, model, geom, 50),
+            lambda: diagnostics(state, model, geom),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="does not fit") as err:
+                call()
+            assert "\n" not in str(err.value)
+
+
 def test_interface_must_sit_on_a_node():
     with pytest.raises(ValidationError, match="grid node"):
         with_defect(Grid1D(-10.3, 10.0, 100), FreeDefect(lam=0.5, m=1.0))

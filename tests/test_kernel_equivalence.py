@@ -38,6 +38,7 @@ from todalab.simulate import (
     periodic_line,
     step,
     toda_units,
+    vacuum_state,
     with_defect,
 )
 
@@ -478,8 +479,9 @@ def test_defect_step_results_are_read_only_views_of_two_sided_arrays():
     assert step(out, model, geom).plan is out.plan
 
 
-def test_half_kick_is_reused_only_from_the_plans_last_state():
-    model, geom, state = _case("line-sponge")
+@pytest.mark.parametrize("name", ["line-sponge", "defect-backlund-off-centre"])
+def test_half_kick_is_reused_only_from_the_plans_last_state(name):
+    model, geom, state = _case(name)
     ref1 = oracle_step(state, model, geom)
     ref2 = oracle_step(ref1, model, geom)
     ref3 = oracle_step(ref2, model, geom)
@@ -489,6 +491,50 @@ def test_half_kick_is_reused_only_from_the_plans_last_state():
     s3 = step(s2, model, geom)  # s2_again came after s2
     for got, ref in ((s2, ref2), (s2_again, ref2), (s3, ref3)):
         _assert_same_state(got, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.integers(16, 80),
+    data=st.data(),
+    sponge=st.floats(0.0, 0.3),
+    backlund=st.booleans(),
+)
+def test_defect_steps_match_oracle_on_random_grids(n_cells, data, sponge, backlund):
+    """On any defect grid the one step equals the two-half-domain oracle, and
+    every two-sided array follows Geometry.state_x."""
+    i0 = data.draw(st.integers(2, n_cells - 2), label="interface node")
+    h = 0.125  # a power of two: x = 0 falls exactly on node i0
+    grid = Grid1D(-i0 * h, (n_cells - i0) * h, n_cells)
+    if backlund:
+        model = SineGordon(m=1.0, beta=1.0)
+        geom = with_defect(grid, SineGordonBacklund(lam=1.1, m=1.0, beta=1.0), sponge_fraction=sponge)
+    else:
+        model = KleinGordon(m=1.0)
+        geom = with_defect(grid, FreeDefect(lam=0.7, m=1.0), sponge_fraction=sponge)
+    x0 = data.draw(st.floats(grid.x_min, grid.x_max), label="x0")
+    state = init_gaussian(geom, amplitude=0.3, width=0.4, x0=x0)
+
+    # the layout: [left nodes | right nodes], x = 0 twice
+    x, state_x = geom.x, geom.state_x
+    n_left = state.n_left
+    assert n_left == i0 + 1
+    assert np.array_equal(state_x[:n_left], x[: i0 + 1])
+    assert np.array_equal(state_x[n_left:], x[i0:])
+    profile = 0.3 * np.exp(-((state_x - x0) ** 2) / (2.0 * 0.4**2))
+    assert np.array_equal(state.two_sided, profile)
+    assert np.array_equal(state.two_sided_pi, np.zeros_like(state_x))
+    assert len(vacuum_state(geom).two_sided) == len(state_x)
+
+    ref = state
+    for _ in range(30):
+        state = step(state, model, geom)
+        ref = oracle_step(ref, model, geom)
+    _assert_same_state(state, ref)
+
+    _, history = evolve(ref, model, geom, 4, save_every=2)
+    assert np.array_equal(history.x, state_x)
+    assert history.phi.shape == (3, 1, len(state_x))
 
 
 # ---------------------------------------------------------------------------

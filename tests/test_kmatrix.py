@@ -55,7 +55,6 @@ def test_rank_one_k1_and_k3_match_hand_expansion(exp1):
     assert exp1.k1[0][0].is_zero() and exp1.k1[1][1].is_zero()
     assert exp1.k3[0][1] == (b0 * b1 * b1).scale(third) - b0
     assert exp1.k3[1][0] == (b0 * b0 * b1).scale(third) - b1
-    assert exp1.k2_is_zero
 
 
 def test_exp_series_satisfies_gauge_condition_to_truncation_order(rs1, exp1):
@@ -112,7 +111,6 @@ def test_rank_two_obstructions_factor_as_adjacent_pairs():
     rs = build_root_system("A", 2)
     exp = solve_k_expansion(rs)
     assert exp.fixed_nodes == {0: 4, 1: 4, 2: 4}
-    assert exp.k2_is_zero
     assert len(exp.obstructions) == 6  # ordered adjacent pairs of the triangle
     for poly in exp.obstructions:
         stripped = poly.strip_content()
