@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, PoleError, ValidationError
-from .simulate.experiment import FLOAT_FMT, RunConfig, _write_atomic, load_config, resolve_config, run_experiment
+from .simulate.experiment import FLOAT_FMT, RunConfig, _build_model, _write_atomic, load_config, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +49,12 @@ def _emit(out_dir: str | None, filename: str, text: str, manifest: str | None) -
 # simulate
 
 
+def _out_dir(args, cfg: RunConfig) -> Path:
+    """Where a simulation writes: --out, else [output] directory, else the
+    working directory."""
+    return Path(args.out or cfg.get("output", "directory") or ".")
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sweeps = []
@@ -61,19 +67,15 @@ def _cmd_simulate(args) -> int:
                 f"bad --sweep {spec!r}; expected section.key=v1,v2,..."
             ) from None
         sweeps.append((section.strip(), key.strip(), values.split(",")))
+    out = _out_dir(args, cfg)
     if not sweeps:
-        run_experiment(cfg, out_dir=args.out)
+        run_experiment(cfg, out_dir=out)
         return 0
     if len(sweeps) > 1:
         raise ValidationError("one --sweep key at a time")
     section, key, values = sweeps[0]
-    cfg.get(section, key)  # the target must be a known key
-    base_out = Path(args.out) if args.out else Path(cfg.get("output", "directory") or ".")
     for value in values:  # disjoint configs, fully independent runs
-        raw = {sec: dict(items) for sec, items in cfg.sections.items()}
-        raw[section][key] = value
-        sub = resolve_config(raw)
-        run_experiment(sub, out_dir=base_out / f"{key}={value}")
+        run_experiment(cfg.replace(section, key, value), out_dir=out / f"{key}={value}")
     return 0
 
 
@@ -152,7 +154,7 @@ def _cmd_reflect(args) -> int:
 
 def _cmd_derive_boundary(args) -> int:
     from .algebra import build_root_system, to_json_dict
-    from .laxboundary import adjacency_constraints, expansion_constraints, solve_k_expansion
+    from .laxboundary import adjacency_constraints, expansion_constraints, routes_agree, solve_k_expansion
 
     rs = build_root_system(args.family, args.rank)
     route = args.route
@@ -164,7 +166,7 @@ def _cmd_derive_boundary(args) -> int:
         exp = solve_k_expansion(rs)
         mat = expansion_constraints(exp)
         payload["matrix_route"] = mat.to_json_dict()
-        payload["routes_agree"] = mat.fixed == adj.fixed and mat.free == adj.free
+        payload["routes_agree"] = routes_agree(mat, adj)
         payload["k_series"] = {
             "k1": [[str(p) for p in row] for row in exp.k1],
             "k2": "0 (central factor scaled out)",
@@ -192,12 +194,13 @@ def _cmd_lax_check(args) -> int:
     lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
     if not lambdas:
         raise ValidationError("no spectral parameters given")
+    cfg = load_config(args.config)
+    if cfg.getint("grid", "snapshot_every") <= 0:
+        raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")
+    frame, m_t, beta_t = toda_frame_for(_build_model(cfg))
 
-    def run_at(cfg: RunConfig):
-        result = run_experiment(cfg)
-        if result.history is None:
-            raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")
-        frame, m_t, beta_t = toda_frame_for(result.model)
+    def run_at(run_cfg: RunConfig):
+        result = run_experiment(run_cfg)
         report = {}
         for lam in lambdas:
             res = curvature_residual(result.history, frame, lam, m=m_t, beta=beta_t)
@@ -215,15 +218,9 @@ def _cmd_lax_check(args) -> int:
             report[repr(lam)] = {"curvature_rms": res, "monodromy_drift": drift}
         return report
 
-    cfg = load_config(args.config)
-    if cfg.getint("grid", "snapshot_every") <= 0:
-        raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")
     payload = {"base": run_at(cfg)}
     if args.refine:
-        raw = {sec: dict(items) for sec, items in cfg.sections.items()}
-        raw["grid"]["n_cells"] = str(2 * cfg.getint("grid", "n_cells"))
-        fine = resolve_config(raw)
-        payload["refined"] = run_at(fine)
+        payload["refined"] = run_at(cfg.replace("grid", "n_cells", 2 * cfg.getint("grid", "n_cells")))
         payload["ratios"] = {
             lam: {
                 "curvature": payload["base"][lam]["curvature_rms"]

@@ -169,15 +169,10 @@ class SineGordonBacklund(SplitDefect):
 DefectSpec = FreeDefect | SineGordonBacklund
 
 
-def constraint_residuals(defect: DefectSpec, phi: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
-    """Max residuals of the two defect-potential identities on samples.
-
-    First: B_phiphi - B_psipsi, zero by construction for a ``SplitDefect``
-    unless a subclass overrides either.  Second: (1/2)(B_phi^2 - B_psi^2) -
-    (V(phi) - W(psi)).
-    """
-    wave = np.max(np.abs(defect.b_phiphi(phi, psi) - defect.b_psipsi(phi, psi)))
+def constraint_residuals(defect: DefectSpec, phi: np.ndarray, psi: np.ndarray) -> float:
+    """Max residual of the defect-potential identity (1/2)(B_phi^2 -
+    B_psi^2) = V(phi) - W(psi) on samples."""
     alg = 0.5 * (defect.b_phi(phi, psi) ** 2 - defect.b_psi(phi, psi) ** 2) - (
         defect.potential_left(phi) - defect.potential_right(psi)
     )
-    return float(wave), float(np.max(np.abs(alg)))
+    return float(np.max(np.abs(alg)))

@@ -26,7 +26,7 @@ from .defects import FreeDefect, SineGordonBacklund
 from .diagnostics import Diagnostics, diagnostics
 from .grid import Grid1D
 from .models import make_model
-from .state import FieldHistory, Geometry, vacuum_state
+from .state import BOUNDARY_SIDES, FieldHistory, Geometry, vacuum_state
 from .stepper import _drive, _Snapshots
 
 _SCHEMA: dict[str, dict[str, str]] = {
@@ -117,6 +117,14 @@ class RunConfig:
     def getbool(self, section: str, key: str) -> bool:
         return self.get(section, key).strip().lower() in ("1", "true", "yes", "on")
 
+    def replace(self, section: str, key: str, value) -> RunConfig:
+        """This configuration with ``[section] key`` set to ``value``; an
+        unknown section or key is refused as by ``get``."""
+        self.get(section, key)
+        raw = {sec: dict(items) for sec, items in self.sections.items()}
+        raw[section][key] = value
+        return resolve_config(raw)
+
     def to_ini(self) -> str:
         buf = io.StringIO()
         parser = configparser.ConfigParser()
@@ -177,6 +185,16 @@ def _build_boundary(cfg: RunConfig, side: str):
     raise ValidationError(f"unknown boundary kind {kind!r} for {side}")
 
 
+def _build_defect(cfg: RunConfig, model):
+    kind = cfg.get("geometry", "defect").strip().lower()
+    lam = cfg.getfloat("geometry", "defect_lambda")
+    if kind == "free":
+        return FreeDefect(lam=lam, m=model.m)
+    if kind == "backlund":
+        return SineGordonBacklund(lam=lam, m=model.m, beta=model.beta)
+    raise ValidationError(f"unknown defect kind {kind!r}")
+
+
 def _build_geometry(cfg: RunConfig, model) -> Geometry:
     kind = cfg.get("geometry", "kind").strip().lower()
     grid = Grid1D(
@@ -188,43 +206,16 @@ def _build_geometry(cfg: RunConfig, model) -> Geometry:
     sponge = cfg.getfloat("geometry", "sponge_fraction")
     if sponge < 0:  # unset: spec default is absorbing ends on line/defect
         sponge = 0.1 if kind in ("line", "defect") else 0.0
-    strength = cfg.getfloat("geometry", "sponge_strength")
-    if kind == "periodic":
-        return Geometry(kind="periodic", grid=grid)
-    if kind == "line":
-        return Geometry(kind="line", grid=grid, sponge_fraction=sponge, sponge_strength=strength)
-    if kind == "halfline":
-        return Geometry(
-            kind="halfline",
-            grid=grid,
-            right=_build_boundary(cfg, "right"),
-            sponge_fraction=sponge,
-            sponge_strength=strength,
-        )
-    if kind == "interval":
-        return Geometry(
-            kind="interval",
-            grid=grid,
-            left=_build_boundary(cfg, "left"),
-            right=_build_boundary(cfg, "right"),
-        )
-    if kind == "defect":
-        dkind = cfg.get("geometry", "defect").strip().lower()
-        lam_d = cfg.getfloat("geometry", "defect_lambda")
-        if dkind == "free":
-            defect = FreeDefect(lam=lam_d, m=model.m)
-        elif dkind == "backlund":
-            defect = SineGordonBacklund(lam=lam_d, m=model.m, beta=model.beta)
-        else:
-            raise ValidationError(f"unknown defect kind {dkind!r}")
-        return Geometry(
-            kind="defect",
-            grid=grid,
-            defect=defect,
-            sponge_fraction=sponge,
-            sponge_strength=strength,
-        )
-    raise ValidationError(f"unknown geometry kind {kind!r}")
+    sides = BOUNDARY_SIDES.get(kind, ())  # Geometry rejects an unknown kind
+    return Geometry(
+        kind=kind,
+        grid=grid,
+        left=_build_boundary(cfg, "left") if "left" in sides else None,
+        right=_build_boundary(cfg, "right") if "right" in sides else None,
+        defect=_build_defect(cfg, model) if kind == "defect" else None,
+        sponge_fraction=sponge,
+        sponge_strength=cfg.getfloat("geometry", "sponge_strength"),
+    )
 
 
 def _build_initial(cfg: RunConfig, model, geometry: Geometry):
@@ -351,11 +342,11 @@ def _step_count(t_final: float, dt: float) -> int:
 def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> RunResult:
     """Execute a configured run; deterministic for a fixed config.
 
-    Writes diagnostics CSV, optional snapshot CSV, and the manifest when an
-    output directory is set (from ``out_dir`` or [output] directory).  A
-    run whose stepping fails writes none of them and creates no directory;
-    if the output directory already exists, it writes ``failure.json`` (the
-    message and the StepFailure state dump) there before re-raising.
+    Writes diagnostics CSV, optional snapshot CSV, and the manifest into
+    ``out_dir``, and nothing when it is None.  A run whose stepping fails
+    writes none of them and creates no directory; if ``out_dir`` already
+    exists, it writes ``failure.json`` (the message and the StepFailure
+    state dump) there before re-raising.
     """
     model = _build_model(cfg)
     geometry = _build_geometry(cfg, model)
@@ -378,13 +369,12 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     observers = [(save_every, True, observe)]
     if snapshot_every > 0:
         observers.append((snapshot_every, False, snaps))
-    directory = out_dir if out_dir is not None else (cfg.get("output", "directory") or None)
     try:
         state = _drive(state, model, geometry, n_steps, observers)
     except StepFailure as exc:
-        if directory and Path(directory).is_dir():
+        if out_dir is not None and Path(out_dir).is_dir():
             dump = json.dumps({"error": str(exc), "state_dump": exc.state_dump}, indent=2, sort_keys=True)
-            _write_atomic(Path(directory) / "failure.json", dump + "\n")
+            _write_atomic(Path(out_dir) / "failure.json", dump + "\n")
         raise
     history = snaps.history(geometry)
     result = RunResult(
@@ -398,8 +388,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         probes=probes,
     )
 
-    if directory:
-        base = Path(directory)
+    if out_dir is not None:
+        base = Path(out_dir)
         _write_atomic(base / cfg.get("output", "diagnostics_file"), result.diagnostics_csv())
         if history is not None:
             _write_atomic(base / cfg.get("output", "snapshots_file"), result.snapshots_csv())

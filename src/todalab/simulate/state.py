@@ -12,7 +12,15 @@ from .boundaries import BoundarySpec
 from .defects import DefectSpec
 from .grid import Grid1D
 
-GEOMETRY_KINDS = ("periodic", "line", "halfline", "interval", "defect")
+# The ends of each kind of geometry that carry a boundary term.  Every other
+# end of a non-periodic kind is open: Neumann, and damped by the sponge.
+BOUNDARY_SIDES = {
+    "periodic": (),
+    "line": (),
+    "halfline": ("right",),
+    "interval": ("left", "right"),
+    "defect": (),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,8 +29,9 @@ class Geometry:
 
     ``halfline`` puts the physical boundary at the right endpoint (domain
     x < x_max, conventionally x_max = 0).  ``sponge_fraction`` > 0 switches on
-    momentum damping over that fraction of the domain at each open end (both
-    ends for ``line`` and ``defect``, the far end for ``halfline``).
+    momentum damping over that fraction of the domain at each of
+    ``open_ends``; a geometry without open ends range-checks it and damps
+    nothing.
     """
 
     kind: str
@@ -35,12 +44,12 @@ class Geometry:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in GEOMETRY_KINDS:
+        if self.kind not in BOUNDARY_SIDES:
             raise ValidationError(f"unknown geometry kind {self.kind!r}")
-        if self.kind == "interval" and (self.left is None or self.right is None):
-            raise ValidationError("interval geometry needs both boundary specs")
-        if self.kind == "halfline" and self.right is None:
-            raise ValidationError("half-line geometry needs the right boundary spec")
+        sides = BOUNDARY_SIDES[self.kind]
+        if any(getattr(self, side) is None for side in sides):
+            need = "both boundary specs" if len(sides) == 2 else f"the {sides[0]} boundary spec"
+            raise ValidationError(f"{self.kind} geometry needs {need}")
         if self.kind == "defect":
             if self.defect is None:
                 raise ValidationError("defect geometry needs a defect spec")
@@ -77,10 +86,17 @@ class Geometry:
     @property
     def boundary_ends(self) -> tuple:
         """(left, right) boundary specs of the ends that carry a boundary
-        term, None elsewhere (open and far ends are Neumann)."""
-        left = self.left if self.kind == "interval" else None
-        right = self.right if self.kind in ("interval", "halfline") else None
-        return left, right
+        term (``BOUNDARY_SIDES``), None elsewhere."""
+        sides = BOUNDARY_SIDES[self.kind]
+        return tuple(getattr(self, side) if side in sides else None for side in ("left", "right"))
+
+    @property
+    def open_ends(self) -> tuple[str, ...]:
+        """The ends, "left" and/or "right", that carry no boundary term on a
+        non-periodic geometry."""
+        if self.kind == "periodic":
+            return ()
+        return tuple(side for side in ("left", "right") if side not in BOUNDARY_SIDES[self.kind])
 
     def memo(self, key, build):
         """Run data derived from this geometry (step and observation plans),

@@ -41,19 +41,14 @@ from .state import FieldHistory, Geometry, check_state, state_on
 
 def _sponge_profile(geometry: Geometry) -> np.ndarray | None:
     """exp(-sigma dt) damping factors for pi on a state's nodes, or None
-    when disabled."""
+    when disabled or the geometry has no open end."""
     frac = geometry.sponge_fraction
-    if frac <= 0.0:
+    ends = geometry.open_ends
+    if frac <= 0.0 or not ends:
         return None
     x = geometry.state_x
     width = frac * (geometry.grid.x_max - geometry.grid.x_min)
     sigma = np.zeros_like(x)
-    if geometry.kind in ("line", "defect"):
-        ends = ("left", "right")
-    elif geometry.kind == "halfline":
-        ends = ("left",)
-    else:
-        return None
     if "left" in ends:
         d = (x - geometry.grid.x_min) / width
         sigma = np.where(d < 1.0, geometry.sponge_strength * (1.0 - d) ** 2, sigma)

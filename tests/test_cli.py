@@ -69,6 +69,44 @@ def test_simulate_sweep(config_file, tmp_path):
     assert (out / "amplitude=0.2" / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("directory, written", [("", "."), ("directory = results", "results")])
+def test_simulate_without_out_writes_to_the_config_directory_or_here(tmp_path, monkeypatch, directory, written):
+    """With no --out, a run writes to [output] directory, else the working
+    directory, and a sweep member to key=value under the same place."""
+    config = tmp_path / "run.ini"
+    config.write_text(CFG + "\n[output]\n" + directory + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["simulate", "--config", str(config), "--sweep", "initial.amplitude=0.1"]) == 0
+    for out in (tmp_path / written, tmp_path / written / "amplitude=0.1"):
+        assert {"diagnostics.csv", "snapshots.csv", "run.manifest"} <= {f.name for f in out.iterdir()}
+
+
+def test_lax_check_writes_no_simulation_output(tmp_path):
+    """lax-check --refine writes lax_check.json and its manifest only, not
+    the runs' files into the config's [output] directory."""
+    sim = tmp_path / "sim"
+    config = tmp_path / "run.ini"
+    config.write_text(CFG + f"\n[output]\ndirectory = {sim}\n")
+    out = tmp_path / "lax"
+    assert main(["lax-check", "--config", str(config), "--lambdas", "0.7", "--refine", "--out", str(out)]) == 0
+    assert not sim.exists()
+    assert sorted(f.name for f in out.iterdir()) == ["lax_check.json", "run.manifest"]
+
+
+def test_lax_check_refuses_a_model_without_lax_frame_before_stepping(tmp_path, monkeypatch, capsys):
+    from todalab.simulate import stepper
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the Lax frame was checked")
+
+    monkeypatch.setattr(stepper, "step", no_step)
+    config = _write_config(tmp_path, CFG, **{"kind = sinh_gordon": "kind = klein_gordon"})
+    assert main(["lax-check", "--config", str(config), "--refine"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "KleinGordon has no real Lax frame" in err[0]
+
+
 def test_malformed_config_key_exits_one_without_output(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(CFG + "\nbogus_key = 1\n")
@@ -206,7 +244,6 @@ def test_t_final_off_the_step_grid_exits_one(tmp_path, capsys):
 def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
     """The matrix-route report and the K-series payload share one solve."""
     import todalab.laxboundary as lb
-    from todalab.laxboundary import constraints
 
     calls = []
     solve = lb.solve_k_expansion
@@ -216,7 +253,6 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(lb, "solve_k_expansion", counted)
-    monkeypatch.setattr(constraints, "solve_k_expansion", counted)
     assert main(["derive-boundary", "--family", "A", "--rank", "3", "--route", "both"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert calls == ["a3"]

@@ -1,5 +1,7 @@
 """Adjacency-route constraints and cross-route agreement."""
 
+from dataclasses import replace
+
 import pytest
 
 from todalab.algebra import build_root_system
@@ -48,13 +50,25 @@ def test_higher_systems_fully_constrained(family, rank):
     assert report.fixed == {i: 4 * rs.marks[i] for i in range(rank + 1)}
 
 
+def _both_routes(family, rank):
+    rs = build_root_system(family, rank)
+    return adjacency_constraints(rs), expansion_constraints(solve_k_expansion(rs))
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_matrix_and_adjacency_routes_agree_exactly(rank):
-    assert routes_agree(build_root_system("A", rank))
+    assert routes_agree(*_both_routes("A", rank))
 
 
 def test_matrix_route_rank_one_also_agrees():
-    assert routes_agree(build_root_system("A", 1))
+    assert routes_agree(*_both_routes("A", 1))
+
+
+def test_reports_that_differ_in_fixed_or_free_nodes_disagree():
+    report = adjacency_constraints(build_root_system("A", 2))
+    assert routes_agree(report, replace(report, route="matrix"))
+    assert not routes_agree(report, replace(report, fixed={0: 4, 1: 4}))
+    assert not routes_agree(report, replace(report, free=(2,)))
 
 
 def test_json_report_shape():

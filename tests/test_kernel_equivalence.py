@@ -3,6 +3,8 @@ plain two-force velocity-Verlet step and the np.gradient/np.trapezoid
 diagnostics they replace: same arithmetic in the same order, so the
 results must be equal bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from todalab.algebra import build_root_system
 from todalab.errors import StepFailure
+from todalab.simulate import stepper
 from todalab.simulate import (
     AffineToda,
     DefectState,
@@ -278,7 +281,19 @@ def _a2_state(geometry):
     return FieldState(t=0.0, phi=phi, pi=0.05 * np.cos(np.pi * x / span) * np.ones_like(phi))
 
 
+# a sponge on every kind of geometry: it damps only the open ends, so the
+# periodic and interval runs step as without it
+_SPONGED = {
+    "periodic-sponge": "periodic",
+    "halfline-robin-sponge": "halfline-robin",
+    "interval-sponge": "interval-robin",
+}
+
+
 def _case(name):
+    if name in _SPONGED:
+        model, geom, state = _case(_SPONGED[name])
+        return model, replace(geom, sponge_fraction=0.15), state
     if name == "periodic":
         geom = periodic_line(Grid1D(0.0, 16.0, 128))
         model = SinhGordon(m=1.0, beta=1.0)
@@ -337,11 +352,14 @@ def _case(name):
 
 CASES = [
     "periodic",
+    "periodic-sponge",
     "line-sponge",
     "halfline-robin",
+    "halfline-robin-sponge",
     "halfline-toda-sinh",
     "halfline-toda-a2",
     "interval-robin",
+    "interval-sponge",
     "defect-free",
     "defect-backlund",
     "defect-backlund-off-centre",
@@ -368,9 +386,23 @@ def _assert_same_diagnostics(state, ref, model, geom, probes):
     assert got == oracle_diagnostics(ref, model, geom, probes)
 
 
+def _assert_same_sponge(geom):
+    got, want = stepper._sponge_profile(geom), _sponge_profile(geom)
+    if geom.kind in ("periodic", "interval"):
+        assert got is None
+    if want is None:
+        assert got is None
+        return
+    if geom.kind == "defect":  # the oracle's profile on x, the step's on state_x
+        i0 = geom.interface_index
+        want = np.concatenate([want[: i0 + 1], want[i0:]])
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_step_and_diagnostics_match_two_force_oracle(name):
     model, geom, state = _case(name)
+    _assert_same_sponge(geom)
     lo, hi = geom.grid.x_min, geom.grid.x_max
     probes = (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo), hi)
     ref = state
