@@ -20,7 +20,6 @@ from .initial import (
 )
 from .models import AffineToda, KleinGordon, Model, SineGordon, SinhGordon, make_model, toda_units
 from .state import (
-    DefectState,
     FieldHistory,
     FieldState,
     Geometry,
@@ -37,7 +36,6 @@ __all__ = [
     "AffineToda",
     "BoundarySpec",
     "DefectSpec",
-    "DefectState",
     "Diagnostics",
     "FieldHistory",
     "FieldState",

@@ -129,13 +129,14 @@ class _ObservePlan:
         self.energy_right = right.energy(model) if right is not None else None
         self.defect = geometry.defect if geometry.kind == "defect" else None
         if self.defect is not None:
-            n = state.n_left
+            # the right side's first entry in the two-sided row
+            n = self.cut = geometry.interface_index + 1
             # entries of the two-sided row: the left field at x < 0, the right field otherwise
             self.probes = [
                 int(np.argmin(np.abs(x[:n] - px))) if px < 0 else n + int(np.argmin(np.abs(x[n:] - px)))
                 for px in probes
             ]
-            self.sides = [_Integrals(1, len(a), h, False) for a in (state.phi, state.psi)]
+            self.sides = [_Integrals(1, size, h, False) for size in (n, len(x) - n)]
         else:
             self.probes = [int(np.argmin(np.abs(x - px))) for px in probes]
             self.integrals = _Integrals(*state.phi.shape, h, self.periodic)
@@ -159,9 +160,10 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
     beta = _beta_of(model)
 
     if plan.defect is not None:
-        phi, psi = state.phi, state.psi
+        row, cut = state.phi[0], plan.cut
+        phi, psi = row[:cut], row[cut:]
         e = u = p = 0.0
-        for arr, pi, side in zip((phi, psi), (state.pi_phi, state.pi_psi), plan.sides):
+        for arr, pi, side in zip((phi, psi), (state.pi[0, :cut], state.pi[0, cut:]), plan.sides):
             arr = arr[None, :]
             de, dp = side(arr, pi[None, :], model.potential(arr))
             e += de
@@ -175,7 +177,6 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
             total_charge = coeff * (psi[-1] - phi[0])
         else:
             field_charge = total_charge = 0.0
-        row = state.two_sided
         return Diagnostics(
             t=state.t,
             energy=e,

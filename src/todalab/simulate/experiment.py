@@ -275,13 +275,10 @@ def _build_initial(cfg: RunConfig, model, geometry: Geometry):
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    config: RunConfig
     times: np.ndarray
     diagnostics: list[Diagnostics]
     history: FieldHistory | None
-    final_state: object
     geometry: Geometry
-    model: object
     probes: tuple[float, ...] = field(default=())
 
     def diagnostics_csv(self) -> str:
@@ -370,7 +367,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     if snapshot_every > 0:
         observers.append((snapshot_every, False, snaps))
     try:
-        state = _drive(state, model, geometry, n_steps, observers)
+        _drive(state, model, geometry, n_steps, observers)
     except StepFailure as exc:
         if out_dir is not None and Path(out_dir).is_dir():
             dump = json.dumps({"error": str(exc), "state_dump": exc.state_dump}, indent=2, sort_keys=True)
@@ -378,13 +375,10 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         raise
     history = snaps.history(geometry)
     result = RunResult(
-        config=cfg,
         times=np.asarray([d.t for d in diags]),
         diagnostics=diags,
         history=history,
-        final_state=state,
         geometry=geometry,
-        model=model,
         probes=probes,
     )
 

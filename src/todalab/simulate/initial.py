@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .state import DefectState, FieldState, Geometry, state_on
+from .state import FieldState, Geometry, state_on
 
 
-def _scalar_state(geometry: Geometry, profile, velocity) -> FieldState | DefectState:
+def _scalar_state(geometry: Geometry, profile, velocity) -> FieldState:
     """Assemble a (scalar-field) state from profile/velocity callables,
     evaluated on the state's nodes ``geometry.state_x``."""
     x = geometry.state_x
-    return state_on(geometry, 0.0, profile(x)[None, :], velocity(x)[None, :])
+    return state_on(0.0, profile(x)[None, :], velocity(x)[None, :])
 
 
 def init_wavepacket(
@@ -23,7 +23,7 @@ def init_wavepacket(
     x0: float,
     amplitude: float,
     direction: int = 1,
-) -> FieldState | DefectState:
+) -> FieldState:
     """Near-monochromatic Gaussian packet moving with group velocity k0/omega0.
 
     The packet support (3 sigma) must clear the domain ends; amplitude zero
@@ -56,7 +56,7 @@ def init_wavepacket(
 
 def init_soliton(
     geometry: Geometry, model, v: float, x0: float, charge: int = 1
-) -> FieldState | DefectState:
+) -> FieldState:
     """Moving sine-Gordon kink (charge +1) or antikink (-1)."""
     if abs(v) >= 1.0:
         raise ValidationError("soliton speed must satisfy |v| < 1")
@@ -91,7 +91,7 @@ def init_boundary_mode(geometry: Geometry, model, lam_b: float, amplitude: float
     x = geometry.x
 
     phi = amplitude * np.exp(-lam_b * (x - x_b))
-    return state_on(geometry, 0.0, phi[None, :], np.zeros((1, len(x))))
+    return state_on(0.0, phi[None, :], np.zeros((1, len(x))))
 
 
 def init_gaussian(geometry: Geometry, amplitude: float, width: float, x0: float):

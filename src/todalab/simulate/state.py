@@ -61,6 +61,8 @@ class Geometry:
                 raise ValidationError("defect interface x=0 must fall on a grid node")
         if not 0.0 <= self.sponge_fraction < 0.5:
             raise ValidationError("sponge fraction must lie in [0, 0.5)")
+        if not 0.0 <= self.sponge_strength < math.inf:
+            raise ValidationError("sponge strength must be finite and >= 0")
 
     @property
     def x(self) -> np.ndarray:
@@ -70,7 +72,8 @@ class Geometry:
     def state_x(self) -> np.ndarray:
         """Nodes of a state's field: ``x``, except on a defect, where the
         interface node x = 0 appears twice, [left side | right side] (the
-        layout of a DefectState's two-sided arrays and of ``snapshots.csv``)."""
+        layout of a defect state's one two-sided row and of
+        ``snapshots.csv``)."""
         x = self.x
         if self.kind != "defect":
             return x
@@ -153,11 +156,15 @@ def _check_finite(t: float, fields: dict[str, np.ndarray]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Single-domain state: phi and pi = d_t phi, shape (n_components, n_nodes).
+    """The state of every geometry: phi and pi = d_t phi, shape
+    (n_components, len(geometry.state_x)).
 
-    A state made by ``step`` also carries the force at its own fields and
-    the step plan that computed it; the next step under the same plan
-    starts from that force instead of evaluating it again.
+    On a defect ``phi`` and ``pi`` are one two-sided row [left | right] with
+    the interface node x = 0 twice (``Geometry.state_x``); the right side
+    starts at ``geometry.interface_index + 1``.  A state made by ``step``
+    also carries the force at its own fields and the step plan that
+    computed it; the next step under the same plan starts from that force
+    instead of evaluating it again.
     """
 
     t: float
@@ -170,87 +177,8 @@ class FieldState:
         if self.phi.shape != self.pi.shape:
             raise ValidationError("phi and pi must have matching shapes")
 
-    @property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(field, momentum), shape (n_components, len(geometry.state_x))."""
-        return self.phi, self.pi
-
     def check_finite(self) -> None:
         _check_finite(self.t, {"phi": self.phi, "pi": self.pi})
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class DefectState:
-    """Two scalar fields joined at x = 0: phi on the left grid (interface is
-    its last node), psi on the right grid (interface is its first node).
-
-    Both live on one two-sided array on ``Geometry.state_x``: ``two_sided``
-    is [phi | psi] with the interface node twice (phi the first ``n_left``
-    entries) and ``two_sided_pi`` the momentum [pi_phi | pi_psi]; ``rows``
-    is their (1, n_left + n_right) view, which ``step`` advances like a
-    single-domain field.  ``phi``, ``pi_phi``, ``psi`` and ``pi_psi`` are
-    read-only views into them.  A state made by ``step`` also carries the
-    force at its field, tagged with ``plan`` as on FieldState.
-
-    ``DefectState(t, phi, pi_phi, psi, pi_psi)`` joins the side arrays once;
-    ``from_two_sided`` takes two-sided arrays without a copy.
-    """
-
-    t: float
-    two_sided: np.ndarray
-    two_sided_pi: np.ndarray
-    n_left: int
-    force: np.ndarray | None = field(default=None, repr=False)
-    plan: object = field(default=None, repr=False)
-
-    def __init__(self, t: float, phi, pi_phi, psi, pi_psi):
-        if np.shape(phi) != np.shape(pi_phi) or np.shape(psi) != np.shape(pi_psi):
-            raise ValidationError("each side's field and momentum must have matching shapes")
-        u, pi = np.concatenate([phi, psi]), np.concatenate([pi_phi, pi_psi])
-        self._hold(t, u, pi, len(phi))
-
-    @classmethod
-    def from_two_sided(cls, t: float, u, pi, n_left: int, force=None, plan=None) -> DefectState:
-        """The state on two-sided field and momentum arrays ``u`` and ``pi``
-        (left side first n_left entries), without a copy; they and
-        ``force`` are made read-only."""
-        state = cls.__new__(cls)
-        state._hold(t, u, pi, n_left, force, plan)
-        return state
-
-    def _hold(self, t, u, pi, n_left, force=None, plan=None) -> None:
-        for arr in (u, pi, force):
-            if arr is not None:
-                arr.flags.writeable = False
-        # past the frozen dataclass's __setattr__
-        vars(self).update(t=t, two_sided=u, two_sided_pi=pi, n_left=n_left, force=force, plan=plan)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.two_sided[: self.n_left]
-
-    @property
-    def pi_phi(self) -> np.ndarray:
-        return self.two_sided_pi[: self.n_left]
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.two_sided[self.n_left :]
-
-    @property
-    def pi_psi(self) -> np.ndarray:
-        return self.two_sided_pi[self.n_left :]
-
-    @property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(field, momentum), shape (1, len(geometry.state_x))."""
-        return self.two_sided[None, :], self.two_sided_pi[None, :]
-
-    def check_finite(self) -> None:
-        _check_finite(
-            self.t,
-            {"phi": self.phi, "pi_phi": self.pi_phi, "psi": self.psi, "pi_psi": self.pi_psi},
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,45 +191,26 @@ class FieldHistory:
     pi: np.ndarray
 
 
-def state_on(geometry: Geometry, t: float, phi, pi, force=None, plan=None):
-    """The state of ``geometry``'s kind on field and momentum rows ``phi``
-    and ``pi`` (shape (n_components, len(geometry.state_x))), without a
-    copy: a DefectState of their one row on a defect, a FieldState elsewhere.
-    Its arrays are made read-only."""
-    if geometry.kind == "defect":
-        n_left = geometry.interface_index + 1
-        force = None if force is None else force[0]
-        return DefectState.from_two_sided(t, phi[0], pi[0], n_left, force=force, plan=plan)
+def state_on(t: float, phi, pi, force=None, plan=None) -> FieldState:
+    """The state on field and momentum arrays ``phi`` and ``pi``, without a
+    copy; they and ``force`` are made read-only."""
     for arr in (phi, pi, force):
         if arr is not None:
             arr.flags.writeable = False
     return FieldState(t=t, phi=phi, pi=pi, force=force, plan=plan)
 
 
-def check_state(geometry: Geometry, state, model) -> None:
-    """Raise a ValidationError unless ``state`` is the kind of state of
-    ``geometry`` (a DefectState on a defect, a FieldState elsewhere) with
-    ``model.n_components`` rows on ``geometry.state_x``."""
-    kind = DefectState if geometry.kind == "defect" else FieldState
-    if not isinstance(state, kind):
-        raise ValidationError(
-            f"a {type(state).__name__} does not fit a {geometry.kind} geometry, "
-            f"whose states are {kind.__name__}s"
-        )
+def check_state(geometry: Geometry, state: FieldState, model) -> None:
+    """Raise a ValidationError unless ``state`` has ``model.n_components``
+    rows on ``geometry.state_x``."""
     shape = (model.n_components, len(geometry.state_x))
-    got = state.rows[0].shape
-    if got != shape:
+    if state.phi.shape != shape:
         raise ValidationError(
-            f"state fields {got} do not fit the {type(model).__name__} model on this "
-            f"grid: expected (n_components, n_nodes) = {shape}"
-        )
-    if kind is DefectState and state.n_left != geometry.interface_index + 1:
-        raise ValidationError(
-            f"the state's left field has {state.n_left} nodes, the grid "
-            f"{geometry.interface_index + 1} up to the interface"
+            f"a state of shape {state.phi.shape} does not fit the {type(model).__name__} "
+            f"model on this {geometry.kind} geometry: expected (n_components, n_nodes) = {shape}"
         )
 
 
-def vacuum_state(geometry: Geometry, n_components: int = 1) -> FieldState | DefectState:
+def vacuum_state(geometry: Geometry, n_components: int = 1) -> FieldState:
     shape = (n_components, len(geometry.state_x))
-    return state_on(geometry, 0.0, np.zeros(shape), np.zeros(shape))
+    return state_on(0.0, np.zeros(shape), np.zeros(shape))

@@ -1,11 +1,11 @@
 """Explicit leapfrog (velocity-Verlet) evolution on all geometries.
 
-Every geometry runs one step on its state's rows ``state.rows``, of shape
-(n_components, len(geometry.state_x)).  Boundary conditions enter through
-second-order ghost cells.  A defect's state is one two-sided row [phi | psi]
-with the interface node twice, so it steps like a single domain: ghost
-Neumann far ends, and the stencil next to either interface reads that
-side's own interface value.  The interface pair carries no Laplacian; the
+Every geometry runs one step on its state's fields ``state.phi`` and
+``state.pi``, of shape (n_components, len(geometry.state_x)).  Boundary
+conditions enter through second-order ghost cells.  A defect's state is one
+two-sided row [phi | psi] with the interface node twice, so it steps like a
+single domain: ghost Neumann far ends, and the stencil next to either
+interface reads that side's own interface value.  The interface pair carries no Laplacian; the
 sewing conditions are rearranged into ODEs for it,
 
     d_t phi0 = d_x psi - B_psi,        d_t psi0 = d_x phi + B_phi,
@@ -49,12 +49,13 @@ def _sponge_profile(geometry: Geometry) -> np.ndarray | None:
     x = geometry.state_x
     width = frac * (geometry.grid.x_max - geometry.grid.x_min)
     sigma = np.zeros_like(x)
-    if "left" in ends:
-        d = (x - geometry.grid.x_min) / width
-        sigma = np.where(d < 1.0, geometry.sponge_strength * (1.0 - d) ** 2, sigma)
-    if "right" in ends:
-        d = (geometry.grid.x_max - x) / width
-        sigma = np.where(d < 1.0, geometry.sponge_strength * (1.0 - d) ** 2, sigma)
+    # d = dist / width < 1 exactly where dist < width; dividing only there
+    # cannot overflow, whatever the width
+    for end in ends:
+        dist = x - geometry.grid.x_min if end == "left" else geometry.grid.x_max - x
+        near = dist < width
+        d = dist[near] / width
+        sigma[near] = geometry.sponge_strength * (1.0 - d) ** 2
     return np.exp(-sigma * geometry.grid.dt)
 
 
@@ -213,13 +214,13 @@ def step(state, model, geometry: Geometry):
     kick, pi_half = plan.kick, plan.pi_half
     if state.plan is not plan:
         check_state(geometry, state, model)
-        np.multiply(plan.force(state.rows[0]), plan.half_dt, out=kick)
+        np.multiply(plan.force(state.phi), plan.half_dt, out=kick)
     elif plan.kicked is not state:
         np.multiply(state.force, plan.half_dt, out=kick)
     # else the step that made ``state`` left its last half-kick, the same
     # product, in ``kick``
     plan.kicked = None
-    old_phi, old_pi = state.rows
+    old_phi, old_pi = state.phi, state.pi
     np.add(old_pi, kick, out=pi_half)
     np.multiply(pi_half, plan.dt, out=kick)
     phi = np.add(old_phi, kick)
@@ -233,7 +234,7 @@ def step(state, model, geometry: Geometry):
         pi[0, a], pi[0, a + 1] = momenta
     if plan.damp is not None:
         np.multiply(pi, plan.damp, out=pi)
-    out = state_on(plan.geometry, state.t + plan.dt, phi, pi, force=f, plan=plan)
+    out = state_on(state.t + plan.dt, phi, pi, force=f, plan=plan)
     plan.kicked = out
     return out
 
@@ -248,9 +249,8 @@ class _Snapshots:
 
     def __call__(self, state) -> None:
         self.times.append(state.t)
-        phi, pi = state.rows
-        self.phi.append(np.array(phi, copy=True))
-        self.pi.append(np.array(pi, copy=True))
+        self.phi.append(np.array(state.phi, copy=True))
+        self.pi.append(np.array(state.pi, copy=True))
 
     def history(self, geometry: Geometry) -> FieldHistory | None:
         if not self.times:

@@ -267,6 +267,8 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
         ({"n_cells = 128": "n_cells = 12.5"}, None, "[grid] n_cells = '12.5' is not an integer"),
         ({}, "nosuch.key=1", "unknown config section [nosuch]"),
         ({}, "model.nosuch=1", "unknown config key 'nosuch' in section [model]"),
+        ({"kind = periodic": "kind = line\nsponge_strength = -5.0"}, None, "sponge strength must be finite"),
+        ({"kind = periodic": "kind = periodic\nsponge_strength = nan"}, None, "sponge strength must be finite"),
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):

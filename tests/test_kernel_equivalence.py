@@ -16,7 +16,6 @@ from todalab.errors import StepFailure
 from todalab.simulate import stepper
 from todalab.simulate import (
     AffineToda,
-    DefectState,
     Diagnostics,
     FieldState,
     FreeDefect,
@@ -131,8 +130,22 @@ def _interior_force(phi, model, h, fixed_end):
     return lap - model.gradient(phi[None, :])[0]
 
 
+def _sides(state, geometry):
+    """Copies of (phi, pi_phi, psi, pi_psi), the two sides of a defect
+    state's two-sided row, split at ``geometry.interface_index``."""
+    cut = geometry.interface_index + 1
+    row, pi = state.phi[0], state.pi[0]
+    return row[:cut].copy(), pi[:cut].copy(), row[cut:].copy(), pi[cut:].copy()
+
+
+def _two_sided(t, phi, pi_phi, psi, pi_psi):
+    """The defect state whose two-sided row joins the two sides."""
+    row, pi = np.concatenate([phi, psi]), np.concatenate([pi_phi, pi_psi])
+    return FieldState(t=t, phi=row[None, :], pi=pi[None, :])
+
+
 def oracle_step(state, model, geometry):
-    if isinstance(state, DefectState):
+    if geometry.kind == "defect":
         return _oracle_defect_step(state, model, geometry)
     dt = geometry.grid.dt
     phi, pi = state.phi, state.pi
@@ -150,8 +163,7 @@ def _oracle_defect_step(state, model, geometry):
     defect.validate_model(model)
     dt = geometry.grid.dt
     h = geometry.grid.h
-    phi, pi_phi = state.phi.copy(), state.pi_phi.copy()
-    psi, pi_psi = state.psi.copy(), state.pi_psi.copy()
+    phi, pi_phi, psi, pi_psi = _sides(state, geometry)
     phi0_old, psi0_old = phi[-1], psi[0]
     dphi_old = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * h)
     dpsi_old = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
@@ -208,7 +220,7 @@ def _oracle_defect_step(state, model, geometry):
         i0 = geometry.interface_index
         pi_phi *= damp[: i0 + 1]
         pi_psi *= damp[i0:]
-    return DefectState(t=state.t + dt, phi=phi, pi_phi=pi_phi, psi=psi, pi_psi=pi_psi)
+    return _two_sided(state.t + dt, phi, pi_phi, psi, pi_psi)
 
 
 def _gradient_x(arr, h, periodic):
@@ -228,30 +240,31 @@ def oracle_diagnostics(state, model, geometry, probes=()):
     periodic = geometry.kind == "periodic"
     beta = getattr(model, "beta", 0.0)
     x = geometry.x
-    if isinstance(state, DefectState):
+    if geometry.kind == "defect":
         defect = geometry.defect
         i0 = geometry.interface_index
+        phi, pi_phi, psi, pi_psi = _sides(state, geometry)
         e = p = 0.0
-        for arr, pi in ((state.phi, state.pi_phi), (state.psi, state.pi_psi)):
+        for arr, pi in ((phi, pi_phi), (psi, pi_psi)):
             grad = _gradient_x(arr, h, periodic=False)
             dens = 0.5 * pi**2 + 0.5 * grad**2 + model.potential(arr[None, :])
             e += _trapz(dens, h, periodic=False)
             p += _trapz(pi * grad, h, periodic=False)
-        phi0, psi0 = state.phi[-1], state.psi[0]
+        phi0, psi0 = phi[-1], psi[0]
         e += float(defect.b_value(phi0, psi0))
         u = float(defect.u_value(phi0, psi0))
         if beta:
             coeff = beta / (2.0 * np.pi)
-            field_charge = coeff * ((phi0 - state.phi[0]) + (state.psi[-1] - psi0))
-            total_charge = coeff * (state.psi[-1] - state.phi[0])
+            field_charge = coeff * ((phi0 - phi[0]) + (psi[-1] - psi0))
+            total_charge = coeff * (psi[-1] - phi[0])
         else:
             field_charge = total_charge = 0.0
         probe_vals = []
         for px in probes:
             if px < 0:
-                probe_vals.append(float(state.phi[int(np.argmin(np.abs(x[: i0 + 1] - px)))]))
+                probe_vals.append(float(phi[int(np.argmin(np.abs(x[: i0 + 1] - px)))]))
             else:
-                probe_vals.append(float(state.psi[int(np.argmin(np.abs(x[i0:] - px)))]))
+                probe_vals.append(float(psi[int(np.argmin(np.abs(x[i0:] - px)))]))
         return Diagnostics(state.t, e, p, u, p + u, total_charge, field_charge, tuple(probe_vals))
     phi, pi = state.phi, state.pi
     grad = _gradient_x(phi, h, periodic)
@@ -339,8 +352,8 @@ def _case(name):
         geom = with_defect(Grid1D(-20.0, 20.0, 400), FreeDefect(lam=0.7, m=1.0), sponge_fraction=0.1)
         i0 = geom.interface_index
         xl, xr = geom.x[: i0 + 1], geom.x[i0:]
-        state = DefectState(
-            t=0.0,
+        state = _two_sided(
+            0.0,
             phi=0.1 * np.exp(-((xl + 3.0) ** 2)),
             pi_phi=0.05 * np.sin(xl) * np.exp(-((xl + 3.0) ** 2)),
             psi=0.08 * np.exp(-((xr - 2.0) ** 2)),
@@ -367,16 +380,10 @@ CASES = [
 ]
 
 
-def _fields(state):
-    if isinstance(state, DefectState):
-        return (state.phi, state.pi_phi, state.psi, state.pi_psi)
-    return (state.phi, state.pi)
-
-
 def _assert_same_state(a, b):
     assert type(a) is type(b)
     assert a.t == b.t
-    for x, y in zip(_fields(a), _fields(b)):
+    for x, y in ((a.phi, b.phi), (a.pi, b.pi)):
         assert x.shape == y.shape
         assert np.array_equal(x, y)
 
@@ -447,13 +454,7 @@ def test_defect_force_is_recomputed_under_another_plan():
     defect = SineGordonBacklund(lam=0.9, m=1.0, beta=1.0)
     other = with_defect(geom.grid, defect, sponge_fraction=0.0)
     tagged = step(state, model, geom)
-    fresh = DefectState(
-        t=tagged.t,
-        phi=tagged.phi.copy(),
-        pi_phi=tagged.pi_phi.copy(),
-        psi=tagged.psi.copy(),
-        pi_psi=tagged.pi_psi.copy(),
-    )
+    fresh = FieldState(t=tagged.t, phi=tagged.phi.copy(), pi=tagged.pi.copy())
     _assert_same_state(step(tagged, model, other), oracle_step(fresh, model, other))
 
 
@@ -489,25 +490,19 @@ def test_non_finite_state_raises_step_failure_with_first_node():
 def test_defect_step_results_are_read_only_views_of_two_sided_arrays():
     model, geom, state = _case("defect-backlund")
     out = step(state, model, geom)
-    n_left = len(out.phi)
-    assert out.two_sided.shape == out.two_sided_pi.shape == (n_left + len(out.psi),)
-    sides = [
-        (out.phi, out.two_sided[:n_left]),
-        (out.psi, out.two_sided[n_left:]),
-        (out.pi_phi, out.two_sided_pi[:n_left]),
-        (out.pi_psi, out.two_sided_pi[n_left:]),
-    ]
-    for side, part in sides:
-        assert np.shares_memory(side, part) and np.array_equal(side, part)
-        assert not side.flags.writeable
-        with pytest.raises(ValueError):
-            side[0] = 1.0
-    for arr in (out.two_sided, out.two_sided_pi, out.force):
-        assert not arr.flags.writeable
+    assert out.phi.shape == out.pi.shape == out.force.shape == (1, len(geom.state_x))
+    cut = geom.interface_index + 1
+    for arr in (out.phi, out.pi, out.force):
+        for side in (arr[0, :cut], arr[0, cut:]):
+            assert np.shares_memory(side, arr)
+            assert not side.flags.writeable
+            with pytest.raises(ValueError):
+                side[0] = 1.0
     # the one force is the two half-domain forces side by side
     h = geom.grid.h
-    halves = [_interior_force(out.phi, model, h, "right"), _interior_force(out.psi, model, h, "left")]
-    assert np.array_equal(out.force, np.concatenate(halves))
+    phi, _, psi, _ = _sides(out, geom)
+    halves = [_interior_force(phi, model, h, "right"), _interior_force(psi, model, h, "left")]
+    assert np.array_equal(out.force, np.concatenate(halves)[None, :])
     assert step(out, model, geom).plan is out.plan
 
 
@@ -549,14 +544,13 @@ def test_defect_steps_match_oracle_on_random_grids(n_cells, data, sponge, backlu
 
     # the layout: [left nodes | right nodes], x = 0 twice
     x, state_x = geom.x, geom.state_x
-    n_left = state.n_left
-    assert n_left == i0 + 1
-    assert np.array_equal(state_x[:n_left], x[: i0 + 1])
-    assert np.array_equal(state_x[n_left:], x[i0:])
+    assert geom.interface_index == i0
+    assert np.array_equal(state_x[: i0 + 1], x[: i0 + 1])
+    assert np.array_equal(state_x[i0 + 1 :], x[i0:])
     profile = 0.3 * np.exp(-((state_x - x0) ** 2) / (2.0 * 0.4**2))
-    assert np.array_equal(state.two_sided, profile)
-    assert np.array_equal(state.two_sided_pi, np.zeros_like(state_x))
-    assert len(vacuum_state(geom).two_sided) == len(state_x)
+    assert np.array_equal(state.phi, profile[None, :])
+    assert np.array_equal(state.pi, np.zeros((1, len(state_x))))
+    assert vacuum_state(geom).phi.shape == (1, len(state_x))
 
     ref = state
     for _ in range(30):
@@ -622,15 +616,8 @@ def test_diagnostics_match_oracle_on_random_states(data):
         return data.draw(arrays(np.float64, shape, elements=_VALUES))
 
     t = data.draw(st.floats(0.0, 100.0))
-    if geom.kind == "defect":
-        n_left = geom.interface_index + 1
-        n_right = len(geom.x) + 1 - n_left
-        state = DefectState(
-            t=t, phi=field(n_left), pi_phi=field(n_left), psi=field(n_right), pi_psi=field(n_right)
-        )
-    else:
-        shape = (model.n_components, len(geom.x))
-        state = FieldState(t=t, phi=field(shape), pi=field(shape))
+    shape = (model.n_components, len(geom.state_x))
+    state = FieldState(t=t, phi=field(shape), pi=field(shape))
     lo, hi = geom.grid.x_min, geom.grid.x_max
     probes = (lo, 0.3 * lo + 0.7 * hi, hi)
     assert diagnostics(state, model, geom, probes) == oracle_diagnostics(state, model, geom, probes)
@@ -670,15 +657,29 @@ def test_one_non_finite_node_gives_the_scan_dump(bad, name, component, node):
     assert err.value.state_dump == expected == _first_bad(2.25, fields)
 
 
+_DEFECT = with_defect(Grid1D(-10.0, 10.0, 20), FreeDefect(lam=0.7, m=1.0))
+_N_LEFT = _DEFECT.interface_index + 1  # 11 entries on either side
+
+
 @pytest.mark.parametrize("name", ["phi", "pi_phi", "psi", "pi_psi"])
 @pytest.mark.parametrize("node", [0, 5, 10])
 def test_one_non_finite_defect_node_gives_the_scan_dump(name, node):
-    fields = {key: np.linspace(-1.0, 1.0, 11) for key in ("phi", "pi_phi", "psi", "pi_psi")}
-    fields[name][node] = np.nan
-    state = DefectState(t=0.5, **fields)
+    """A non-finite value at ``node`` of one side's field (phi, psi) or
+    momentum (pi_phi, pi_psi) is dumped as field phi or pi at its entry of
+    the two-sided row: its index in ``Geometry.state_x``, the column of
+    ``snapshots.csv``.  Left node 10 and right node 0 are the two interface
+    entries, n_left - 1 and n_left."""
+    field = "phi" if name in ("phi", "psi") else "pi"
+    left = name in ("phi", "pi_phi")
+    entry = node if left else _N_LEFT + node
+    assert _DEFECT.state_x[entry] == _DEFECT.x[node if left else _N_LEFT - 1 + node]
+    fields = {key: np.linspace(-1.0, 1.0, len(_DEFECT.state_x))[None, :] for key in ("phi", "pi")}
+    fields[field][0, entry] = np.nan
+    state = FieldState(t=0.5, **fields)
     with pytest.raises(StepFailure) as err:
         state.check_finite()
-    assert err.value.state_dump == {"t": 0.5, "field": name, "node": node} == _first_bad(0.5, fields)
+    expected = {"t": 0.5, "field": field, "component": 0, "node": entry}
+    assert err.value.state_dump == expected == _first_bad(0.5, fields)
 
 
 def test_finite_state_whose_sum_of_squares_overflows_passes():
@@ -691,4 +692,4 @@ def test_finite_state_whose_sum_of_squares_overflows_passes():
     with np.errstate(over="ignore"):
         assert not np.isfinite(np.dot(flat, flat))
         FieldState(t=1.0, phi=phi, pi=pi).check_finite()
-        DefectState(t=1.0, phi=side, pi_phi=side, psi=side, pi_psi=side).check_finite()
+        _two_sided(1.0, phi=side, pi_phi=side, psi=side, pi_psi=side).check_finite()

@@ -1,9 +1,12 @@
 """Leapfrog evolution: fixed points, conservation orders, boundary handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from todalab.errors import ValidationError
+from todalab.simulate import stepper
 from todalab.simulate import (
     Grid1D,
     KleinGordon,
@@ -117,6 +120,17 @@ def test_sponge_absorbs_outgoing_packet():
     # the damped run has lost most of the packet energy; the undamped one
     # keeps it (Neumann ends reflect)
     assert e_sponge < 0.1 * e_refl
+
+
+def test_sponge_narrower_than_a_cell_damps_the_end_nodes_without_overflow():
+    """The profile divides only where the distance is below the sponge
+    width, so a width near the smallest double overflows nothing."""
+    geom = line(Grid1D(-10.0, 10.0, 100), sponge_fraction=5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        damp = stepper._sponge_profile(geom)
+    assert damp[0] == damp[-1] < 1.0
+    assert np.all(damp[1:-1] == 1.0)
 
 
 def test_wavepacket_energy_conserved_away_from_ends():
