@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, PoleError, ValidationError
-from .simulate.experiment import FLOAT_FMT, RunConfig, _build_model, _write_atomic, load_config, run_experiment
+from .simulate.experiment import (
+    FLOAT_FMT,
+    RunConfig,
+    _build_model,
+    _write_atomic,
+    load_config,
+    parse_numbers,
+    run_experiment,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,9 +199,11 @@ def _cmd_derive_boundary(args) -> int:
 def _cmd_lax_check(args) -> int:
     from .laxboundary import curvature_residual, monodromy_charge, toda_frame_for
 
-    lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
+    lambdas = parse_numbers(args.lambdas, "--lambdas")
     if not lambdas:
         raise ValidationError("no spectral parameters given")
+    if 0.0 in lambdas:
+        raise ValidationError("--lambdas: spectral parameter must be nonzero (1/lambda pole)")
     cfg = load_config(args.config)
     if cfg.getint("grid", "snapshot_every") <= 0:
         raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")

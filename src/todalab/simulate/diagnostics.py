@@ -5,7 +5,11 @@ Energy and momentum are trapezoid integrals of the densities
     e = 1/2 sum_a pi_a^2 + 1/2 sum_a (d_x phi_a)^2 + V(phi),    p = sum_a pi_a d_x phi_a,
 
 with d_x phi the ``np.gradient`` stencil (the central difference around a
-periodic ring).  ``diagnostics`` keeps one buffer of the doubled density
+periodic ring), over each segment of the state row: the whole row, or the
+two sides of a defect, whose integrals are summed.  On a defect the
+interface energy B and U then enter, and the topological charge
+beta/2pi (phi[-1] - phi[0]) of a non-periodic row is the defect's total
+charge too.  ``diagnostics`` keeps one buffer of the doubled density
 D = sum_a pi_a^2 + sum_a (d_x phi_a)^2 + 2 V and takes
 
     E = sum_i (D_i + D_{i+1}) (h/4),    P = sum_i (p_i + p_{i+1}) (h/2),
@@ -25,7 +29,7 @@ the double range: a square, a density or an addend below 2**-1022
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +37,7 @@ from ..errors import ValidationError
 from .state import Geometry, check_state
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     t: float
     energy: float
     momentum: float
@@ -57,10 +60,6 @@ def _gradient_into(arr: np.ndarray, h: float, out: np.ndarray) -> None:
     for c, ((a0, a1), (b1, b0)) in enumerate(zip(arr[:, :2].tolist(), arr[:, -2:].tolist())):
         out[c, 0] = (a1 - a0) / h
         out[c, -1] = (b0 - b1) / h
-
-
-def _beta_of(model) -> float:
-    return getattr(model, "beta", 0.0)
 
 
 class _Integrals:
@@ -115,31 +114,37 @@ class _Integrals:
 
 
 class _ObservePlan:
-    """Probe nodes, boundary energy terms and integral buffers of
-    ``diagnostics`` for one model, geometry, state layout and probe list."""
+    """Probe nodes, boundary energy terms and the segments of the state row
+    for ``diagnostics`` under one model, geometry, state layout and probe
+    list.
+
+    A segment is a run of row entries with its own integral buffers: the
+    whole row, or on a defect its two sides, split at
+    ``interface_index + 1``.  A probe reads the nearest node of the last
+    segment that starts at or left of it, and of the first segment when
+    none does, so x = 0 on a defect reads the right side.
+    """
 
     def __init__(self, model, geometry: Geometry, state, probes: tuple[float, ...]):
         check_state(geometry, state, model)
         x = geometry.state_x
         h = geometry.grid.h
-        self.periodic = geometry.kind == "periodic"
+        periodic = geometry.kind == "periodic"
         # B(phi) resolved once, like the stepper's dB
         left, right = geometry.boundary_ends
         self.energy_left = left.energy(model) if left is not None else None
         self.energy_right = right.energy(model) if right is not None else None
         self.defect = geometry.defect if geometry.kind == "defect" else None
-        if self.defect is not None:
-            # the right side's first entry in the two-sided row
-            n = self.cut = geometry.interface_index + 1
-            # entries of the two-sided row: the left field at x < 0, the right field otherwise
-            self.probes = [
-                int(np.argmin(np.abs(x[:n] - px))) if px < 0 else n + int(np.argmin(np.abs(x[n:] - px)))
-                for px in probes
-            ]
-            self.sides = [_Integrals(1, size, h, False) for size in (n, len(x) - n)]
-        else:
-            self.probes = [int(np.argmin(np.abs(x - px))) for px in probes]
-            self.integrals = _Integrals(*state.phi.shape, h, self.periodic)
+        starts = [0] if self.defect is None else [0, geometry.interface_index + 1]
+        bounds = list(zip(starts, starts[1:] + [len(x)]))
+        n_components = state.phi.shape[0]
+        self.segments = [(slice(a, b), _Integrals(n_components, b - a, h, periodic)) for a, b in bounds]
+        self.probes = []
+        for px in probes:
+            a, b = bounds[sum(not px < x[a] for a, _ in bounds[1:])]
+            self.probes.append(a + int(np.argmin(np.abs(x[a:b] - px))))
+        beta = getattr(model, "beta", 0.0)
+        self.charge_coeff = beta / (2.0 * np.pi) if beta and not periodic else None
 
 
 def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()) -> Diagnostics:
@@ -157,55 +162,30 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
         ("observe", model, state.phi.shape, probes),
         lambda: _ObservePlan(model, geometry, state, probes),
     )
-    beta = _beta_of(model)
-
-    if plan.defect is not None:
-        row, cut = state.phi[0], plan.cut
-        phi, psi = row[:cut], row[cut:]
-        e = u = p = 0.0
-        for arr, pi, side in zip((phi, psi), (state.pi[0, :cut], state.pi[0, cut:]), plan.sides):
-            arr = arr[None, :]
-            de, dp = side(arr, pi[None, :], model.potential(arr))
-            e += de
-            p += dp
-        phi0, psi0 = phi[-1], psi[0]
-        e += float(plan.defect.b_value(phi0, psi0))
-        u = float(plan.defect.u_value(phi0, psi0))
-        if beta:
-            coeff = beta / (2.0 * np.pi)
-            field_charge = coeff * ((phi0 - phi[0]) + (psi[-1] - psi0))
-            total_charge = coeff * (psi[-1] - phi[0])
-        else:
-            field_charge = total_charge = 0.0
-        return Diagnostics(
-            t=state.t,
-            energy=e,
-            momentum=p,
-            defect_u=u,
-            p_plus_u=p + u,
-            topological_charge=total_charge,
-            field_charge=field_charge,
-            probes=tuple(float(row[idx]) for idx in plan.probes),
-        )
-
-    phi = state.phi
-    e, p = plan.integrals(phi, state.pi, model.potential(phi))
+    phi, pi = state.phi, state.pi
+    e = p = None
+    for seg, integrals in plan.segments:
+        part = phi[:, seg]
+        de, dp = integrals(part, pi[:, seg], model.potential(part))
+        # the first segment's values as they are, sign of zero included
+        e, p = (de, dp) if e is None else (e + de, p + dp)
     if plan.energy_right is not None:
         e += plan.energy_right(phi[:, -1])
     if plan.energy_left is not None:
         e += plan.energy_left(phi[:, 0])
-    charge = 0.0
-    if beta and not plan.periodic:
-        charge = float(beta / (2.0 * np.pi) * (phi[0, -1] - phi[0, 0]))
+    row, coeff = phi[0], plan.charge_coeff
+    charge = field_charge = 0.0 if coeff is None else float(coeff * (row[-1] - row[0]))
+    u, p_plus_u = 0.0, p
+    if plan.defect is not None:
+        cut = plan.segments[1][0].start
+        phi0, psi0 = row[cut - 1], row[cut]
+        e += float(plan.defect.b_value(phi0, psi0))
+        u = float(plan.defect.u_value(phi0, psi0))
+        p_plus_u = p + u
+        if coeff is not None:
+            field_charge = coeff * ((phi0 - row[0]) + (row[-1] - psi0))
     return Diagnostics(
-        t=state.t,
-        energy=e,
-        momentum=p,
-        defect_u=0.0,
-        p_plus_u=p,
-        topological_charge=charge,
-        field_charge=charge,
-        probes=tuple(float(phi[0, idx]) for idx in plan.probes),
+        state.t, e, p, u, p_plus_u, charge, field_charge, tuple(float(row[i]) for i in plan.probes)
     )
 
 

@@ -17,8 +17,6 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import StepFailure, ValidationError
 from . import initial as init_mod
 from .boundaries import Neumann, Robin, TodaBoundary
@@ -88,6 +86,15 @@ _SCHEMA: dict[str, dict[str, str]] = {
 FLOAT_FMT = "%.17g"
 
 
+def parse_numbers(text: str, name: str) -> tuple[float, ...]:
+    """The numbers of the comma-separated list ``text``, blank entries
+    skipped; a ValidationError names ``name``, the config key or flag."""
+    try:
+        return tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValidationError(f"{name} = {text!r} is not a comma-separated list of numbers") from None
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Fully resolved configuration (every key present, as strings)."""
@@ -105,7 +112,7 @@ class RunConfig:
         value = self.get(section, key)
         try:
             return kind(value)
-        except ValueError:
+        except (ValueError, KeyError):
             raise ValidationError(f"[{section}] {key} = {value!r} is not {what}") from None
 
     def getfloat(self, section: str, key: str) -> float:
@@ -115,7 +122,11 @@ class RunConfig:
         return self._typed(section, key, int, "an integer")
 
     def getbool(self, section: str, key: str) -> bool:
-        return self.get(section, key).strip().lower() in ("1", "true", "yes", "on")
+        words = configparser.ConfigParser.BOOLEAN_STATES
+        return self._typed(section, key, lambda v: words[v.strip().lower()], "1/yes/true/on or 0/no/false/off")
+
+    def getfloats(self, section: str, key: str) -> tuple[float, ...]:
+        return parse_numbers(self.get(section, key), f"[{section}] {key}")
 
     def replace(self, section: str, key: str, value) -> RunConfig:
         """This configuration with ``[section] key`` set to ``value``; an
@@ -178,10 +189,10 @@ def _build_boundary(cfg: RunConfig, side: str):
             offset=cfg.getfloat("geometry", f"{side}_offset"),
         )
     if kind == "toda":
-        raw = cfg.get("geometry", f"{side}_b").strip()
-        if not raw:
+        b = cfg.getfloats("geometry", f"{side}_b")
+        if not b:
             raise ValidationError(f"{side} toda boundary needs {side}_b coefficients")
-        return TodaBoundary(b=tuple(float(v) for v in raw.split(",")))
+        return TodaBoundary(b=b)
     raise ValidationError(f"unknown boundary kind {kind!r} for {side}")
 
 
@@ -275,7 +286,6 @@ def _build_initial(cfg: RunConfig, model, geometry: Geometry):
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    times: np.ndarray
     diagnostics: list[Diagnostics]
     history: FieldHistory | None
     geometry: Geometry
@@ -286,9 +296,8 @@ class RunResult:
         cols += [f"probe_{i+1}" for i in range(len(self.probes))]
         row_fmt = ",".join([FLOAT_FMT] * len(cols))
         lines = [",".join(cols)]
-        for d in self.diagnostics:
-            row = (d.t, d.energy, d.momentum, d.defect_u, d.p_plus_u, d.topological_charge)
-            lines.append(row_fmt % (row + tuple(d.probes)))
+        for d in self.diagnostics:  # t, E, P, U, P + U, Q and the probes
+            lines.append(row_fmt % (d[:6] + d.probes))
         return "\n".join(lines) + "\n"
 
     def snapshots_csv(self) -> str:
@@ -354,8 +363,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     if save_every <= 0:
         save_every = max(1, n_steps // 400)
     snapshot_every = cfg.getint("grid", "snapshot_every")
-    probes_raw = cfg.get("output", "probes").strip()
-    probes = tuple(float(v) for v in probes_raw.split(",")) if probes_raw else ()
+    probes = cfg.getfloats("output", "probes")
 
     diags: list[Diagnostics] = []
     snaps = _Snapshots()
@@ -375,7 +383,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
         raise
     history = snaps.history(geometry)
     result = RunResult(
-        times=np.asarray([d.t for d in diags]),
         diagnostics=diags,
         history=history,
         geometry=geometry,

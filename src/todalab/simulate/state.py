@@ -59,6 +59,9 @@ class Geometry:
             idx = (0.0 - g.x_min) / g.h
             if abs(idx - round(idx)) > 1e-9:
                 raise ValidationError("defect interface x=0 must fall on a grid node")
+            # the sewing stencils reach two nodes into each side
+            if min(round(idx), g.n_cells - round(idx)) < 2:
+                raise ValidationError("the defect interface needs at least two cells on each side")
         if not 0.0 <= self.sponge_fraction < 0.5:
             raise ValidationError("sponge fraction must lie in [0, 0.5)")
         if not 0.0 <= self.sponge_strength < math.inf:

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from ..errors import StepFailure, ValidationError
+from ..errors import StepFailure
 from .state import FieldHistory, Geometry, check_state, state_on
 
 
@@ -79,8 +79,6 @@ class _StepPlan:
             self.defect.validate_model(model)
             # phi's interface entry in the two-sided row; psi's is the next one
             self.interface = geometry.interface_index
-            if min(self.interface, grid.n_cells - self.interface) < 2:
-                raise ValidationError("the defect interface needs at least two cells on each side")
         self.shape = (model.n_components, len(geometry.state_x))
         self.dt = grid.dt
         self.half_dt = 0.5 * grid.dt

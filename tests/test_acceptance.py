@@ -73,7 +73,7 @@ def test_criterion_1_boundary_bound_state():
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "boundary_mode.ini")
     result = run_experiment(cfg)
     series = np.asarray([d.probes[0] for d in result.diagnostics])
-    dt = float(result.times[1] - result.times[0])
+    dt = result.diagnostics[1].t - result.diagnostics[0].t
     omega = measure_frequency(series, dt)
     m, lam_b = 1.0, -0.6
     expected = np.sqrt(m**2 - lam_b**2)

@@ -269,6 +269,17 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
         ({}, "model.nosuch=1", "unknown config key 'nosuch' in section [model]"),
         ({"kind = periodic": "kind = line\nsponge_strength = -5.0"}, None, "sponge strength must be finite"),
         ({"kind = periodic": "kind = periodic\nsponge_strength = nan"}, None, "sponge strength must be finite"),
+        (
+            {"mode = 1": "mode = 1\n\n[output]\nprobes = 1.0,abc"},
+            None,
+            "[output] probes = '1.0,abc' is not a comma-separated list of numbers",
+        ),
+        (
+            {"kind = periodic": "kind = halfline\nright = toda\nright_b = 1.0,zz"},
+            None,
+            "[geometry] right_b = '1.0,zz' is not a comma-separated list of numbers",
+        ),
+        ({"mode = 1": "mode = 1\ntraveling = ture"}, None, "[initial] traveling = 'ture' is not 1/yes/true/on or 0/no/false/off"),
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):
@@ -281,6 +292,25 @@ def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replac
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lambdas, message",
+    [
+        ("0.7,x", "--lambdas = '0.7,x' is not a comma-separated list of numbers"),
+        ("0.7,0", "spectral parameter must be nonzero"),
+    ],
+)
+def test_lax_check_refuses_bad_lambdas_before_any_run(config_file, monkeypatch, capsys, lambdas, message):
+    from todalab import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the spectral parameters were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    assert main(["lax-check", "--config", str(config_file), "--lambdas", lambdas]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
 
 
 def test_failed_self_check_exits_two_with_one_line(monkeypatch, capsys):

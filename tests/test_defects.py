@@ -80,9 +80,10 @@ def test_defect_model_mismatch_rejected():
 
 
 def test_state_of_the_wrong_kind_is_refused():
-    """A defect geometry steps and observes only DefectStates, and the other
-    geometries only FieldStates: a FieldState on a defect would run as a
-    plain line with its defect silently dropped."""
+    """A state fits only the geometry it was built on: a defect's two-sided
+    row is one node longer than the grid, so a line state on a defect (which
+    would run as a plain line with its defect silently dropped) and a defect
+    row on a line are both refused by their shape."""
     model = SineGordon(m=1.0, beta=1.0)
     grid = Grid1D(-10.0, 10.0, 100)
     defect_geom = with_defect(grid, SineGordonBacklund(lam=1.0), sponge_fraction=0.0)
@@ -106,6 +107,14 @@ def test_state_of_the_wrong_kind_is_refused():
 def test_interface_must_sit_on_a_node():
     with pytest.raises(ValidationError, match="grid node"):
         with_defect(Grid1D(-10.3, 10.0, 100), FreeDefect(lam=0.5, m=1.0))
+
+
+@pytest.mark.parametrize("x_min, x_max", [(-0.1, 9.9), (-9.9, 0.1)])
+def test_interface_needs_two_cells_on_each_side(x_min, x_max):
+    """The sewing stencils reach two nodes into each side: the geometry is
+    refused when it is built, before anything steps or observes it."""
+    with pytest.raises(ValidationError, match="at least two cells on each side"):
+        with_defect(Grid1D(x_min, x_max, 100), FreeDefect(lam=0.5, m=1.0))
 
 
 def test_free_defect_conserves_energy_and_p_plus_u():

@@ -411,7 +411,10 @@ def test_step_and_diagnostics_match_two_force_oracle(name):
     model, geom, state = _case(name)
     _assert_same_sponge(geom)
     lo, hi = geom.grid.x_min, geom.grid.x_max
-    probes = (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo), hi)
+    h = geom.grid.h
+    # x = 0 and +-h/3 pin the side a defect probe reads, x_min - h the
+    # probe left of every node
+    probes = (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo), hi, 0.0, h / 3, -h / 3, lo - h)
     ref = state
     for k in range(300):
         state = step(state, model, geom)
