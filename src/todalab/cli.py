@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,10 +31,21 @@ from .simulate.experiment import (
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exit code is 2; spec wants 1
-        self.print_usage(sys.stderr)
+    def error(self, message):  # exit 1 (argparse's is 2), one line, no usage
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: nan and +-inf are refused like any
+    other text that is not a number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return value
 
 
 def _manifest_text(command: str, pairs: dict) -> str:
@@ -104,7 +116,7 @@ def _cmd_spectrum(args) -> int:
     roots = interval_spectrum(problem)
     lines = ["n,k_n,omega_n"]
     for n, k in enumerate(roots, start=1):
-        omega = float(np.sqrt(args.mass**2 + k**2))
+        omega = math.hypot(args.mass, k)
         lines.append(f"{n},{FLOAT_FMT % k},{FLOAT_FMT % omega}")
     manifest = _manifest_text("spectrum", vars_of(args, ["mass", "half_length", "lambda_plus", "lambda_minus", "n_max"]))
     _emit(args.out, "spectrum.csv", "\n".join(lines) + "\n", manifest)
@@ -204,6 +216,8 @@ def _cmd_lax_check(args) -> int:
         raise ValidationError("no spectral parameters given")
     if 0.0 in lambdas:
         raise ValidationError("--lambdas: spectral parameter must be nonzero (1/lambda pole)")
+    if len(set(lambdas)) < len(lambdas):
+        raise ValidationError(f"--lambdas = {args.lambdas!r} repeats a spectral parameter")
     cfg = load_config(args.config)
     if cfg.getint("grid", "snapshot_every") <= 0:
         raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")
@@ -262,22 +276,22 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("spectrum", help="two-boundary interval frequencies")
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--half-length", type=float, required=True)
-    p.add_argument("--lambda-plus", type=float, default=0.0)
-    p.add_argument("--lambda-minus", type=float, default=0.0)
+    p.add_argument("--mass", type=_finite_float, default=1.0)
+    p.add_argument("--half-length", type=_finite_float, required=True)
+    p.add_argument("--lambda-plus", type=_finite_float, default=0.0)
+    p.add_argument("--lambda-minus", type=_finite_float, default=0.0)
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("reflect", help="reflection factors")
     p.add_argument("--kind", choices=["free", "sinh"], required=True)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--lambda-b", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--a0", type=float, default=0.0)
-    p.add_argument("--a1", type=float, default=0.0)
-    p.add_argument("--bulk-beta", type=float, default=1.0)
+    p.add_argument("--k", type=_finite_float, default=1.0)
+    p.add_argument("--lambda-b", type=_finite_float, default=0.0)
+    p.add_argument("--theta", type=_finite_float, default=1.0)
+    p.add_argument("--a0", type=_finite_float, default=0.0)
+    p.add_argument("--a1", type=_finite_float, default=0.0)
+    p.add_argument("--bulk-beta", type=_finite_float, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_reflect)
 

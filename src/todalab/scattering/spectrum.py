@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import atan2, pi, sqrt
+from math import ceil, isfinite, pi, sqrt
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import NumericalError, ValidationError
 from .blocks import free_reflection
+
+# the k grid has 20 cells per root (step pi/(40 L), roots pi/(2 L) apart);
+# at most 20 * (MAX_ROOTS + 4) cells bound it for any L
+MAX_ROOTS = 4000
 
 
 @dataclass(frozen=True)
@@ -24,17 +27,18 @@ class SpectrumProblem:
     n_max: int
 
     def __post_init__(self):
+        if not all(isfinite(v) for v in (self.m, self.half_length, self.lam_plus, self.lam_minus)):
+            raise ValidationError("mass, half-length and Robin parameters must be finite")
         if self.half_length <= 0:
             raise ValidationError("half-length must be positive")
         if self.m < 0:
             raise ValidationError("mass must be nonnegative")
-        if self.n_max < 1:
-            raise ValidationError("n_max must be at least 1")
+        if not 1 <= self.n_max <= MAX_ROOTS:
+            raise ValidationError(f"n_max must lie in [1, {MAX_ROOTS}]")
 
 
-def _phase(k, four_l: float, lam_plus: float, lam_minus: float, arctan2=atan2):
-    """Continuous total phase of e^{4ikL} R_+ R_- at k > 0 (a float, or an
-    array with ``arctan2=np.arctan2``).
+def _phase(k: np.ndarray, four_l: float, lam_plus: float, lam_minus: float) -> np.ndarray:
+    """Continuous total phase of e^{4ikL} R_+ R_- at k > 0.
 
     With the half-line reflection factor R = (ik+lam)/(ik-lam) at both ends,
     arg R = pi + 2 atan2(k, lam) (mod 2 pi), and this branch is continuous
@@ -45,20 +49,22 @@ def _phase(k, four_l: float, lam_plus: float, lam_minus: float, arctan2=atan2):
     eigenfunction solves and by the simulated interval spectra.
     """
     phase = four_l * k
-    phase += pi + 2.0 * arctan2(k, lam_plus)
-    phase += pi + 2.0 * arctan2(k, lam_minus)
+    phase += pi + 2.0 * np.arctan2(k, lam_plus)
+    phase += pi + 2.0 * np.arctan2(k, lam_minus)
     return phase
 
 
 def interval_spectrum(problem: SpectrumProblem) -> list[float]:
     """First ``n_max`` positive roots of the two-boundary phase condition.
 
-    The closed-form phase (``_phase``) is sampled on a grid of step
-    pi/(40 L) from k = 1e-9; every 2 pi n crossing within a grid cell is
-    bracketed and solved with ``brentq`` to 1e-12 relative accuracy.  Roots
-    come out strictly increasing; a crossing that repeats the previous root
-    (on a shared grid node) is dropped.  Each root is then checked against
-    the reflection factors themselves (``_check_closure``).
+    The closed-form phase (``_phase``) is sampled once on a grid of step
+    pi/(40 L) from k = 1e-9 up to k_hi = 1e-8 + 2 pi (n_max + 4)/(4 L): as
+    4kL + 2 pi < phase < 4kL + 6 pi, the first ``n_max`` roots lie below.
+    Every 2 pi n crossing within a grid cell is bracketed, and all brackets
+    are bisected at once, each in its cell's rising or falling direction,
+    until their ends are adjacent doubles.  A crossing within 1e-10 relative
+    of the previous root (on a shared grid node) is dropped; each root is then
+    checked against the reflection factors themselves (``_check_closure``).
     """
     length = problem.half_length
     args = (4.0 * length, problem.lam_plus, problem.lam_minus)
@@ -66,46 +72,39 @@ def interval_spectrum(problem: SpectrumProblem) -> list[float]:
     k_floor = 1e-9
     two_pi = 2.0 * pi
 
-    def f(k: float, target: float) -> float:
-        return _phase(k, *args) - target
+    # (k_hi - k_floor) / dk, written so that no term overflows, and capped
+    n_cells = min(ceil(360.0 * k_floor * length / pi) + 20 * (problem.n_max + 4), 20 * (MAX_ROOTS + 4))
+    # the phase stays below 4 k L + 6 pi; past 2^53 doubles cannot tell its branches apart
+    if not args[0] * (k_floor + dk * n_cells) < 2.0**53:
+        raise ValidationError(f"half-length {length!r} is out of range: the phase passes 2^53 on the k grid")
+    k_grid = k_floor + dk * np.arange(n_cells + 1)
+    phase = _phase(k_grid, *args)
+    lo, hi = phase[:-1], phase[1:]
+    n_from = np.ceil(np.minimum(lo, hi) / two_pi - 1e-12).astype(np.int64)
+    n_to = np.floor(np.maximum(lo, hi) / two_pi + 1e-12).astype(np.int64)
+    count = np.maximum(n_to - n_from + 1, 0)
+    cell = np.repeat(np.arange(n_cells), count)
+    branch = n_from[cell] + np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+    target = two_pi * branch
+    crossed = (lo[cell] - target) * (hi[cell] - target) <= 0
+    cell, target = cell[crossed], target[crossed]
 
-    roots: list[float] = []
-    n_points = 400
-    start = 0
-    max_rounds = 200
-    for _ in range(max_rounds):
-        k_grid = k_floor + dk * np.arange(start, start + n_points + 1)
-        phase = _phase(k_grid, *args, np.arctan2)
-        lo, hi = phase[:-1], phase[1:]
-        n_from = np.ceil(np.minimum(lo, hi) / two_pi - 1e-12).astype(int)
-        n_to = np.floor(np.maximum(lo, hi) / two_pi + 1e-12).astype(int)
-        for i in np.flatnonzero(n_from <= n_to):
-            a, b = float(k_grid[i]), float(k_grid[i + 1])
-            for n in range(n_from[i], n_to[i] + 1):
-                target = two_pi * n
-                if (lo[i] - target) * (hi[i] - target) > 0:
-                    continue
-                fa, fb = f(a, target), f(b, target)
-                if fa * fb > 0:
-                    # np.arctan2 and math.atan2 may differ in the last bit:
-                    # the crossing sits on a grid node, within rounding
-                    root = a if abs(fa) < abs(fb) else b
-                else:
-                    try:
-                        root = brentq(f, a, b, args=(target,), xtol=1e-15, rtol=1e-12, maxiter=200)
-                    except RuntimeError as exc:
-                        raise NumericalError(
-                            f"root did not converge on branch n={n} in [{a}, {b}]"
-                        ) from exc
-                if root > k_floor * 10 and (not roots or root - roots[-1] > 1e-10):
-                    roots.append(float(root))
-                if len(roots) >= problem.n_max:
-                    _check_closure(problem, roots)
-                    return roots
-        start += n_points
-    raise NumericalError(
-        f"found only {len(roots)} of {problem.n_max} requested roots"
-    )
+    # direction * (phase - target) stays < 0 at a (or 0 on a grid node), >= 0 at b
+    direction = np.sign(hi[cell] - lo[cell])
+    a, b = k_grid[cell], k_grid[cell + 1]
+    mid = 0.5 * (a + b)
+    while ((a < mid) & (mid < b)).any():
+        below = direction * (_phase(mid, *args) - target) < 0
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+        mid = 0.5 * (a + b)
+
+    roots = np.sort(b)
+    roots = roots[roots > k_floor * 10]
+    roots = roots[np.diff(roots, prepend=-np.inf) > 1e-10 * roots][: problem.n_max].tolist()
+    if len(roots) < problem.n_max:
+        raise NumericalError(f"found only {len(roots)} of {problem.n_max} requested roots")
+    _check_closure(problem, roots)
+    return roots
 
 
 def _check_closure(problem: SpectrumProblem, roots: list[float]) -> None:
@@ -118,7 +117,7 @@ def _check_closure(problem: SpectrumProblem, roots: list[float]) -> None:
             * free_reflection(k, problem.lam_plus)
             * free_reflection(k, problem.lam_minus)
         )
-        # the phase carries rounding ~ 4kL eps and the root 1e-12 relative
+        # the phase, and with it the root, carries rounding ~ 4kL eps
         if abs(closure - 1.0) > 1e-9 * (1.0 + four_l * k):
             raise NumericalError(
                 f"root k={k!r} does not close e^(4ikL) R+ R- = 1 "

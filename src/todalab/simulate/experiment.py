@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -90,9 +91,12 @@ def parse_numbers(text: str, name: str) -> tuple[float, ...]:
     """The numbers of the comma-separated list ``text``, blank entries
     skipped; a ValidationError names ``name``, the config key or flag."""
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise ValidationError(f"{name} = {text!r} is not a comma-separated list of numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{name} = {text!r} has an entry that is not finite")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,6 +340,8 @@ def _write_atomic(path: Path, text: str) -> None:
 def _step_count(t_final: float, dt: float) -> int:
     """Number of steps that ends the run exactly at ``t_final``."""
     ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ValidationError(f"t_final = {t_final!r} is not a finite number of time steps dt = {dt!r}")
     n = round(ratio)
     if n < 0 or abs(ratio - n) > 1e-9 * abs(ratio):
         raise ValidationError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ class Grid1D:
     courant: float = 0.5
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValidationError("x_min and x_max must be finite")
         if self.x_max <= self.x_min:
             raise ValidationError("x_max must exceed x_min")
         if self.n_cells < 16:

@@ -141,6 +141,40 @@ def test_spectrum_neumann_csv(tmp_path):
         assert float(omega) == pytest.approx(np.sqrt(1.0 + float(k) ** 2), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--half-length", "nan"], "argument --half-length: invalid float value: 'nan'"),
+        (["spectrum", "--half-length", "5", "--mass", "nan"], "argument --mass: invalid float value: 'nan'"),
+        (["spectrum", "--half-length", "5", "--lambda-plus", "nan"], "argument --lambda-plus: invalid float value: 'nan'"),
+        (["spectrum", "--half-length", "5", "--lambda-minus=-inf"], "argument --lambda-minus: invalid float value: '-inf'"),
+        (["spectrum", "--half-length", "5", "--n-max", "4001"], "n_max must lie in [1, 4000]"),
+        (["reflect", "--kind", "free", "--k", "nan"], "argument --k: invalid float value: 'nan'"),
+        (["reflect", "--kind", "free", "--lambda-b", "inf"], "argument --lambda-b: invalid float value: 'inf'"),
+        (["reflect", "--kind", "sinh", "--theta", "inf"], "argument --theta: invalid float value: 'inf'"),
+        (["reflect", "--kind", "sinh", "--a0", "nan"], "argument --a0: invalid float value: 'nan'"),
+        (["reflect", "--kind", "sinh", "--a1=-inf"], "argument --a1: invalid float value: '-inf'"),
+        (["reflect", "--kind", "sinh", "--bulk-beta", "nan"], "argument --bulk-beta: invalid float value: 'nan'"),
+    ],
+)
+def test_spectrum_and_reflect_refuse_bad_numbers_with_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not out.exists()
+
+
+def test_spectrum_omega_at_a_tiny_half_length(capsys):
+    """k near 1e300: omega = hypot(m, k), where m**2 + k**2 would overflow."""
+    assert main(["spectrum", "--half-length", "1e-300", "--n-max", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    for n, row in enumerate(rows, start=1):
+        _, k, omega = row.split(",")
+        assert float(k) == pytest.approx(n * 3.141592653589793 / 2e-300, rel=1e-12)
+        assert omega == k
+
+
 def test_reflect_free_json(capsys):
     assert main(["reflect", "--kind", "free", "--k", "1.5", "--lambda-b", "0.7"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -280,6 +314,18 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
             "[geometry] right_b = '1.0,zz' is not a comma-separated list of numbers",
         ),
         ({"mode = 1": "mode = 1\ntraveling = ture"}, None, "[initial] traveling = 'ture' is not 1/yes/true/on or 0/no/false/off"),
+        (
+            {"mode = 1": "mode = 1\n\n[output]\nprobes = nan,inf,-inf"},
+            None,
+            "[output] probes = 'nan,inf,-inf' has an entry that is not finite",
+        ),
+        (
+            {"kind = periodic": "kind = halfline\nright = toda\nright_b = 1.0,nan"},
+            None,
+            "[geometry] right_b = '1.0,nan' has an entry that is not finite",
+        ),
+        ({"t_final = 2.0": "t_final = inf"}, None, "t_final = inf is not a finite number of time steps"),
+        ({"x_min = 0.0": "x_min = nan"}, None, "x_min and x_max must be finite"),
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):
@@ -299,6 +345,8 @@ def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replac
     [
         ("0.7,x", "--lambdas = '0.7,x' is not a comma-separated list of numbers"),
         ("0.7,0", "spectral parameter must be nonzero"),
+        ("0.7,nan", "--lambdas = '0.7,nan' has an entry that is not finite"),
+        ("1.0,0.7,1.0", "--lambdas = '1.0,0.7,1.0' repeats a spectral parameter"),
     ],
 )
 def test_lax_check_refuses_bad_lambdas_before_any_run(config_file, monkeypatch, capsys, lambdas, message):

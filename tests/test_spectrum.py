@@ -110,10 +110,10 @@ def test_first_roots_match_the_unwrapping_solver(case):
 
 @pytest.mark.parametrize("direction", [np.inf, -np.inf])
 def test_crossing_on_a_grid_node_survives_grid_rounding(monkeypatch, direction):
-    """The grid phase (np.arctan2) and the scalar phase (math.atan2) may
-    differ in the last bit.  With L = 1e9 pi/40 the grid step is 1e-9 and
-    every Neumann root k_n = n pi/(2L) sits on a grid node; a one-ulp shift
-    of the grid phase must not lose or break those roots."""
+    """With L = 1e9 pi/40 the grid step is 1e-9 and every Neumann root
+    k_n = n pi/(2L) sits on a grid node, where the phase may land a last bit
+    above or below 2 pi n; a one-ulp shift of the phase must not lose or
+    break those roots."""
     from todalab.scattering import spectrum
 
     phase = spectrum._phase
