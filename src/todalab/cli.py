@@ -55,6 +55,16 @@ def _manifest_text(command: str, pairs: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(payload: dict) -> str:
+    """The indented, key-sorted JSON of a command's result.  NaN and
+    infinity are not JSON, so a non-finite value in it is a numerical
+    failure, and nothing is written."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError("the result has a non-finite value (nan or inf)") from None
+
+
 def _emit(out_dir: str | None, filename: str, text: str, manifest: str | None) -> None:
     if out_dir is None:
         sys.stdout.write(text)
@@ -134,15 +144,9 @@ def vars_of(args, names):
 def _cmd_reflect(args) -> int:
     from .scattering import free_reflection, reflection_factor
 
-    pole_flag = False
-    pole_where = None
-    value = None
     if args.kind == "free":
         inputs = {"kind": "free", "k": args.k, "lambda_b": args.lambda_b}
-        try:
-            value = free_reflection(args.k, args.lambda_b)
-        except PoleError as exc:
-            pole_flag, pole_where = True, exc.where
+        compute, params = free_reflection, (args.k, args.lambda_b)
     else:
         inputs = {
             "kind": "sinh",
@@ -151,20 +155,26 @@ def _cmd_reflect(args) -> int:
             "a1": args.a1,
             "bulk_beta": args.bulk_beta,
         }
-        try:
-            value = reflection_factor(args.theta, args.a0, args.a1, args.bulk_beta)
-        except PoleError as exc:
-            pole_flag, pole_where = True, exc.where
+        compute, params = reflection_factor, (args.theta, args.a0, args.a1, args.bulk_beta)
+    pole_flag = False
+    value = modulus = pole_where = None
+    try:
+        value = compute(*params)
+        modulus = abs(value)
+    except PoleError as exc:
+        pole_flag, pole_where = True, exc.where
+    except OverflowError as exc:
+        raise NumericalError(f"the reflection factor overflows at these inputs ({exc})") from None
     payload = {
         "inputs": inputs,
         "value": None if value is None else {"re": value.real, "im": value.imag},
-        "modulus": None if value is None else abs(value),
+        "modulus": modulus,
         "pole_flag": pole_flag,
     }
     if pole_where:
         payload["pole_where"] = pole_where
     manifest = _manifest_text("reflect", inputs)
-    _emit(args.out, "reflect.json", json.dumps(payload, indent=2, sort_keys=True) + "\n", manifest)
+    _emit(args.out, "reflect.json", _json_text(payload), manifest)
     return 0
 
 
@@ -223,6 +233,8 @@ def _cmd_lax_check(args) -> int:
         raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")
     frame, m_t, beta_t = toda_frame_for(_build_model(cfg))
 
+    # an overflow leaves a non-finite number, which the JSON writer refuses
+    @np.errstate(over="ignore", invalid="ignore")
     def run_at(run_cfg: RunConfig):
         result = run_experiment(run_cfg)
         report = {}
@@ -258,7 +270,7 @@ def _cmd_lax_check(args) -> int:
         "lax-check",
         {"config": args.config, "lambdas": args.lambdas, "refine": args.refine},
     )
-    _emit(args.out, "lax_check.json", json.dumps(payload, indent=2, sort_keys=True) + "\n", manifest)
+    _emit(args.out, "lax_check.json", _json_text(payload), manifest)
     return 0
 
 

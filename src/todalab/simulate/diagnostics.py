@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ValidationError
-from .state import Geometry, check_state
+from .state import Geometry, check_state, empty_aligned
 
 
 class Diagnostics(NamedTuple):
@@ -67,11 +67,11 @@ class _Integrals:
     of fields of shape (n_components, n), and the integration weights."""
 
     def __init__(self, n_components: int, n: int, h: float, periodic: bool):
-        self.grad = np.empty((n_components, n))
+        self.grad = empty_aligned((n_components, n))
         # rows are summed through ``work``; one row is squared in place
-        self.work = np.empty((n_components, n)) if n_components > 1 else None
-        self.dens, self.flux = np.empty(n), np.empty(n)
-        self.pair = np.empty(n - 1)
+        self.work = empty_aligned((n_components, n)) if n_components > 1 else None
+        self.dens, self.flux = empty_aligned(n), empty_aligned(n)
+        self.pair = empty_aligned(n - 1)
         self.h, self.quarter_h, self.half_h = h, h / 4.0, h / 2.0
         self.periodic = periodic
 

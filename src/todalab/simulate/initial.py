@@ -5,14 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .state import FieldState, Geometry, state_on
+from .state import FieldState, Geometry
 
 
 def _scalar_state(geometry: Geometry, profile, velocity) -> FieldState:
     """Assemble a (scalar-field) state from profile/velocity callables,
     evaluated on the state's nodes ``geometry.state_x``."""
     x = geometry.state_x
-    return state_on(0.0, profile(x)[None, :], velocity(x)[None, :])
+    return FieldState(0.0, profile(x)[None, :], velocity(x)[None, :])
+
+
+def _check_width(kind: str, width: float) -> None:
+    """Refuse a Gaussian width that is not > 0: the profile divides by it."""
+    if not width > 0.0:
+        raise ValidationError(f"{kind} width must be > 0, got {width}")
 
 
 def init_wavepacket(
@@ -31,6 +37,7 @@ def init_wavepacket(
     """
     if direction not in (1, -1):
         raise ValidationError("direction must be +1 or -1")
+    _check_width("wavepacket", width)
     g = geometry.grid
     if amplitude != 0.0 and not (
         g.x_min + 3.0 * width <= x0 <= g.x_max - 3.0 * width
@@ -91,11 +98,12 @@ def init_boundary_mode(geometry: Geometry, model, lam_b: float, amplitude: float
     x = geometry.x
 
     phi = amplitude * np.exp(-lam_b * (x - x_b))
-    return state_on(0.0, phi[None, :], np.zeros((1, len(x))))
+    return FieldState(0.0, phi[None, :], np.zeros((1, len(x))))
 
 
 def init_gaussian(geometry: Geometry, amplitude: float, width: float, x0: float):
     """Static Gaussian bump (pi = 0); a generic smooth mode-mix exciter."""
+    _check_width("gaussian", width)
 
     def profile(x):
         return amplitude * np.exp(-((x - x0) ** 2) / (2.0 * width**2))
@@ -112,6 +120,7 @@ def init_noise(geometry: Geometry, amplitude: float, width: float, seed: int = 0
     White noise low-passed by a Gaussian of the given correlation width;
     useful for exciting every mode of a cavity at once.
     """
+    _check_width("noise", width)
     rng = np.random.default_rng(seed)
     x = geometry.x
     h = geometry.grid.h

@@ -8,6 +8,7 @@ to SinhGordon(2m, b*sqrt(2)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -25,10 +26,24 @@ def _scaled_row_sum(scale: float, terms: np.ndarray) -> np.ndarray:
     return np.multiply(total, scale, out=total)
 
 
+def _check_parameters(model) -> None:
+    """Refuse a non-finite mass or coupling, and the coupling beta = 0 that
+    the potentials divide by (Klein-Gordon has no coupling)."""
+    name = type(model).__name__
+    if not math.isfinite(model.m):
+        raise ValidationError(f"{name} mass m = {model.m!r} is not finite")
+    beta = getattr(model, "beta", 1.0)
+    if not math.isfinite(beta) or beta == 0.0:
+        raise ValidationError(f"{name} coupling beta = {beta!r} must be finite and nonzero")
+
+
 @dataclass(frozen=True)
 class KleinGordon:
     m: float = 1.0
     n_components = 1
+
+    def __post_init__(self):
+        _check_parameters(self)
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
         return _scaled_row_sum(0.5 * self.m**2, phi**2)
@@ -43,6 +58,9 @@ class SineGordon:
     beta: float = 1.0
     n_components = 1
 
+    def __post_init__(self):
+        _check_parameters(self)
+
     def potential(self, phi: np.ndarray) -> np.ndarray:
         return _scaled_row_sum(self.m**2 / self.beta**2, 1.0 - np.cos(self.beta * phi))
 
@@ -55,6 +73,9 @@ class SinhGordon:
     m: float = 1.0
     beta: float = 1.0
     n_components = 1
+
+    def __post_init__(self):
+        _check_parameters(self)
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
         return _scaled_row_sum(self.m**2 / self.beta**2, np.cosh(self.beta * phi) - 1.0)
@@ -72,6 +93,7 @@ class AffineToda:
     _marks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_parameters(self)
         object.__setattr__(self, "_alpha", self.rs.affine_rootspace)
         object.__setattr__(self, "_marks", np.asarray(self.rs.marks, dtype=float))
 

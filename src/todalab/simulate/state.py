@@ -159,26 +159,23 @@ def _check_finite(t: float, fields: dict[str, np.ndarray]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """The state of every geometry: phi and pi = d_t phi, shape
-    (n_components, len(geometry.state_x)).
+    """The Cauchy data of every geometry at time ``t``: phi and
+    pi = d_t phi, shape (n_components, len(geometry.state_x)).
 
     On a defect ``phi`` and ``pi`` are one two-sided row [left | right] with
     the interface node x = 0 twice (``Geometry.state_x``); the right side
-    starts at ``geometry.interface_index + 1``.  A state made by ``step``
-    also carries the force at its own fields and the step plan that
-    computed it; the next step under the same plan starts from that force
-    instead of evaluating it again.
+    starts at ``geometry.interface_index + 1``.  Both arrays are made
+    read-only, without a copy, by whoever builds the state.
     """
 
     t: float
     phi: np.ndarray
     pi: np.ndarray
-    force: np.ndarray | None = field(default=None, repr=False)
-    plan: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.phi.shape != self.pi.shape:
             raise ValidationError("phi and pi must have matching shapes")
+        self.phi.flags.writeable = self.pi.flags.writeable = False
 
     def check_finite(self) -> None:
         _check_finite(self.t, {"phi": self.phi, "pi": self.pi})
@@ -194,15 +191,6 @@ class FieldHistory:
     pi: np.ndarray
 
 
-def state_on(t: float, phi, pi, force=None, plan=None) -> FieldState:
-    """The state on field and momentum arrays ``phi`` and ``pi``, without a
-    copy; they and ``force`` are made read-only."""
-    for arr in (phi, pi, force):
-        if arr is not None:
-            arr.flags.writeable = False
-    return FieldState(t=t, phi=phi, pi=pi, force=force, plan=plan)
-
-
 def check_state(geometry: Geometry, state: FieldState, model) -> None:
     """Raise a ValidationError unless ``state`` has ``model.n_components``
     rows on ``geometry.state_x``."""
@@ -216,4 +204,14 @@ def check_state(geometry: Geometry, state: FieldState, model) -> None:
 
 def vacuum_state(geometry: Geometry, n_components: int = 1) -> FieldState:
     shape = (n_components, len(geometry.state_x))
-    return state_on(0.0, np.zeros(shape), np.zeros(shape))
+    return FieldState(0.0, np.zeros(shape), np.zeros(shape))
+
+
+def empty_aligned(shape) -> np.ndarray:
+    """``np.empty(shape)`` whose data start on a 64-byte boundary, for the
+    long-lived scratch of the step and observation plans, so that the speed
+    of the loops over it does not follow where the heap puts it."""
+    n = int(np.prod(shape))
+    raw = np.empty(n + 7)
+    skip = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[skip : skip + n].reshape(shape)

@@ -19,14 +19,12 @@ set after the closing kick.
 Everything a step needs that does not change during a run (spacing, time
 step, sponge damping, bound boundary conditions, the interface) sits in a
 step plan built once per (model, geometry).  The force at the end of a step
-is the force at the start of the next one ("first same as last"), so each
-state made by ``step`` carries it, tagged with its plan, and the next step
-under that plan evaluates the force once instead of twice; an untagged
-state is checked against the geometry first.  The half-kick force * dt/2
-that ends a step also starts the next one, so it is reused from the plan's
-buffer when the step continues from the state the plan made last.  The
-arithmetic and its order are those of the plain two-force step, so results
-are bit for bit the same.
+is the force at the start of the next one ("first same as last"): the plan
+remembers the last state it returned, and its ``kick`` buffer still holds
+that state's force * dt/2, so a step from that state evaluates the force
+once instead of twice.  Any other state is checked against the geometry
+and has its force computed.  The arithmetic and its order are those of the
+plain two-force step, so results are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ import math
 
 import numpy as np
 
-from ..errors import StepFailure
-from .state import FieldHistory, Geometry, check_state, state_on
+from ..errors import StepFailure, ValidationError
+from .state import FieldHistory, FieldState, Geometry, check_state, empty_aligned
 
 
 def _sponge_profile(geometry: Geometry) -> np.ndarray | None:
@@ -73,7 +71,7 @@ class _StepPlan:
 
     def __init__(self, model, geometry: Geometry):
         grid = geometry.grid
-        self.model, self.geometry = model, geometry
+        self.model = model
         self.defect = geometry.defect if geometry.kind == "defect" else None
         if self.defect is not None:
             self.defect.validate_model(model)
@@ -90,15 +88,15 @@ class _StepPlan:
         self.db_left = left.bind(model) if left is not None else None
         self.db_right = right.bind(model) if right is not None else None
         self.damp = _sponge_profile(geometry)
-        self.kick = np.empty(self.shape)  # scratch of the step
-        self.pi_half = np.empty(self.shape)
+        self.kick = empty_aligned(self.shape)  # scratch of the step
+        self.pi_half = empty_aligned(self.shape)
         # the state whose force * dt/2 ``kick`` holds: the last step's result
-        self.kicked = None
+        self.last = None
 
     def force(self, phi: np.ndarray) -> np.ndarray:
-        """Ghost-cell Laplacian minus the model gradient, as a new array."""
+        """Ghost-cell Laplacian minus the model gradient, into ``kick``."""
         h2 = self.h2
-        f = np.empty_like(phi)
+        f = self.kick
         _interior_laplacian(phi, f, h2)
         # end nodes row by row on Python floats, one tolist() per end pair:
         # the same operations as on whole columns, without the per-call cost
@@ -197,48 +195,41 @@ def _sew(plan: _StepPlan, t: float, old: np.ndarray, u: np.ndarray) -> tuple[flo
     )
 
 
-def _plan(state, model, geometry: Geometry) -> _StepPlan:
+def _plan(model, geometry: Geometry) -> _StepPlan:
     """The step plan of (model, geometry), built on first use and kept with
     the geometry."""
-    plan = state.plan
-    if plan is not None and plan.model is model and plan.geometry is geometry:
-        return plan  # the plan that made the state, without the memo lookup
     return geometry.memo(("step", model), lambda: _StepPlan(model, geometry))
 
 
 def step(state, model, geometry: Geometry):
     """Advance one leapfrog step; returns a new state at t + dt."""
-    plan = _plan(state, model, geometry)
+    plan = _plan(model, geometry)
     kick, pi_half = plan.kick, plan.pi_half
-    if state.plan is not plan:
+    if plan.last is not state:
         check_state(geometry, state, model)
         np.multiply(plan.force(state.phi), plan.half_dt, out=kick)
-    elif plan.kicked is not state:
-        np.multiply(state.force, plan.half_dt, out=kick)
     # else the step that made ``state`` left its last half-kick, the same
     # product, in ``kick``
-    plan.kicked = None
+    plan.last = None
     old_phi, old_pi = state.phi, state.pi
     np.add(old_pi, kick, out=pi_half)
     np.multiply(pi_half, plan.dt, out=kick)
     phi = np.add(old_phi, kick)
     if plan.defect is not None:
         momenta = _sew(plan, state.t, old_phi[0], phi[0])
-    f = plan.force(phi)
-    np.multiply(f, plan.half_dt, out=kick)
+    np.multiply(plan.force(phi), plan.half_dt, out=kick)
     pi = np.add(pi_half, kick)
     if plan.defect is not None:
         a = plan.interface
         pi[0, a], pi[0, a + 1] = momenta
     if plan.damp is not None:
         np.multiply(pi, plan.damp, out=pi)
-    out = state_on(state.t + plan.dt, phi, pi, force=f, plan=plan)
-    plan.kicked = out
-    return out
+    plan.last = FieldState(state.t + plan.dt, phi, pi)
+    return plan.last
 
 
 class _Snapshots:
-    """Observer that records field snapshots on ``Geometry.state_x``."""
+    """Observer that keeps the states' read-only fields on ``Geometry.state_x``."""
 
     def __init__(self):
         self.times: list[float] = []
@@ -247,8 +238,8 @@ class _Snapshots:
 
     def __call__(self, state) -> None:
         self.times.append(state.t)
-        self.phi.append(np.array(state.phi, copy=True))
-        self.pi.append(np.array(state.pi, copy=True))
+        self.phi.append(state.phi)
+        self.pi.append(state.pi)
 
     def history(self, geometry: Geometry) -> FieldHistory | None:
         if not self.times:
@@ -264,13 +255,18 @@ def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
 
     ``observers`` are ``(every, last, fn)`` triples.  ``fn(state)`` sees the
     initial state and the state after every ``every``-th step, and after
-    the final step too when ``last`` is set.  The state's shape is checked
-    against the model and geometry before anything runs, and each stepped
-    state for non-finite values before an observer sees it (StepFailure).
-    Returns the final state.
+    the final step too when ``last`` is set.  The initial state is checked
+    against the model and geometry and for non-finite values before
+    anything runs (ValidationError), and each stepped state for non-finite
+    values before an observer sees it (StepFailure).  Returns the final
+    state.
     """
-    _plan(state, model, geometry)  # checks the model against the geometry
+    _plan(model, geometry)  # checks the model against the geometry
     check_state(geometry, state, model)
+    try:
+        state.check_finite()
+    except StepFailure as exc:  # nothing has stepped: the input is at fault
+        raise ValidationError(f"initial state: {exc}") from None
     for _, _, fn in observers:
         fn(state)
     # overflow shows up as non-finite fields, reported at the next observation

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -265,6 +266,29 @@ def test_blow_up_exits_two_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reflect", "--kind", "free", "--k", "1e308", "--lambda-b", "1e308"], "the result has a non-finite value"),
+        (["reflect", "--kind", "sinh", "--theta", "1e300", "--a0", "1e300"], "the reflection factor overflows"),
+        (["reflect", "--kind", "sinh", "--bulk-beta", "1e300"], "the reflection factor overflows"),
+        (["lax-check", "--config", "CONFIG", "--lambdas", "1e308"], "the result has a non-finite value"),
+    ],
+    ids=["reflect-free-nan", "reflect-sinh-overflow", "reflect-bulk-beta-overflow", "lax-check-nan"],
+)
+def test_a_non_finite_result_exits_two_with_one_line_and_no_json(config_file, tmp_path, capsys, argv, message):
+    """These exited 0 with NaN in their JSON, or ended in an OverflowError
+    traceback."""
+    out = tmp_path / "out"
+    argv = [str(config_file) if a == "CONFIG" else a for a in argv] + ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is a second stderr line
+        assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("todalab: numerical failure: " + message)
+    assert not out.exists()
+
+
 def test_t_final_off_the_step_grid_exits_one(tmp_path, capsys):
     """dt = 0.125 here: t_final = 1.05 would silently stop at 1.0."""
     path = _write_config(
@@ -326,6 +350,20 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
         ),
         ({"t_final = 2.0": "t_final = inf"}, None, "t_final = inf is not a finite number of time steps"),
         ({"x_min = 0.0": "x_min = nan"}, None, "x_min and x_max must be finite"),
+        # runs that used to step: into a ZeroDivisionError traceback, or after
+        # RuntimeWarnings into an exit 2 at the first observation
+        (
+            {"kind = sinh_gordon": "kind = sine_gordon\nbeta = 0"},
+            None,
+            "SineGordon coupling beta = 0.0 must be finite and nonzero",
+        ),
+        ({"kind = sinh_gordon": "kind = sinh_gordon\nmass = nan"}, None, "SinhGordon mass m = nan is not finite"),
+        ({"kind = cosine": "kind = wavepacket\nwidth = 0"}, None, "wavepacket width must be > 0"),
+        (
+            {"amplitude = 0.3": "amplitude = inf"},
+            None,
+            "initial state: non-finite field values at t=0.0 (first at phi[0, 0])",
+        ),
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):
@@ -334,7 +372,9 @@ def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replac
     argv = ["simulate", "--config", str(path), "--out", str(out)]
     if sweep:
         argv += ["--sweep", sweep]
-    assert main(argv) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is a second stderr line
+        assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
     assert not out.exists()

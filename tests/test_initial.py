@@ -13,6 +13,8 @@ from todalab.simulate import (
     evolve,
     half_line,
     init_boundary_mode,
+    init_gaussian,
+    init_noise,
     init_soliton,
     init_wavepacket,
     line,
@@ -42,6 +44,20 @@ def test_packet_clearance_precondition():
     geom = line(Grid1D(-20.0, 20.0, 100), 0.0)
     with pytest.raises(ValidationError, match="clearance"):
         init_wavepacket(geom, KleinGordon(), k0=1.0, width=3.0, x0=-15.0, amplitude=0.1)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("kind", ["wavepacket", "gaussian", "noise"])
+def test_gaussian_width_not_positive_is_refused(kind, width):
+    """width = 0 made a non-finite t = 0 state, with RuntimeWarnings."""
+    geom = line(Grid1D(-20.0, 20.0, 200))
+    build = {
+        "wavepacket": lambda: init_wavepacket(geom, KleinGordon(), k0=1.0, width=width, x0=0.0, amplitude=0.1),
+        "gaussian": lambda: init_gaussian(geom, amplitude=0.1, width=width, x0=0.0),
+        "noise": lambda: init_noise(geom, amplitude=0.1, width=width),
+    }[kind]
+    with pytest.raises(ValidationError, match=f"{kind} width must be > 0"):
+        build()
 
 
 def test_packet_carrier_frequency_measured_by_fft():

@@ -3,7 +3,7 @@ plain two-force velocity-Verlet step and the np.gradient/np.trapezoid
 diagnostics they replace: same arithmetic in the same order, so the
 results must be equal bit for bit."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from todalab.algebra import build_root_system
-from todalab.errors import StepFailure
+from todalab.errors import StepFailure, ValidationError
 from todalab.simulate import stepper
+from todalab.simulate.diagnostics import _Integrals
 from todalab.simulate import (
     AffineToda,
     Diagnostics,
@@ -425,29 +426,38 @@ def test_step_and_diagnostics_match_two_force_oracle(name):
     _assert_same_diagnostics(state, ref, model, geom, probes)
 
 
-def test_step_results_carry_force_of_their_plan():
+def test_step_results_are_read_only_and_step_on_like_the_oracle():
     model, geom, state = _case("halfline-robin")
     out = step(state, model, geom)
-    assert out.plan is not None
-    assert np.array_equal(out.force, _force(out.phi, geom, model))
-    assert not out.phi.flags.writeable  # a result's fields cannot change under its force
-    out2 = step(out, model, geom)
-    assert out2.plan is out.plan
+    for arr in (out.phi, out.pi):
+        assert not arr.flags.writeable  # the plan's reused half-kick stays that of these fields
+    ref = oracle_step(oracle_step(state, model, geom), model, geom)
+    _assert_same_state(step(out, model, geom), ref)
+
+
+def test_a_field_state_is_its_cauchy_data_and_read_only():
+    phi, pi = np.zeros((1, 8)), np.ones((1, 8))
+    state = FieldState(t=0.5, phi=phi, pi=pi)
+    assert [f.name for f in fields(FieldState)] == ["t", "phi", "pi"]
+    assert state.phi is phi and state.pi is pi  # no copy
+    for arr in (state.phi, state.pi):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("swap", ["model", "geometry"])
 def test_force_is_recomputed_under_another_plan(swap):
-    """A state stepped under (model, geometry) and then stepped under a
-    different one must match a fresh, untagged step."""
+    """The last state of the (model, geometry) plan, stepped under a
+    different one, must match a step from a fresh copy of it."""
     model, geom, state = _case("halfline-robin")
     other_model, other_geom = model, geom
     if swap == "model":
         other_model = KleinGordon(m=0.8)
     else:
         other_geom = half_line(geom.grid, right=Robin(lam=-0.3))
-    tagged = step(state, model, geom)
-    fresh = FieldState(t=tagged.t, phi=tagged.phi.copy(), pi=tagged.pi.copy())
-    out = step(tagged, other_model, other_geom)
+    last = step(state, model, geom)
+    fresh = FieldState(t=last.t, phi=last.phi.copy(), pi=last.pi.copy())
+    out = step(last, other_model, other_geom)
     _assert_same_state(out, step(fresh, other_model, other_geom))
     _assert_same_state(out, oracle_step(fresh, other_model, other_geom))
 
@@ -456,9 +466,9 @@ def test_defect_force_is_recomputed_under_another_plan():
     model, geom, state = _case("defect-backlund")
     defect = SineGordonBacklund(lam=0.9, m=1.0, beta=1.0)
     other = with_defect(geom.grid, defect, sponge_fraction=0.0)
-    tagged = step(state, model, geom)
-    fresh = FieldState(t=tagged.t, phi=tagged.phi.copy(), pi=tagged.pi.copy())
-    _assert_same_state(step(tagged, model, other), oracle_step(fresh, model, other))
+    last = step(state, model, geom)
+    fresh = FieldState(t=last.t, phi=last.phi.copy(), pi=last.pi.copy())
+    _assert_same_state(step(last, model, other), oracle_step(fresh, model, other))
 
 
 def test_evolve_history_matches_oracle_snapshots():
@@ -493,20 +503,47 @@ def test_non_finite_state_raises_step_failure_with_first_node():
 def test_defect_step_results_are_read_only_views_of_two_sided_arrays():
     model, geom, state = _case("defect-backlund")
     out = step(state, model, geom)
-    assert out.phi.shape == out.pi.shape == out.force.shape == (1, len(geom.state_x))
+    assert out.phi.shape == out.pi.shape == (1, len(geom.state_x))
     cut = geom.interface_index + 1
-    for arr in (out.phi, out.pi, out.force):
+    for arr in (out.phi, out.pi):
         for side in (arr[0, :cut], arr[0, cut:]):
             assert np.shares_memory(side, arr)
             assert not side.flags.writeable
             with pytest.raises(ValueError):
                 side[0] = 1.0
+    ref = oracle_step(oracle_step(state, model, geom), model, geom)
+    _assert_same_state(step(out, model, geom), ref)
     # the one force is the two half-domain forces side by side
     h = geom.grid.h
     phi, _, psi, _ = _sides(out, geom)
     halves = [_interior_force(phi, model, h, "right"), _interior_force(psi, model, h, "left")]
-    assert np.array_equal(out.force, np.concatenate(halves)[None, :])
-    assert step(out, model, geom).plan is out.plan
+    force = stepper._StepPlan(model, geom).force(out.phi)
+    assert np.array_equal(force, np.concatenate(halves)[None, :])
+
+
+@pytest.mark.parametrize("name", ["halfline-robin", "halfline-toda-a2", "defect-backlund"])
+def test_step_and_observe_scratch_is_64_byte_aligned(name):
+    """Where the heap puts a plan's long-lived buffers must not decide how
+    fast the loops over them run."""
+    model, geom, state = _case(name)
+    plan = stepper._StepPlan(model, geom)
+    buffers = [plan.kick, plan.pi_half]
+    for n in (len(geom.state_x), 7):
+        integrals = _Integrals(model.n_components, n, geom.grid.h, False)
+        buffers += [integrals.grad, integrals.work, integrals.dens, integrals.flux, integrals.pair]
+    for buf in buffers:
+        if buf is not None:  # ``work`` of a one-component field
+            assert buf.ctypes.data % 64 == 0
+
+
+def test_a_non_finite_initial_state_is_refused_before_any_observer():
+    model, geom, state = _case("periodic")
+    phi = state.phi.copy()
+    phi[0, 3] = np.inf
+    seen = []
+    with pytest.raises(ValidationError, match=r"initial state: non-finite field values at t=0.0 \(first at phi\[0, 3\]\)"):
+        stepper._drive(FieldState(t=0.0, phi=phi, pi=state.pi), model, geom, 5, [(1, True, seen.append)])
+    assert seen == []
 
 
 @pytest.mark.parametrize("name", ["line-sponge", "defect-backlund-off-centre"])

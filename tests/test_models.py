@@ -75,3 +75,19 @@ def test_make_model_dispatch():
     assert isinstance(toda, AffineToda) and toda.rs.rank == 2
     with pytest.raises(ValidationError, match="unknown model"):
         make_model("phi4")
+
+
+@pytest.mark.parametrize("kind", ["sine_gordon", "sinh_gordon", "affine_toda"])
+@pytest.mark.parametrize("beta", [0.0, -0.0, float("nan"), float("inf")])
+def test_coupling_zero_or_not_finite_is_refused(kind, beta):
+    """The potentials divide by beta: beta = 0 ended in a ZeroDivisionError."""
+    with pytest.raises(ValidationError, match="coupling beta = .* must be finite and nonzero"):
+        make_model(kind, beta=beta)
+
+
+@pytest.mark.parametrize("kind", ["klein_gordon", "sine_gordon", "sinh_gordon", "affine_toda"])
+@pytest.mark.parametrize("m", [float("nan"), float("-inf")])
+def test_mass_not_finite_is_refused(kind, m):
+    """A nan mass used to step and fail at the first observation."""
+    with pytest.raises(ValidationError, match="mass m = .* is not finite"):
+        make_model(kind, m=m)
