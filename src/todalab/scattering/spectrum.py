@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import ceil, isfinite, pi, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -58,8 +59,12 @@ def interval_spectrum(problem: SpectrumProblem) -> list[float]:
     """First ``n_max`` positive roots of the two-boundary phase condition.
 
     The closed-form phase (``_phase``) is sampled once on a grid of step
-    pi/(40 L) from k = 1e-9 up to k_hi = 1e-8 + 2 pi (n_max + 4)/(4 L): as
-    4kL + 2 pi < phase < 4kL + 6 pi, the first ``n_max`` roots lie below.
+    dk = pi/(40 L) from k_floor up to k_hi = 10 k_floor + 2 pi (n_max + 4)/(4 L):
+    as 4kL + 2 pi < phase < 4kL + 6 pi, the first ``n_max`` roots lie below.
+    The phase is a multiple of 2 pi at k = 0; that crossing stays out, as
+    the grid starts at k_floor = min(1e-9, dk) and roots below 10 k_floor
+    are dropped.  With Neumann ends root 1 lies at 20 dk, so a floor that
+    follows dk at large L drops none.
     Every 2 pi n crossing within a grid cell is bracketed, and all brackets
     are bisected at once, each in its cell's rising or falling direction,
     until their ends are adjacent doubles.  A crossing within 1e-10 relative
@@ -69,7 +74,9 @@ def interval_spectrum(problem: SpectrumProblem) -> list[float]:
     length = problem.half_length
     args = (4.0 * length, problem.lam_plus, problem.lam_minus)
     dk = pi / (40.0 * length)
-    k_floor = 1e-9
+    if not dk >= float_info.min:
+        raise ValidationError(f"half-length {length!r} is out of range: the k grid step is not a normal double")
+    k_floor = min(1e-9, dk)
     two_pi = 2.0 * pi
 
     # (k_hi - k_floor) / dk, written so that no term overflows, and capped

@@ -27,14 +27,27 @@ def _scaled_row_sum(scale: float, terms: np.ndarray) -> np.ndarray:
 
 
 def _check_parameters(model) -> None:
-    """Refuse a non-finite mass or coupling, and the coupling beta = 0 that
-    the potentials divide by (Klein-Gordon has no coupling)."""
+    """Refuse a non-finite mass or coupling, the coupling beta = 0 that the
+    potentials divide by, and parameters whose potential coefficients m^2,
+    m^2/beta and m^2/beta^2 are not finite floats (Klein-Gordon has no
+    coupling and only m^2)."""
     name = type(model).__name__
-    if not math.isfinite(model.m):
-        raise ValidationError(f"{name} mass m = {model.m!r} is not finite")
-    beta = getattr(model, "beta", 1.0)
-    if not math.isfinite(beta) or beta == 0.0:
-        raise ValidationError(f"{name} coupling beta = {beta!r} must be finite and nonzero")
+    m = model.m
+    if not math.isfinite(m):
+        raise ValidationError(f"{name} mass m = {m!r} is not finite")
+    m2 = m * m  # inf where m**2 would raise OverflowError
+    coefficients = {"m^2": m2}
+    beta = getattr(model, "beta", None)
+    if beta is not None:
+        if not math.isfinite(beta) or beta == 0.0:
+            raise ValidationError(f"{name} coupling beta = {beta!r} must be finite and nonzero")
+        beta2 = beta * beta
+        coefficients["m^2/beta"] = m2 / beta
+        coefficients["m^2/beta^2"] = m2 / beta2 if beta2 else math.inf  # beta^2 underflows to 0
+    for label, value in coefficients.items():
+        if not math.isfinite(value):
+            where = f"m = {m!r}" if beta is None else f"m = {m!r}, beta = {beta!r}"
+            raise ValidationError(f"{name} potential coefficient {label} is not finite at {where}")
 
 
 @dataclass(frozen=True)

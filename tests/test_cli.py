@@ -1,11 +1,17 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from todalab import cli
 from todalab.cli import main
+from todalab.errors import NumericalError
 
 CFG = """\
 [model]
@@ -364,6 +370,18 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
             None,
             "initial state: non-finite field values at t=0.0 (first at phi[0, 0])",
         ),
+        # an OverflowError traceback from m**2, and a ZeroDivisionError one
+        # from m**2 / beta**2 with beta**2 underflowing to 0
+        (
+            {"kind = sinh_gordon": "kind = klein_gordon\nmass = 1e200"},
+            None,
+            "KleinGordon potential coefficient m^2 is not finite at m = 1e+200",
+        ),
+        (
+            {"kind = sinh_gordon": "kind = sinh_gordon\nbeta = 1e-200"},
+            None,
+            "SinhGordon potential coefficient m^2/beta^2 is not finite at m = 1.0, beta = 1e-200",
+        ),
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):
@@ -463,3 +481,84 @@ def test_failed_run_writes_failure_dump_and_no_data(tmp_path, capsys):
     assert dump["t"] > 0.0 and isinstance(dump["node"], int)
     assert dump["field"] in ("phi", "pi")
     assert failure["error"] == err[0].removeprefix("todalab: numerical failure: ")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# leaves, and lists of one leaf type, which the writer joins in one pass
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _FINITE
+    | _FINITE.map(np.float64)
+    | st.text()
+    | st.lists(st.integers(), max_size=6)
+    | st.lists(_FINITE, max_size=6)
+    | st.lists(st.text(), max_size=6)
+    | st.lists(st.booleans(), max_size=6)
+)
+_JSON_PAYLOADS = st.dictionaries(
+    st.text(),
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=16,
+    ),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    """The one writer of boundary.json, lax_check.json and reflect.json
+    gives the bytes of json.dumps' indent-2, key-sorted layout, for empty
+    containers, tuples, non-ASCII text, bools among ints and numpy floats."""
+    expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._json_text(payload) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda v: {"a": v},
+        lambda v: {"a": [v]},
+        lambda v: {"a": [1.0, v, 2.0]},
+        lambda v: {"a": [1, "b", v]},
+        lambda v: {"a": [np.float64(v)]},
+        lambda v: {"b": 1, "a": {"c": [{"d": (0.5, v)}]}},
+    ],
+    ids=["value", "float-list", "float-list-middle", "mixed-list", "numpy-float", "nested-tuple"],
+)
+def test_json_writer_refuses_a_non_finite_float_at_any_depth(wrap, bad):
+    with pytest.raises(NumericalError, match="non-finite value"):
+        cli._json_text(wrap(bad))
+
+
+def test_one_cached_parser_serves_successive_commands(config_file, tmp_path, capsys):
+    """main builds its parser once per process; no command leaves a flag
+    or a default behind for the next."""
+    assert cli.build_parser() is cli.build_parser()
+
+    swept, single = tmp_path / "swept", tmp_path / "single"
+    assert main(["simulate", "--config", str(config_file), "--out", str(swept), "--sweep", "initial.amplitude=0.2,0.3"]) == 0
+    assert sorted(d.name for d in swept.iterdir()) == ["amplitude=0.2", "amplitude=0.3"]
+    assert cli.build_parser().parse_args(["simulate", "--config", str(config_file)]).sweep is None
+    assert main(["simulate", "--config", str(config_file), "--out", str(single)]) == 0
+    assert (single / "diagnostics.csv").exists() and not any(d.is_dir() for d in single.iterdir())
+    capsys.readouterr()
+
+    assert main(["reflect", "--kind", "free", "--k", "2.5", "--lambda-b", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == {"kind": "free", "k": 2.5, "lambda_b": 0.3}
+    assert main(["reflect", "--kind", "free"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == {"kind": "free", "k": 1.0, "lambda_b": 0.0}
+
+    assert main(["reflect", "--kind", "free", "--bogus", "1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unrecognized arguments: --bogus 1" in err[0]
+    assert main(["reflect", "--kind", "sinh", "--theta", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["inputs"]["theta"] == 0.5

@@ -1,5 +1,7 @@
 """Grid validation and bulk-model identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,20 @@ def test_mass_not_finite_is_refused(kind, m):
     """A nan mass used to step and fail at the first observation."""
     with pytest.raises(ValidationError, match="mass m = .* is not finite"):
         make_model(kind, m=m)
+
+
+@pytest.mark.parametrize(
+    "kind, m, beta, coefficient",
+    [
+        ("klein_gordon", 1e200, 1.0, "m^2"),
+        ("sine_gordon", 1e200, 1.0, "m^2"),
+        ("sinh_gordon", 1.0, 1e-200, "m^2/beta^2"),
+        ("sine_gordon", 1e154, 0.5, "m^2/beta"),
+        ("affine_toda", 1.0, 1e-160, "m^2/beta^2"),
+    ],
+)
+def test_potential_coefficient_not_finite_is_refused(kind, m, beta, coefficient):
+    """m = 1e200 ended in an OverflowError from m**2, and beta = 1e-200 in a
+    ZeroDivisionError from m**2 / beta**2, as beta**2 underflows to 0."""
+    with pytest.raises(ValidationError, match=re.escape(f"potential coefficient {coefficient} is not finite")):
+        make_model(kind, m=m, beta=beta)

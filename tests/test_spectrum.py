@@ -127,3 +127,13 @@ def test_crossing_on_a_grid_node_survives_grid_rounding(monkeypatch, direction):
     roots = interval_spectrum(SpectrumProblem(m=1.0, half_length=L, lam_plus=0.0, lam_minus=0.0, n_max=4))
     expected = np.arange(1, 5) * np.pi / (2.0 * L)
     assert np.max(np.abs(np.asarray(roots) - expected) / expected) < 1e-12
+
+
+@pytest.mark.parametrize("L", [1e9, 1e300])
+def test_neumann_roots_from_the_first_at_a_huge_half_length(L):
+    """The k floor follows the grid step pi/(40 L): with a fixed floor of
+    1e-9 and the near-zero cut at 1e-8, L = 1e9 started at root 7,
+    7 pi/(2L), and L = 1e300 was refused."""
+    roots = np.asarray(interval_spectrum(SpectrumProblem(m=1.0, half_length=L, lam_plus=0.0, lam_minus=0.0, n_max=6)))
+    expected = np.arange(1, 7) * np.pi / (2.0 * L)
+    assert np.max(np.abs(roots - expected) / expected) < 1e-12

@@ -50,8 +50,10 @@ def test_4000_roots_are_found_and_4001_refused(lam_plus, lam_minus):
         SpectrumProblem(m=1.0, half_length=3.0, lam_plus=lam_plus, lam_minus=lam_minus, n_max=4001)
 
 
-@pytest.mark.parametrize("half_length", [1e-306, 1e300])
+@pytest.mark.parametrize("half_length", [1e-306, 1e307])
 def test_half_length_whose_grid_leaves_double_range_is_refused(half_length):
+    """At L = 1e-306 the grid top overflows; at L = 1e307 the grid step
+    pi/(40 L) is below the smallest normal double."""
     p = SpectrumProblem(m=1.0, half_length=half_length, lam_plus=0.0, lam_minus=0.0, n_max=4000)
     with pytest.raises(ValidationError, match="out of range"):
         interval_spectrum(p)
@@ -62,7 +64,7 @@ def test_neumann_roots_at_extreme_half_lengths_are_each_found_once(half_length):
     """At L = 1e-300 the roots sit on grid nodes near k = 1e300, where one
     ulp is far above 1e-10; at L = 2e10 they lie less than 1e-10 apart.
     Either way every branch gives one root: k_n = (n0 + n) pi/(2L), where
-    n0 counts the roots below the k floor 1e-8."""
+    n0 counts the roots below the k floor."""
     p = SpectrumProblem(m=1.0, half_length=half_length, lam_plus=0.0, lam_minus=0.0, n_max=40)
     steps = np.asarray(interval_spectrum(p)) / (np.pi / (2.0 * half_length))
     n0 = round(steps[0]) - 1
