@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import ValidationError
-from .roots import Root, RootSystem, dot, _vadd
+from .roots import Root, RootSystem, _vadd
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +63,7 @@ def build_cocycle(rs: RootSystem) -> Cocycle:
             if i == j:
                 row.append(1)
             elif i < j:
-                row.append(int(dot(rs.simple_roots[i], rs.simple_roots[j])) % 2)
+                row.append(rs.cartan[i][j] % 2)
             else:
                 row.append(0)
         bform.append(tuple(row))

@@ -256,7 +256,13 @@ def _cmd_reflect(args) -> int:
 def _cmd_derive_boundary(args) -> int:
     from .algebra import build_root_system, to_json_dict
     from .laxboundary import adjacency_constraints, expansion_constraints, routes_agree, solve_k_expansion
+    from .laxboundary.constraints import MAX_SIGN_VECTORS
 
+    if args.rank + 1 > math.log2(MAX_SIGN_VECTORS):
+        raise ValidationError(
+            f"--rank {args.rank}: boundary.json would list 2**{args.rank + 1} sign choices, "
+            f"more than {MAX_SIGN_VECTORS}"
+        )
     rs = build_root_system(args.family, args.rank)
     route = args.route
     if route == "auto":
@@ -302,7 +308,7 @@ def _cmd_lax_check(args) -> int:
     cfg = load_config(args.config)
     if cfg.getint("grid", "snapshot_every") <= 0:
         raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")
-    frame, m_t, beta_t = toda_frame_for(_build_model(cfg))
+    frame = toda_frame_for(_build_model(cfg))
 
     # an overflow leaves a non-finite number, which the JSON writer refuses
     @np.errstate(over="ignore", invalid="ignore")
@@ -310,15 +316,13 @@ def _cmd_lax_check(args) -> int:
         result = run_experiment(run_cfg)
         report = {}
         for lam in lambdas:
-            res = curvature_residual(result.history, frame, lam, m=m_t, beta=beta_t)
+            res = curvature_residual(result.history, frame, lam)
             qs = monodromy_charge(
                 result.history.x,
                 result.history.phi,
                 result.history.pi,
                 frame,
                 lam,
-                m=m_t,
-                beta=beta_t,
                 geometry=result.geometry.kind if result.geometry.kind == "periodic" else "line",
             )
             drift = float(np.max(np.abs(qs - qs[0])) / max(1e-30, abs(qs[0])))

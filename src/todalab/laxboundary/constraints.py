@@ -15,6 +15,9 @@ from itertools import product
 from ..algebra.roots import RootSystem, affine_adjacency
 from .kmatrix import KExpansion
 
+# derive-boundary refuses a rank whose 2**(rank + 1) sign_vectors pass this
+MAX_SIGN_VECTORS = 2**17
+
 
 @dataclass(frozen=True, eq=False)
 class ConstraintReport:

@@ -158,13 +158,11 @@ def _node_data(rs: RootSystem, rep: MatrixRep):
     return e_plus, e_minus, alpha_h, masses
 
 
-def _adjoint_system(rs: RootSystem, rep: MatrixRep) -> ExactLinearSolver:
+def _adjoint_system(e_minus: Sequence[Matrix], masses: Sequence[F]) -> ExactLinearSolver:
     """Rows of X -> (m_i [X, E_{-alpha_i}])_i over flattened X."""
-    n = rep.n
-    _, e_minus, _, masses = _node_data(rs, rep)
+    n = len(e_minus[0])
     rows: list[dict[int, F]] = []
-    for i in range(rs.rank + 1):
-        e = e_minus[i]
+    for i, e in enumerate(e_minus):
         for p in range(n):
             for q in range(n):
                 row: dict[int, F] = {}
@@ -242,7 +240,7 @@ def _constrained_nodes(obstructions: list[Poly], nnodes: int) -> dict[int, int]:
     return fixed
 
 
-def solve_k_expansion(rs: RootSystem, rep: MatrixRep | None = None) -> KExpansion:
+def solve_k_expansion(rs: RootSystem) -> KExpansion:
     """Solve the gauge condition order by order in the defining representation.
 
     Family A, rank <= 5 (the matrix route).  Returns the exact expansion data;
@@ -253,12 +251,12 @@ def solve_k_expansion(rs: RootSystem, rep: MatrixRep | None = None) -> KExpansio
         raise ValidationError("matrix route requires family A")
     if rs.rank > 5:
         raise ValidationError("matrix route supports rank <= 5")
-    rep = rep if rep is not None else defining_rep(rs)
+    rep = defining_rep(rs)
     n = rep.n
     nnodes = rs.rank + 1
     nv = nnodes  # one symbol b_i per affine node
-    e_plus, _, alpha_h, masses = _node_data(rs, rep)
-    solver = _adjoint_system(rs, rep)
+    e_plus, e_minus, alpha_h, masses = _node_data(rs, rep)
+    solver = _adjoint_system(e_minus, masses)
 
     if solver.ncols - solver.rank != 1:
         raise AssertionError("adjoint system kernel is not one-dimensional")

@@ -10,12 +10,12 @@ of ``alpha_i . phi / 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
 
-from ..algebra.reps import MatrixRep, defining_rep
+from ..algebra.reps import defining_rep
 from ..algebra.roots import RootSystem, mass_coefficients
 from ..errors import ValidationError
 from ..simulate import toda_units
@@ -23,7 +23,8 @@ from ..simulate import toda_units
 
 @dataclass(frozen=True, eq=False)
 class LaxFrame:
-    """Float-valued representation data for one root system."""
+    """Float-valued representation data for one root system, in the units
+    (mass scale ``m``, coupling ``beta``) its gauge pair is written in."""
 
     rs: RootSystem
     n: int
@@ -32,20 +33,15 @@ class LaxFrame:
     e_plus: np.ndarray  # (nodes, n, n)
     e_minus: np.ndarray
     h_dirs: np.ndarray  # (rank, n, n): Cartan matrices of the orthobasis rows
+    m: float
+    beta: float
 
 
-def lax_frame(rs: RootSystem, rep: MatrixRep | None = None) -> LaxFrame:
-    rep = rep if rep is not None else defining_rep(rs)
-    e_plus, e_minus = (
-        np.array([[[float(x) for x in row] for row in e] for e in mats]).astype(complex)
-        for mats in rep.node_steps()
-    )
-    h_dirs = np.array(
-        [
-            [[float(x) for x in row] for row in rep.cartan_element(list(map(float, basis_row)))]
-            for basis_row in [tuple(r) for r in rs.orthobasis]
-        ]
-    ).astype(complex)
+def lax_frame(rs: RootSystem) -> LaxFrame:
+    """Frame of ``rs`` in normalized units (``m = beta = 1``)."""
+    rep = defining_rep(rs)
+    e_plus, e_minus = (np.array(mats, dtype=complex) for mats in rep.node_steps())
+    h_dirs = np.array([np.diag(row) for row in rs.orthobasis], dtype=complex)  # H(v) = diag(v)
     return LaxFrame(
         rs=rs,
         n=rep.n,
@@ -54,6 +50,8 @@ def lax_frame(rs: RootSystem, rep: MatrixRep | None = None) -> LaxFrame:
         e_plus=e_plus,
         e_minus=e_minus,
         h_dirs=h_dirs,
+        m=1.0,
+        beta=1.0,
     )
 
 
@@ -69,14 +67,12 @@ def lax_components(
     dt_phi: np.ndarray,
     dx_phi: np.ndarray,
     lam: complex,
-    m: float = 1.0,
-    beta: float = 1.0,
 ) -> GaugeComponents:
     """Gauge pair at field values ``phi`` (shape (..., rank)).
 
-    ``m = beta = 1`` reproduces the normalized display; general (m, beta)
-    rescale the step-operator weights and exponents so that zero curvature is
-    equivalent to the (m, beta) field equations.
+    The frame's ``m = beta = 1`` reproduces the normalized display; general
+    (m, beta) rescale the step-operator weights and exponents so that zero
+    curvature is equivalent to the (m, beta) field equations.
     """
     lam = complex(lam)
     if lam == 0:
@@ -88,6 +84,7 @@ def lax_components(
     if phi.shape[-1] != r:
         raise ValidationError(f"phi must have {r} components, got {phi.shape[-1]}")
 
+    m, beta = frame.m, frame.beta
     expf = np.exp(beta * (phi @ frame.alpha_rootspace.T) / 2.0)  # (..., nodes)
     weights = m * frame.masses * expf  # (..., nodes)
     plus = np.einsum("...i,ijk->...jk", weights, frame.e_plus) * lam
@@ -97,14 +94,14 @@ def lax_components(
     return GaugeComponents(a_t=h_x + plus - minus, a_x=h_t + plus + minus)
 
 
-def toda_frame_for(model) -> tuple[LaxFrame, float, float]:
-    """(frame, m_toda, beta_toda) for a simulate-module model, through
-    ``simulate.toda_units``."""
+def toda_frame_for(model) -> LaxFrame:
+    """Frame of a simulate-module model, in the Toda units that
+    ``simulate.toda_units`` maps it to."""
     rs, m, beta = toda_units(model)
-    return lax_frame(rs), m, beta
+    return replace(lax_frame(rs), m=m, beta=beta)
 
 
-def curvature_residual(history, frame: LaxFrame, lam: complex, m: float = 1.0, beta: float = 1.0) -> float:
+def curvature_residual(history, frame: LaxFrame, lam: complex) -> float:
     """RMS Frobenius norm of F_tx = dt a_x - dx a_t + [a_t, a_x] on a history.
 
     Centered differences in both directions; on a solution of the field
@@ -127,7 +124,7 @@ def curvature_residual(history, frame: LaxFrame, lam: complex, m: float = 1.0, b
     pi_t = np.moveaxis(pi, 1, -1)
     dx_phi = np.gradient(phi_t, h, axis=1, edge_order=2)
 
-    comps = lax_components(frame, phi_t, pi_t, dx_phi, lam, m=m, beta=beta)
+    comps = lax_components(frame, phi_t, pi_t, dx_phi, lam)
     a_t, a_x = comps.a_t, comps.a_x
     dt_ax = (a_x[2:] - a_x[:-2]) / (2.0 * dt)
     dx_at = (a_t[:, 2:] - a_t[:, :-2]) / (2.0 * h)
@@ -205,8 +202,6 @@ def monodromy_charge(
     pi: np.ndarray,
     frame: LaxFrame,
     lam: complex,
-    m: float = 1.0,
-    beta: float = 1.0,
     geometry: str = "periodic",
     kmat: np.ndarray | None = None,
 ) -> complex | np.ndarray:
@@ -232,9 +227,7 @@ def monodromy_charge(
     h = float(x[1] - x[0])
     phi_nodes = np.moveaxis(phi, 1, -1)  # (nt, nx, ncomp)
     pi_nodes = np.moveaxis(pi, 1, -1)
-    comps = lax_components(
-        frame, phi_nodes, pi_nodes, np.zeros_like(phi_nodes), lam, m=m, beta=beta
-    )
+    comps = lax_components(frame, phi_nodes, pi_nodes, np.zeros_like(phi_nodes), lam)
     if geometry in ("periodic", "line"):
         factors = _transport_factors(comps.a_x, h, periodic=(geometry == "periodic"))
         q = np.trace(_ordered_product(factors))

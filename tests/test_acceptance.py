@@ -221,19 +221,18 @@ def test_criterion_6_zero_curvature_refinement():
 
     hist_c = run(128, 16)
     hist_f = run(256, 32)
-    frame, m_t, beta_t = toda_frame_for(model)
+    frame = toda_frame_for(model)
     ok = True
     parts = []
     for lam in (0.7, 1.0, 1.6):
-        r_c = curvature_residual(hist_c, frame, lam, m=m_t, beta=beta_t)
-        r_f = curvature_residual(hist_f, frame, lam, m=m_t, beta=beta_t)
+        r_c = curvature_residual(hist_c, frame, lam)
+        r_f = curvature_residual(hist_f, frame, lam)
         ratio = r_c / r_f
 
         def drift(h):
             qs = np.array(
                 [
-                    monodromy_charge(h.x, h.phi[i], h.pi[i], frame, lam,
-                                     m=m_t, beta=beta_t, geometry="periodic")
+                    monodromy_charge(h.x, h.phi[i], h.pi[i], frame, lam, geometry="periodic")
                     for i in range(len(h.times))
                 ]
             )

@@ -234,6 +234,28 @@ def test_derive_boundary_rejects_unsupported(capsys):
     assert main(["derive-boundary", "--family", "B", "--rank", "2"]) == 1
 
 
+@pytest.mark.parametrize("family, rank", [("A", 17), ("D", 40)])
+def test_derive_boundary_refuses_too_many_sign_choices_before_building(
+    tmp_path, monkeypatch, capsys, family, rank
+):
+    """2**(rank + 1) sign vectors would pass MAX_SIGN_VECTORS: one line, exit
+    1, and the root system is never built (D40 would list 2**41)."""
+    import todalab.algebra
+
+    def built(*args):
+        raise AssertionError("the root system was built")
+
+    monkeypatch.setattr(todalab.algebra, "build_root_system", built)
+    out = tmp_path / "bd"
+    argv = ["derive-boundary", "--family", family, "--rank", str(rank), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith(f"todalab: validation error: --rank {rank}: ")
+    assert f"2**{rank + 1} sign choices" in err[0]
+    assert not out.exists()
+
+
 def test_lax_check_runs(config_file, capsys):
     code = main(["lax-check", "--config", str(config_file), "--lambdas", "0.9"])
     assert code == 0

@@ -1,10 +1,12 @@
 """Gauge components, zero-curvature residual, and monodromy diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from todalab.algebra import build_root_system
+from todalab.algebra import build_root_system, defining_rep
 from todalab.errors import ValidationError
 from todalab.laxboundary import (
     a1_k_matrix,
@@ -15,6 +17,7 @@ from todalab.laxboundary import (
     toda_frame_for,
 )
 from todalab.simulate import (
+    AffineToda,
     Grid1D,
     SineGordon,
     SinhGordon,
@@ -32,6 +35,39 @@ from todalab.simulate.state import FieldHistory
 @pytest.fixture(scope="module")
 def frame1():
     return lax_frame(build_root_system("A", 1))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_frame_arrays_equal_the_exact_representation_converted(rank):
+    """The frame's complex arrays are, bit for bit, the exact integer and
+    ``Fraction`` matrices of the defining representation converted entry by
+    entry through ``float``; its units are the normalized ones."""
+    rs = build_root_system("A", rank)
+    rep = defining_rep(rs)
+    frame = lax_frame(rs)
+
+    def converted(mats):
+        return np.array([[[float(x) for x in row] for row in mat] for mat in mats]).astype(complex)
+
+    e_plus, e_minus = rep.node_steps()
+    h_dirs = [rep.cartan_element(list(map(float, row))) for row in rs.orthobasis]
+    assert frame.e_plus.tobytes() == converted(e_plus).tobytes()
+    assert frame.e_minus.tobytes() == converted(e_minus).tobytes()
+    assert frame.h_dirs.tobytes() == converted(h_dirs).tobytes()
+    assert (frame.n, frame.m, frame.beta) == (rank + 1, 1.0, 1.0)
+
+
+def test_toda_frame_carries_the_models_toda_units():
+    m, beta = 1.7, 0.6
+    frame = toda_frame_for(SinhGordon(m=m, beta=beta))
+    assert (frame.m, frame.beta) == (m / 2.0, beta / np.sqrt(2.0))
+    a1 = lax_frame(build_root_system("A", 1))
+    for name in ("e_plus", "e_minus", "h_dirs", "masses", "alpha_rootspace"):
+        assert getattr(frame, name).tobytes() == getattr(a1, name).tobytes()
+    rs = build_root_system("A", 2)
+    frame = toda_frame_for(AffineToda(rs=rs, m=m, beta=beta))
+    assert frame.rs is rs
+    assert (frame.m, frame.beta) == (m, beta)
 
 
 def test_vanishing_field_components(frame1):
@@ -62,9 +98,8 @@ def test_components_match_hand_assembly(frame1):
         a_x = (beta / 2.0) * dtphi * h + 0.5 * m * (
             up * (lam * e12 + e21 / lam) + dn * (lam * e21 + e12 / lam)
         )
-        comps = lax_components(
-            frame1, np.array([phi]), np.array([dtphi]), np.array([dxphi]), lam, m=m, beta=beta
-        )
+        frame = dataclasses.replace(frame1, m=m, beta=beta)
+        comps = lax_components(frame, np.array([phi]), np.array([dtphi]), np.array([dxphi]), lam)
         assert np.allclose(comps.a_t, a_t, atol=1e-14)
         assert np.allclose(comps.a_x, a_x, atol=1e-14)
 
@@ -130,28 +165,28 @@ def test_vacuum_curvature_is_roundoff(frame1):
 def test_curvature_converges_at_second_order():
     hist_c, model = _sinh_history(128, snapshots=16)
     hist_f, _ = _sinh_history(256, snapshots=32)
-    frame, m_t, beta_t = toda_frame_for(model)
+    frame = toda_frame_for(model)
     for lam in (0.7, 1.0, 1.6):
-        r_c = curvature_residual(hist_c, frame, lam, m=m_t, beta=beta_t)
-        r_f = curvature_residual(hist_f, frame, lam, m=m_t, beta=beta_t)
+        r_c = curvature_residual(hist_c, frame, lam)
+        r_f = curvature_residual(hist_f, frame, lam)
         assert 3.0 < r_c / r_f < 5.0
 
 
 def test_corrupted_solution_has_order_one_residual():
     hist, model = _sinh_history(128, snapshots=16)
-    frame, m_t, beta_t = toda_frame_for(model)
-    good = curvature_residual(hist, frame, 0.9, m=m_t, beta=beta_t)
+    frame = toda_frame_for(model)
+    good = curvature_residual(hist, frame, 0.9)
     rng = np.random.default_rng(0)
     bad_phi = hist.phi + rng.normal(0.0, 0.3, size=hist.phi.shape)
     bad = FieldHistory(times=hist.times, x=hist.x, phi=bad_phi, pi=hist.pi)
-    r_bad = curvature_residual(bad, frame, 0.9, m=m_t, beta=beta_t)
+    r_bad = curvature_residual(bad, frame, 0.9)
     assert r_bad > 50.0 * good
     assert r_bad > 0.5  # order one, independent of the resolution
     # the violation does not shrink under refinement
     hist_f, _ = _sinh_history(256, snapshots=16)
     bad_f_phi = hist_f.phi + rng.normal(0.0, 0.3, size=hist_f.phi.shape)
     bad_f = FieldHistory(times=hist_f.times, x=hist_f.x, phi=bad_f_phi, pi=hist_f.pi)
-    assert curvature_residual(bad_f, frame, 0.9, m=m_t, beta=beta_t) > 0.5
+    assert curvature_residual(bad_f, frame, 0.9) > 0.5
 
 
 def test_curvature_rejects_tiny_grids(frame1):
@@ -189,11 +224,11 @@ def test_bulk_monodromy_drift_shrinks_under_refinement():
     drifts = []
     for n_cells in (128, 256):
         hist, model = _sinh_history(n_cells, snapshots=8)
-        frame, m_t, beta_t = toda_frame_for(model)
+        frame = toda_frame_for(model)
         qs = np.array(
             [
                 monodromy_charge(
-                    hist.x, hist.phi[i], hist.pi[i], frame, 0.8, m=m_t, beta=beta_t,
+                    hist.x, hist.phi[i], hist.pi[i], frame, 0.8,
                     geometry="periodic",
                 )
                 for i in range(len(hist.times))
@@ -205,13 +240,13 @@ def test_bulk_monodromy_drift_shrinks_under_refinement():
 
 def test_time_reversed_snapshot_same_drift_bound():
     hist, model = _sinh_history(128, snapshots=8)
-    frame, m_t, beta_t = toda_frame_for(model)
+    frame = toda_frame_for(model)
 
     def drift(phi_arr, pi_arr):
         qs = np.array(
             [
                 monodromy_charge(
-                    hist.x, phi_arr[i], pi_arr[i], frame, 0.8, m=m_t, beta=beta_t,
+                    hist.x, phi_arr[i], pi_arr[i], frame, 0.8,
                     geometry="periodic",
                 )
                 for i in range(len(hist.times))
@@ -242,7 +277,7 @@ def test_boundary_monodromy_conserved_with_k_matrix():
         grid = Grid1D(-20.0, 0.0, n_cells)
         geom = half_line(grid, right=TodaBoundary(b=(b0, b1)), sponge_fraction=0.0)
         state = init_gaussian(geom, amplitude=0.25, width=0.8, x0=-3.0)
-        frame, m_t, beta_t = toda_frame_for(model)
+        frame = toda_frame_for(model)
         qs = []
         n_steps = int(6.0 / grid.dt)
         every = n_steps // 10
@@ -251,7 +286,7 @@ def test_boundary_monodromy_conserved_with_k_matrix():
             if (i + 1) % every == 0:
                 qs.append(
                     monodromy_charge(
-                        geom.x, state.phi, state.pi, frame, lam, m=m_t, beta=beta_t,
+                        geom.x, state.phi, state.pi, frame, lam,
                         geometry="halfline", kmat=kmat,
                     )
                 )

@@ -96,10 +96,10 @@ def sinh_history():
 @pytest.mark.parametrize("geometry", ["periodic", "line", "halfline"])
 def test_batched_charges_equal_per_snapshot_calls(sinh_history, geometry):
     hist, model = sinh_history
-    frame, m_t, beta_t = toda_frame_for(model)
+    frame = toda_frame_for(model)
     lam = 0.8
     kmat = a1_k_matrix(lam, 0.8, -0.5) if geometry == "halfline" else None
-    kw = dict(m=m_t, beta=beta_t, geometry=geometry, kmat=kmat)
+    kw = dict(geometry=geometry, kmat=kmat)
     qs = monodromy_charge(hist.x, hist.phi, hist.pi, frame, lam, **kw)
     assert qs.shape == (len(hist.times),)
     one_by_one = [
