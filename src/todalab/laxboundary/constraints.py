@@ -9,14 +9,26 @@ must agree wherever both run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 from ..algebra.roots import RootSystem, affine_adjacency
+from ..errors import ValidationError
 from .kmatrix import KExpansion
 
-# derive-boundary refuses a rank whose 2**(rank + 1) sign_vectors pass this
+# a report refuses to list the 2**(rank + 1) sign vectors past this many
 MAX_SIGN_VECTORS = 2**17
+
+
+def check_sign_choices(rank: int, name: str = "rank") -> None:
+    """Raise a ValidationError, before any list is built, when the sign
+    vectors of a rank-``rank`` report would pass ``MAX_SIGN_VECTORS``;
+    ``name`` is what the message calls the rank."""
+    if rank + 1 > math.log2(MAX_SIGN_VECTORS):
+        raise ValidationError(
+            f"{name} {rank}: the report would list 2**{rank + 1} sign choices, more than {MAX_SIGN_VECTORS}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,9 +47,11 @@ class ConstraintReport:
     def sign_vectors(self) -> list[tuple[int, ...]] | None:
         if not self.fully_constrained:
             return None
+        check_sign_choices(self.rank)
         return list(product((1, -1), repeat=self.rank + 1))
 
     def to_json_dict(self) -> dict:
+        vecs = self.sign_vectors()
         out = {
             "system": self.system,
             "route": self.route,
@@ -48,7 +62,6 @@ class ConstraintReport:
             "free_parameters": [f"b_{i}" for i in self.free],
             "sign_choices": 2 ** (self.rank + 1) if self.fully_constrained else 0,
         }
-        vecs = self.sign_vectors()
         if vecs is not None:
             out["sign_vectors"] = [list(v) for v in vecs]
         return out

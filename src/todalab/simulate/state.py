@@ -157,7 +157,7 @@ def _check_finite(t: float, fields: dict[str, np.ndarray]) -> None:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FieldState:
     """The Cauchy data of every geometry at time ``t``: phi and
     pi = d_t phi, shape (n_components, len(geometry.state_x)).
@@ -165,7 +165,9 @@ class FieldState:
     On a defect ``phi`` and ``pi`` are one two-sided row [left | right] with
     the interface node x = 0 twice (``Geometry.state_x``); the right side
     starts at ``geometry.interface_index + 1``.  Both arrays are made
-    read-only, without a copy, by whoever builds the state.
+    read-only, without a copy, by whoever builds the state.  A state that a
+    run's observer sees is a view of the step plan's buffers, valid only
+    during the call (``stepper``).
     """
 
     t: float
@@ -173,9 +175,14 @@ class FieldState:
     pi: np.ndarray
 
     def __post_init__(self):
-        if self.phi.shape != self.pi.shape:
+        phi, pi = self.phi, self.pi
+        if phi.shape != pi.shape:
             raise ValidationError("phi and pi must have matching shapes")
-        self.phi.flags.writeable = self.pi.flags.writeable = False
+        # the stepping loop passes views that are read-only already
+        if phi.flags.writeable:
+            phi.flags.writeable = False
+        if pi.flags.writeable:
+            pi.flags.writeable = False
 
     def check_finite(self) -> None:
         _check_finite(self.t, {"phi": self.phi, "pi": self.pi})
@@ -209,8 +216,8 @@ def vacuum_state(geometry: Geometry, n_components: int = 1) -> FieldState:
 
 def empty_aligned(shape) -> np.ndarray:
     """``np.empty(shape)`` whose data start on a 64-byte boundary, for the
-    long-lived scratch of the step and observation plans, so that the speed
-    of the loops over it does not follow where the heap puts it."""
+    long-lived buffers of the step and observation plans, so that the speed
+    of the loops over them does not follow where the heap puts them."""
     n = int(np.prod(shape))
     raw = np.empty(n + 7)
     skip = (-raw.ctypes.data % 64) // raw.itemsize

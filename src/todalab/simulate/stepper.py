@@ -18,13 +18,24 @@ set after the closing kick.
 
 Everything a step needs that does not change during a run (spacing, time
 step, sponge damping, bound boundary conditions, the interface) sits in a
-step plan built once per (model, geometry).  The force at the end of a step
-is the force at the start of the next one ("first same as last"): the plan
-remembers the last state it returned, and its ``kick`` buffer still holds
-that state's force * dt/2, so a step from that state evaluates the force
-once instead of twice.  Any other state is checked against the geometry
-and has its force computed.  The arithmetic and its order are those of the
-plain two-force step, so results are bit for bit the same.
+step plan built once per (model, geometry).  The plan also owns the only
+live field buffers, ``phi`` and ``pi``, and the scratch ``kick``, all
+64-byte aligned: the step runs in place on them, velocity Verlet with one
+copy of (phi, pi) plus the force.  A run (``_drive``) loads its initial
+state into the buffers once; each step then advances the plan's live state
+in place and returns it as a new state over read-only views of the
+buffers.  Observers see that view, which is valid only during their call:
+whoever keeps fields keeps a copy.  A ``step`` from any other state copies
+it in and returns fresh arrays, and so do ``evolve`` and ``_drive`` with
+their final state.
+
+The force at the end of a step is the force at the start of the next one
+("first same as last"): the plan remembers the last state it returned, and
+its ``kick`` buffer still holds that state's force * dt/2, so a step from
+that state evaluates the force once instead of twice.  Any other state is
+checked against the geometry and has its force computed.  The arithmetic
+and its order are those of the plain two-force step, so results are bit
+for bit the same.
 """
 
 from __future__ import annotations
@@ -67,7 +78,8 @@ def _interior_laplacian(arr: np.ndarray, out: np.ndarray, h2: float) -> None:
 
 
 class _StepPlan:
-    """Step constants and scratch buffers of a run under one (model, geometry)."""
+    """Step constants, field buffers and scratch of the runs under one
+    (model, geometry), one run at a time."""
 
     def __init__(self, model, geometry: Geometry):
         grid = geometry.grid
@@ -88,10 +100,23 @@ class _StepPlan:
         self.db_left = left.bind(model) if left is not None else None
         self.db_right = right.bind(model) if right is not None else None
         self.damp = _sponge_profile(geometry)
-        self.kick = empty_aligned(self.shape)  # scratch of the step
-        self.pi_half = empty_aligned(self.shape)
-        # the state whose force * dt/2 ``kick`` holds: the last step's result
+        # the fields the step advances in place, and its scratch
+        self.phi, self.pi, self.kick = (empty_aligned(self.shape) for _ in range(3))
+        self.phi_view, self.pi_view = self.phi.view(), self.pi.view()
+        self.phi_view.flags.writeable = self.pi_view.flags.writeable = False
+        # the state over the read-only views during a run, else None
+        self.live = None
+        # the state whose fields ``phi`` and ``pi`` hold and whose
+        # force * dt/2 ``kick`` holds: the last step's result
         self.last = None
+
+    def load(self, state: FieldState) -> None:
+        """Copy ``state``'s fields into the buffers, unless a run holds them."""
+        if self.live is not None:
+            raise ValidationError("a run is stepping this model on this geometry: step another state after it ends")
+        self.last = None
+        np.copyto(self.phi, state.phi)
+        np.copyto(self.pi, state.pi)
 
     def force(self, phi: np.ndarray) -> np.ndarray:
         """Ghost-cell Laplacian minus the model gradient, into ``kick``."""
@@ -125,16 +150,17 @@ class _StepPlan:
         return f
 
 
-def _sew(plan: _StepPlan, t: float, old: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[float, float]:
     """Solve the sewing conditions for the interface pair of the drifted
-    two-sided row ``u`` (``old`` before the step), write the pair into
-    ``u`` and return the interface momenta (diagnostic values)."""
+    two-sided row ``u``, write the pair into ``u`` and return the interface
+    momenta (diagnostic values).  ``old`` holds the row's six values around
+    the interface, entries a - 2 to a + 3, before the drift."""
     defect = plan.defect
     dt, h = plan.dt, plan.h
     a = plan.interface  # phi's interface node; psi's is a + 1
 
     # old interface values and their one-sided second-order d_x
-    l2, l1, phi0_old, psi0_old, r1, r2 = old[a - 2 : a + 4].tolist()
+    l2, l1, phi0_old, psi0_old, r1, r2 = old
     dphi_old = (3.0 * phi0_old - 4.0 * l1 + l2) / (2.0 * h)
     dpsi_old = (-3.0 * psi0_old + 4.0 * r1 - r2) / (2.0 * h)
 
@@ -202,34 +228,46 @@ def _plan(model, geometry: Geometry) -> _StepPlan:
 
 
 def step(state, model, geometry: Geometry):
-    """Advance one leapfrog step; returns a new state at t + dt."""
+    """Advance one leapfrog step; returns a new state at t + dt.
+
+    The plan's live state advances in place and comes back as a new state
+    over the read-only views of the plan's buffers.  Any other state is
+    copied in, and the new state's fields are fresh arrays."""
     plan = _plan(model, geometry)
-    kick, pi_half = plan.kick, plan.pi_half
-    if plan.last is not state:
-        check_state(geometry, state, model)
-        np.multiply(plan.force(state.phi), plan.half_dt, out=kick)
-    # else the step that made ``state`` left its last half-kick, the same
-    # product, in ``kick``
-    plan.last = None
-    old_phi, old_pi = state.phi, state.pi
-    np.add(old_pi, kick, out=pi_half)
-    np.multiply(pi_half, plan.dt, out=kick)
-    phi = np.add(old_phi, kick)
-    if plan.defect is not None:
-        momenta = _sew(plan, state.t, old_phi[0], phi[0])
-    np.multiply(plan.force(phi), plan.half_dt, out=kick)
-    pi = np.add(pi_half, kick)
+    phi, pi, kick = plan.phi, plan.pi, plan.kick
+    live = state is plan.live
+    if state is not plan.last:
+        if not live:
+            check_state(geometry, state, model)
+            plan.load(state)
+        np.multiply(plan.force(phi), plan.half_dt, out=kick)
+    # else the step that made ``state`` left its fields in the buffers and
+    # its last half-kick, the same product, in ``kick``
+    plan.live = plan.last = None
+    np.add(pi, kick, out=pi)
+    np.multiply(pi, plan.dt, out=kick)
     if plan.defect is not None:
         a = plan.interface
+        old = phi[0, a - 2 : a + 4].tolist()  # the sewing's values before the drift
+    np.add(phi, kick, out=phi)
+    if plan.defect is not None:
+        momenta = _sew(plan, state.t, old, phi[0])
+    np.multiply(plan.force(phi), plan.half_dt, out=kick)
+    np.add(pi, kick, out=pi)
+    if plan.defect is not None:
         pi[0, a], pi[0, a + 1] = momenta
     if plan.damp is not None:
         np.multiply(pi, plan.damp, out=pi)
-    plan.last = FieldState(state.t + plan.dt, phi, pi)
+    t = state.t + plan.dt
+    if live:
+        plan.live = plan.last = FieldState(t, plan.phi_view, plan.pi_view)
+    else:
+        plan.last = FieldState(t, phi.copy(), pi.copy())
     return plan.last
 
 
 class _Snapshots:
-    """Observer that keeps the states' read-only fields on ``Geometry.state_x``."""
+    """Observer that keeps copies of the states' fields on ``Geometry.state_x``."""
 
     def __init__(self):
         self.times: list[float] = []
@@ -238,8 +276,8 @@ class _Snapshots:
 
     def __call__(self, state) -> None:
         self.times.append(state.t)
-        self.phi.append(state.phi)
-        self.pi.append(state.pi)
+        self.phi.append(state.phi.copy())
+        self.pi.append(state.pi.copy())
 
     def history(self, geometry: Geometry) -> FieldHistory | None:
         if not self.times:
@@ -258,10 +296,14 @@ def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
     the final step too when ``last`` is set.  The initial state is checked
     against the model and geometry and for non-finite values before
     anything runs (ValidationError), and each stepped state for non-finite
-    values before an observer sees it (StepFailure).  Returns the final
-    state.
+    values before an observer sees it (StepFailure).
+
+    The initial state is loaded into the step plan's buffers once, and
+    every step advances them in place: an observer of a stepped state sees
+    read-only views of the buffers, valid only during its call.  Returns a
+    copy of the final state.
     """
-    _plan(model, geometry)  # checks the model against the geometry
+    plan = _plan(model, geometry)  # checks the model against the geometry
     check_state(geometry, state, model)
     try:
         state.check_finite()
@@ -269,16 +311,24 @@ def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
         raise ValidationError(f"initial state: {exc}") from None
     for _, _, fn in observers:
         fn(state)
-    # overflow shows up as non-finite fields, reported at the next observation
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            state = step(state, model, geometry)
-            due = [fn for every, last, fn in observers if k % every == 0 or (last and k == n_steps)]
-            if due:
-                state.check_finite()
-                for fn in due:
-                    fn(state)
-    return state
+    plan.load(state)
+    state = plan.live = FieldState(state.t, plan.phi_view, plan.pi_view)
+    try:
+        # overflow shows up as non-finite fields, reported at the next observation
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, n_steps + 1):
+                state = step(state, model, geometry)
+                due = [fn for every, last, fn in observers if k % every == 0 or (last and k == n_steps)]
+                if due:
+                    state.check_finite()
+                    for fn in due:
+                        fn(state)
+        final = FieldState(state.t, state.phi.copy(), state.pi.copy())
+        if plan.last is state:  # the buffers and ``kick`` are the copy's too
+            plan.last = final
+        return final
+    finally:
+        plan.live = None
 
 
 def evolve(state, model, geometry: Geometry, n_steps: int, save_every: int = 0):

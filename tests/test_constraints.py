@@ -5,12 +5,14 @@ from dataclasses import replace
 import pytest
 
 from todalab.algebra import build_root_system
+from todalab.errors import ValidationError
 from todalab.laxboundary import (
     adjacency_constraints,
     expansion_constraints,
     routes_agree,
     solve_k_expansion,
 )
+from todalab.laxboundary.constraints import MAX_SIGN_VECTORS, check_sign_choices
 
 
 def test_rank_one_has_no_adjacent_pair_and_stays_free():
@@ -85,6 +87,20 @@ def test_json_report_shape():
     assert free_report["free_parameters"] == ["b_0", "b_1"]
     assert free_report["sign_choices"] == 0
     assert free_report["constraints"] == []
+
+
+def test_a_report_refuses_more_sign_choices_than_it_may_list():
+    """A24 has 2**25 sign choices: the report refuses them in one line
+    before it builds any of them, for every caller of the library."""
+    report = adjacency_constraints(build_root_system("A", 24))
+    assert report.fully_constrained
+    for listing in (report.sign_vectors, report.to_json_dict):
+        with pytest.raises(ValidationError, match=r"^rank 24: .*2\*\*25 sign choices, more than 131072$"):
+            listing()
+    assert MAX_SIGN_VECTORS == 2**17
+    check_sign_choices(16)  # 2**17 sign vectors: the largest list allowed
+    with pytest.raises(ValidationError, match=r"^--rank 17: "):
+        check_sign_choices(17, "--rank")
 
 
 def test_matrix_report_carries_route_label():

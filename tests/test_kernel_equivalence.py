@@ -527,7 +527,7 @@ def test_step_and_observe_scratch_is_64_byte_aligned(name):
     fast the loops over them run."""
     model, geom, state = _case(name)
     plan = stepper._StepPlan(model, geom)
-    buffers = [plan.kick, plan.pi_half]
+    buffers = [plan.phi, plan.pi, plan.kick]
     for n in (len(geom.state_x), 7):
         integrals = _Integrals(model.n_components, n, geom.grid.h, False)
         buffers += [integrals.grad, integrals.work, integrals.dens, integrals.flux, integrals.pair]
@@ -560,7 +560,119 @@ def test_half_kick_is_reused_only_from_the_plans_last_state(name):
         _assert_same_state(got, ref)
 
 
-@settings(max_examples=60, deadline=None)
+# ---------------------------------------------------------------------------
+# the in-place contract: a run steps the plan's buffers, no caller keeps them
+
+
+def _oracle_run(state, model, geom, n_steps):
+    states = [state]
+    for _ in range(n_steps):
+        states.append(oracle_step(states[-1], model, geom))
+    return states
+
+
+@pytest.mark.parametrize("name", ["halfline-toda-a2", "defect-backlund-off-centre"])
+def test_snapshots_equal_the_oracle_and_never_alias_the_live_buffers(name):
+    model, geom, state = _case(name)
+    plan = stepper._plan(model, geom)
+    seen = []
+
+    def views(s):  # a stepped state is a read-only view of the plan's buffers
+        seen.append(s.t)
+        if s.t > 0.0:
+            assert np.shares_memory(s.phi, plan.phi) and np.shares_memory(s.pi, plan.pi)
+            assert not (s.phi.flags.writeable or s.pi.flags.writeable)
+
+    snaps = stepper._Snapshots()
+    out = stepper._drive(state, model, geom, 40, [(5, False, snaps), (5, False, views)])
+    assert len(seen) == len(snaps.times) == 9
+    for row in snaps.phi + snaps.pi:
+        assert not np.shares_memory(row, plan.phi) and not np.shares_memory(row, plan.pi)
+    refs = _oracle_run(state, model, geom, 40)[::5]
+    for t, phi, pi, ref in zip(snaps.times, snaps.phi, snaps.pi, refs):
+        _assert_same_state(FieldState(t, phi, pi), ref)
+    _assert_same_state(out, refs[-1])
+    _, history = evolve(state, model, geom, 40, save_every=5)
+    assert np.array_equal(history.phi, np.asarray([r.phi for r in refs]))
+    assert np.array_equal(history.pi, np.asarray([r.pi for r in refs]))
+
+
+@pytest.mark.parametrize("name", ["line-sponge", "defect-free"])
+def test_returned_states_keep_their_bytes_after_a_later_run(name):
+    model, geom, state = _case(name)
+    stepped = step(state, model, geom)
+    evolved, _ = evolve(state, model, geom, 25)
+    before = [arr.tobytes() for s in (stepped, evolved) for arr in (s.phi, s.pi)]
+    other = FieldState(t=0.0, phi=0.5 * state.phi, pi=state.pi.copy())
+    evolve(other, model, geom, 30, save_every=3)
+    step(other, model, geom)
+    assert [arr.tobytes() for s in (stepped, evolved) for arr in (s.phi, s.pi)] == before
+    refs = _oracle_run(state, model, geom, 25)
+    _assert_same_state(stepped, refs[1])
+    _assert_same_state(evolved, refs[-1])
+    _assert_same_state(step(evolved, model, geom), oracle_step(refs[-1], model, geom))
+
+
+def test_a_run_evaluates_the_force_once_per_step_plus_once_in_its_first_step(monkeypatch):
+    _, geom, state = _case("halfline-robin")
+    inside, calls = [], []
+
+    class CountingKleinGordon(KleinGordon):
+        def gradient(self, phi):
+            calls.append(bool(inside))
+            return super().gradient(phi)
+
+    def counted_step(*args):
+        inside.append(True)
+        try:
+            return real_step(*args)
+        finally:
+            inside.pop()
+
+    real_step = stepper.step
+    monkeypatch.setattr(stepper, "step", counted_step)
+    model = CountingKleinGordon(m=1.0)
+    out, _ = evolve(state, model, geom, 40)
+    assert calls == [True] * 41
+    refs = _oracle_run(state, KleinGordon(m=1.0), geom, 41)
+    _assert_same_state(out, refs[40])
+    # stepping on from the copy the run returned reuses its half-kick
+    _assert_same_state(step(out, model, geom), refs[41])
+    assert len(calls) == 42
+
+
+def test_a_fresh_run_after_a_failed_one_matches_the_oracle():
+    """A run that blows up mid-way leaves the plan's buffers at the failed
+    step; the next run on the geometry must start from its own state."""
+    geom = periodic_line(Grid1D(0.0, 16.0, 128))
+    model = SinhGordon(m=1.0, beta=1.0)
+    blow_up = init_cosine(geom, amplitude=40.0, mode=1)
+    with pytest.raises(StepFailure, match="non-finite field values"):
+        evolve(blow_up, model, geom, 400, save_every=1)
+    assert stepper._plan(model, geom).live is None
+    state = init_cosine(geom, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
+    out, history = evolve(state, model, geom, 60, save_every=20)
+    refs = _oracle_run(state, model, geom, 60)
+    _assert_same_state(out, refs[-1])
+    assert np.array_equal(history.phi, np.asarray([r.phi for r in refs[::20]]))
+
+
+def test_an_observer_cannot_step_the_geometry_of_its_run():
+    """One run at a time owns the plan's buffers: a step of another state
+    from inside a run is refused, and the run stays usable afterwards."""
+    model, geom, state = _case("line-sponge")
+
+    def meddle(s):
+        if s.t > 0.0:
+            step(state, model, geom)
+
+    with pytest.raises(ValidationError, match="a run is stepping this model on this geometry"):
+        stepper._drive(state, model, geom, 4, [(2, False, meddle)])
+    out, _ = evolve(state, model, geom, 4)
+    _assert_same_state(out, _oracle_run(state, model, geom, 4)[-1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     n_cells=st.integers(16, 80),
     data=st.data(),
