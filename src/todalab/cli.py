@@ -153,7 +153,7 @@ def _emit(out_dir: str | None, filename: str, text: str, manifest: str | None) -
 def _out_dir(args, cfg: RunConfig) -> Path:
     """Where a simulation writes: --out, else [output] directory, else the
     working directory."""
-    return Path(args.out or cfg.get("output", "directory") or ".")
+    return Path(args.out or cfg.value("output", "directory") or ".")
 
 
 def _cmd_simulate(args) -> int:
@@ -265,7 +265,7 @@ def _cmd_derive_boundary(args) -> int:
         route = "both" if rs.family == "A" and rs.rank <= 5 else "adjacency"
     adj = adjacency_constraints(rs)
     payload = adj.to_json_dict()
-    if route in ("matrix", "both"):
+    if route == "both":
         exp = solve_k_expansion(rs)
         mat = expansion_constraints(exp)
         payload["matrix_route"] = mat.to_json_dict()
@@ -302,7 +302,7 @@ def _cmd_lax_check(args) -> int:
     if len(set(lambdas)) < len(lambdas):
         raise ValidationError(f"--lambdas = {args.lambdas!r} repeats a spectral parameter")
     cfg = load_config(args.config)
-    if cfg.getint("grid", "snapshot_every") <= 0:
+    if cfg.value("grid", "snapshot_every") <= 0:
         raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")
     frame = toda_frame_for(_build_model(cfg))
 
@@ -327,7 +327,7 @@ def _cmd_lax_check(args) -> int:
 
     payload = {"base": run_at(cfg)}
     if args.refine:
-        payload["refined"] = run_at(cfg.replace("grid", "n_cells", 2 * cfg.getint("grid", "n_cells")))
+        payload["refined"] = run_at(cfg.replace("grid", "n_cells", 2 * cfg.value("grid", "n_cells")))
         payload["ratios"] = {
             lam: {
                 "curvature": payload["base"][lam]["curvature_rms"]
@@ -385,7 +385,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("derive-boundary", help="boundary-coefficient constraints")
     p.add_argument("--family", required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--route", choices=["auto", "matrix", "adjacency", "both"], default="auto")
+    p.add_argument("--route", choices=["auto", "adjacency", "both"], default="auto")
     p.add_argument("--dump-roots", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_derive_boundary)

@@ -38,7 +38,6 @@ class ConstraintReport:
     route: str
     fixed: dict[int, int]  # node -> forced b_i^2 (= 4 n_i)
     free: tuple[int, ...]
-    adjacency: tuple[tuple[int, int], ...]
 
     @property
     def fully_constrained(self) -> bool:
@@ -80,7 +79,6 @@ def adjacency_constraints(rs: RootSystem) -> ConstraintReport:
         route="adjacency",
         fixed=fixed,
         free=free,
-        adjacency=tuple(adj),
     )
 
 
@@ -93,7 +91,6 @@ def expansion_constraints(exp: KExpansion) -> ConstraintReport:
         route="matrix",
         fixed=dict(exp.fixed_nodes),
         free=exp.free_nodes,
-        adjacency=tuple(affine_adjacency(rs)),
     )
 
 

@@ -16,6 +16,7 @@ from .initial import (
     init_gaussian,
     init_noise,
     init_soliton,
+    init_vacuum,
     init_wavepacket,
 )
 from .models import AffineToda, KleinGordon, Model, SineGordon, SinhGordon, make_model, toda_units
@@ -27,7 +28,6 @@ from .state import (
     interval,
     line,
     periodic_line,
-    vacuum_state,
     with_defect,
 )
 from .stepper import evolve, step
@@ -59,6 +59,7 @@ __all__ = [
     "init_gaussian",
     "init_noise",
     "init_soliton",
+    "init_vacuum",
     "init_wavepacket",
     "interval",
     "line",
@@ -68,6 +69,5 @@ __all__ = [
     "periodic_line",
     "step",
     "toda_units",
-    "vacuum_state",
     "with_defect",
 ]

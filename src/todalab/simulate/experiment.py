@@ -25,63 +25,74 @@ from .defects import FreeDefect, SineGordonBacklund
 from .diagnostics import Diagnostics, diagnostics
 from .grid import Grid1D
 from .models import make_model
-from .state import BOUNDARY_SIDES, FieldHistory, Geometry, vacuum_state
+from .state import BOUNDARY_SIDES, FieldHistory, Geometry
 from .stepper import _drive, _Snapshots
 
-_SCHEMA: dict[str, dict[str, str]] = {
+# every key with its default, whose type is the key's type: float, int, bool,
+# str, or an empty tuple for a comma-separated list of numbers
+_SCHEMA: dict[str, dict[str, object]] = {
     "model": {
         "kind": "klein_gordon",
-        "mass": "1.0",
-        "beta": "1.0",
+        "mass": 1.0,
+        "beta": 1.0,
         "family": "A",
-        "rank": "1",
+        "rank": 1,
     },
     "grid": {
-        "x_min": "-10.0",
-        "x_max": "10.0",
-        "n_cells": "400",
-        "courant": "0.5",
-        "t_final": "10.0",
-        "save_every": "0",
-        "snapshot_every": "0",
+        "x_min": -10.0,
+        "x_max": 10.0,
+        "n_cells": 400,
+        "courant": 0.5,
+        "t_final": 10.0,
+        "save_every": 0,
+        "snapshot_every": 0,
     },
     "geometry": {
         "kind": "periodic",
         "left": "neumann",
-        "left_lambda": "0.0",
-        "left_offset": "0.0",
-        "left_b": "",
+        "left_lambda": 0.0,
+        "left_offset": 0.0,
+        "left_b": (),
         "right": "neumann",
-        "right_lambda": "0.0",
-        "right_offset": "0.0",
-        "right_b": "",
+        "right_lambda": 0.0,
+        "right_offset": 0.0,
+        "right_b": (),
         "defect": "free",
-        "defect_lambda": "1.0",
-        "sponge_fraction": "-1.0",
-        "sponge_strength": "2.0",
+        "defect_lambda": 1.0,
+        "sponge_fraction": -1.0,
+        "sponge_strength": 2.0,
     },
     "initial": {
         "kind": "vacuum",
-        "amplitude": "0.0",
-        "amplitude2": "0.0",
-        "k0": "1.0",
-        "width": "1.0",
-        "x0": "0.0",
-        "velocity": "0.0",
-        "charge": "1",
-        "direction": "1",
-        "mode": "1",
-        "mode2": "0",
-        "traveling": "false",
-        "lambda_b": "-0.5",
-        "seed": "0",
+        "amplitude": 0.0,
+        "amplitude2": 0.0,
+        "k0": 1.0,
+        "width": 1.0,
+        "x0": 0.0,
+        "velocity": 0.0,
+        "charge": 1,
+        "direction": 1,
+        "mode": 1,
+        "mode2": 0,
+        "traveling": False,
+        "lambda_b": -0.5,
+        "seed": 0,
     },
     "output": {
         "directory": "",
-        "probes": "",
+        "probes": (),
         "diagnostics_file": "diagnostics.csv",
         "snapshots_file": "snapshots.csv",
     },
+}
+
+_BOOL_WORDS = configparser.ConfigParser.BOOLEAN_STATES
+
+# parser and the words of its error line, by the type of a key's default
+_PARSE = {
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    bool: (lambda text: _BOOL_WORDS[text.strip().lower()], "1/yes/true/on or 0/no/false/off"),
 }
 
 FLOAT_FMT = "%.17g"
@@ -99,45 +110,42 @@ def parse_numbers(text: str, name: str) -> tuple[float, ...]:
     return values
 
 
+def _text(value) -> str:
+    """The config text of a value: how ``run.manifest`` writes it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Fully resolved configuration (every key present, as strings)."""
+    """Fully resolved configuration: the text of every key."""
 
     sections: dict[str, dict[str, str]]
 
-    def get(self, section: str, key: str) -> str:
-        if section not in self.sections:
-            raise ValidationError(f"unknown config section [{section}]")
-        if key not in self.sections[section]:
-            raise ValidationError(f"unknown config key {key!r} in section [{section}]")
-        return self.sections[section][key]
-
-    def _typed(self, section: str, key: str, kind, what: str):
-        value = self.get(section, key)
+    def value(self, section: str, key: str):
+        """``[section] key`` parsed as the type of its default.  A word
+        outside ``[output]`` is read stripped, lower-cased and with '-' as
+        '_'."""
+        text = self.sections[section][key]
+        default = _SCHEMA[section][key]
+        if isinstance(default, str):
+            return text if section == "output" else text.strip().lower().replace("-", "_")
+        if isinstance(default, tuple):
+            return parse_numbers(text, f"[{section}] {key}")
+        parse, what = _PARSE[type(default)]
         try:
-            return kind(value)
+            return parse(text)
         except (ValueError, KeyError):
-            raise ValidationError(f"[{section}] {key} = {value!r} is not {what}") from None
-
-    def getfloat(self, section: str, key: str) -> float:
-        return self._typed(section, key, float, "a number")
-
-    def getint(self, section: str, key: str) -> int:
-        return self._typed(section, key, int, "an integer")
-
-    def getbool(self, section: str, key: str) -> bool:
-        words = configparser.ConfigParser.BOOLEAN_STATES
-        return self._typed(section, key, lambda v: words[v.strip().lower()], "1/yes/true/on or 0/no/false/off")
-
-    def getfloats(self, section: str, key: str) -> tuple[float, ...]:
-        return parse_numbers(self.get(section, key), f"[{section}] {key}")
+            raise ValidationError(f"[{section}] {key} = {text!r} is not {what}") from None
 
     def replace(self, section: str, key: str, value) -> RunConfig:
         """This configuration with ``[section] key`` set to ``value``; an
-        unknown section or key is refused as by ``get``."""
-        self.get(section, key)
+        unknown section or key is refused as by ``resolve_config``."""
         raw = {sec: dict(items) for sec, items in self.sections.items()}
-        raw[section][key] = value
+        raw.setdefault(section, {})[key] = value
         return resolve_config(raw)
 
     def to_ini(self) -> str:
@@ -149,18 +157,16 @@ class RunConfig:
         return buf.getvalue()
 
 
-def resolve_config(raw: dict[str, dict[str, str]]) -> RunConfig:
+def resolve_config(raw: dict[str, dict]) -> RunConfig:
     """Merge user keys over defaults, rejecting anything unknown."""
-    sections: dict[str, dict[str, str]] = {}
-    for sec, defaults in _SCHEMA.items():
-        sections[sec] = dict(defaults)
+    sections = {sec: {key: _text(v) for key, v in defaults.items()} for sec, defaults in _SCHEMA.items()}
     for sec, items in raw.items():
         if sec not in _SCHEMA:
             raise ValidationError(f"unknown config section [{sec}]")
         for key, value in items.items():
             if key not in _SCHEMA[sec]:
                 raise ValidationError(f"unknown config key {key!r} in section [{sec}]")
-            sections[sec][key] = str(value)
+            sections[sec][key] = _text(value)
     return RunConfig(sections=sections)
 
 
@@ -175,25 +181,25 @@ def load_config(path: str | os.PathLike) -> RunConfig:
 
 def _build_model(cfg: RunConfig):
     return make_model(
-        cfg.get("model", "kind"),
-        m=cfg.getfloat("model", "mass"),
-        beta=cfg.getfloat("model", "beta"),
-        family=cfg.get("model", "family"),
-        rank=cfg.getint("model", "rank"),
+        cfg.value("model", "kind"),
+        m=cfg.value("model", "mass"),
+        beta=cfg.value("model", "beta"),
+        family=cfg.value("model", "family"),
+        rank=cfg.value("model", "rank"),
     )
 
 
 def _build_boundary(cfg: RunConfig, side: str):
-    kind = cfg.get("geometry", side).strip().lower()
+    kind = cfg.value("geometry", side)
     if kind == "neumann":
         return Neumann()
     if kind == "robin":
         return Robin(
-            lam=cfg.getfloat("geometry", f"{side}_lambda"),
-            offset=cfg.getfloat("geometry", f"{side}_offset"),
+            lam=cfg.value("geometry", f"{side}_lambda"),
+            offset=cfg.value("geometry", f"{side}_offset"),
         )
     if kind == "toda":
-        b = cfg.getfloats("geometry", f"{side}_b")
+        b = cfg.value("geometry", f"{side}_b")
         if not b:
             raise ValidationError(f"{side} toda boundary needs {side}_b coefficients")
         return TodaBoundary(b=b)
@@ -201,8 +207,8 @@ def _build_boundary(cfg: RunConfig, side: str):
 
 
 def _build_defect(cfg: RunConfig, model):
-    kind = cfg.get("geometry", "defect").strip().lower()
-    lam = cfg.getfloat("geometry", "defect_lambda")
+    kind = cfg.value("geometry", "defect")
+    lam = cfg.value("geometry", "defect_lambda")
     if kind == "free":
         return FreeDefect(lam=lam, m=model.m)
     if kind == "backlund":
@@ -211,14 +217,9 @@ def _build_defect(cfg: RunConfig, model):
 
 
 def _build_geometry(cfg: RunConfig, model) -> Geometry:
-    kind = cfg.get("geometry", "kind").strip().lower()
-    grid = Grid1D(
-        x_min=cfg.getfloat("grid", "x_min"),
-        x_max=cfg.getfloat("grid", "x_max"),
-        n_cells=cfg.getint("grid", "n_cells"),
-        courant=cfg.getfloat("grid", "courant"),
-    )
-    sponge = cfg.getfloat("geometry", "sponge_fraction")
+    kind = cfg.value("geometry", "kind")
+    grid = Grid1D(**{key: cfg.value("grid", key) for key in ("x_min", "x_max", "n_cells", "courant")})
+    sponge = cfg.value("geometry", "sponge_fraction")
     if sponge < 0:  # unset: spec default is absorbing ends on line/defect
         sponge = 0.1 if kind in ("line", "defect") else 0.0
     sides = BOUNDARY_SIDES.get(kind, ())  # Geometry rejects an unknown kind
@@ -229,63 +230,34 @@ def _build_geometry(cfg: RunConfig, model) -> Geometry:
         right=_build_boundary(cfg, "right") if "right" in sides else None,
         defect=_build_defect(cfg, model) if kind == "defect" else None,
         sponge_fraction=sponge,
-        sponge_strength=cfg.getfloat("geometry", "sponge_strength"),
+        sponge_strength=cfg.value("geometry", "sponge_strength"),
     )
 
 
+# [initial] kind -> its builder and the [initial] keys the builder takes,
+# under their own names, in the order they are read
+_INITIAL = {
+    "vacuum": (init_mod.init_vacuum, ()),
+    "wavepacket": (init_mod.init_wavepacket, ("k0", "width", "x0", "amplitude", "direction")),
+    "soliton": (init_mod.init_soliton, ("velocity", "x0", "charge")),
+    "boundary_mode": (init_mod.init_boundary_mode, ("lambda_b", "amplitude")),
+    "gaussian": (init_mod.init_gaussian, ("amplitude", "width", "x0")),
+    "noise": (init_mod.init_noise, ("amplitude", "width", "seed")),
+    "cosine": (init_mod.init_cosine, ("amplitude", "mode", "amplitude2", "mode2", "traveling")),
+}
+
+
 def _build_initial(cfg: RunConfig, model, geometry: Geometry):
-    kind = cfg.get("initial", "kind").strip().lower()
-    if kind == "vacuum":
-        return vacuum_state(geometry, n_components=model.n_components)
-    if kind == "wavepacket":
-        return init_mod.init_wavepacket(
-            geometry,
-            model,
-            k0=cfg.getfloat("initial", "k0"),
-            width=cfg.getfloat("initial", "width"),
-            x0=cfg.getfloat("initial", "x0"),
-            amplitude=cfg.getfloat("initial", "amplitude"),
-            direction=cfg.getint("initial", "direction"),
-        )
-    if kind == "soliton":
-        return init_mod.init_soliton(
-            geometry,
-            model,
-            v=cfg.getfloat("initial", "velocity"),
-            x0=cfg.getfloat("initial", "x0"),
-            charge=cfg.getint("initial", "charge"),
-        )
-    if kind == "boundary_mode":
-        return init_mod.init_boundary_mode(
-            geometry,
-            model,
-            lam_b=cfg.getfloat("initial", "lambda_b"),
-            amplitude=cfg.getfloat("initial", "amplitude"),
-        )
-    if kind == "gaussian":
-        return init_mod.init_gaussian(
-            geometry,
-            amplitude=cfg.getfloat("initial", "amplitude"),
-            width=cfg.getfloat("initial", "width"),
-            x0=cfg.getfloat("initial", "x0"),
-        )
-    if kind == "noise":
-        return init_mod.init_noise(
-            geometry,
-            amplitude=cfg.getfloat("initial", "amplitude"),
-            width=cfg.getfloat("initial", "width"),
-            seed=cfg.getint("initial", "seed"),
-        )
-    if kind == "cosine":
-        return init_mod.init_cosine(
-            geometry,
-            amplitude=cfg.getfloat("initial", "amplitude"),
-            mode=cfg.getint("initial", "mode"),
-            amplitude2=cfg.getfloat("initial", "amplitude2"),
-            mode2=cfg.getint("initial", "mode2"),
-            traveling_m=model.m if cfg.getbool("initial", "traveling") else None,
-        )
-    raise ValidationError(f"unknown initial kind {kind!r}")
+    kind = cfg.value("initial", "kind")
+    if kind not in _INITIAL:
+        raise ValidationError(f"unknown initial kind {kind!r}")
+    build, keys = _INITIAL[kind]
+    return build(geometry, model, **{key: cfg.value("initial", key) for key in keys})
+
+
+def _columns(n_probes: int) -> list[str]:
+    """The columns of ``diagnostics.csv``: t, E, P, U, P + U, Q and the probes."""
+    return ["t", "E", "P", "U", "P_plus_U", "Q_topological"] + [f"probe_{i+1}" for i in range(n_probes)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,8 +268,7 @@ class RunResult:
     probes: tuple[float, ...] = field(default=())
 
     def diagnostics_csv(self) -> str:
-        cols = ["t", "E", "P", "U", "P_plus_U", "Q_topological"]
-        cols += [f"probe_{i+1}" for i in range(len(self.probes))]
+        cols = _columns(len(self.probes))
         row_fmt = ",".join([FLOAT_FMT] * len(cols))
         lines = [",".join(cols)]
         for d in self.diagnostics:  # t, E, P, U, P + U, Q and the probes
@@ -355,27 +326,37 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     """Execute a configured run; deterministic for a fixed config.
 
     Writes diagnostics CSV, optional snapshot CSV, and the manifest into
-    ``out_dir``, and nothing when it is None.  A run whose stepping fails
-    writes none of them and creates no directory; if ``out_dir`` already
-    exists, it writes ``failure.json`` (the message and the StepFailure
-    state dump) there before re-raising.
+    ``out_dir``, and nothing when it is None.  A diagnostics row with a
+    non-finite value fails the run: a ValidationError at t = 0, a
+    StepFailure after a step.  A run whose stepping fails writes none of
+    them and creates no directory; if ``out_dir`` already exists, it writes
+    ``failure.json`` (the message and the StepFailure state dump) there
+    before re-raising.
     """
     model = _build_model(cfg)
     geometry = _build_geometry(cfg, model)
     state = _build_initial(cfg, model, geometry)
 
-    n_steps = _step_count(cfg.getfloat("grid", "t_final"), geometry.grid.dt)
-    save_every = cfg.getint("grid", "save_every")
+    n_steps = _step_count(cfg.value("grid", "t_final"), geometry.grid.dt)
+    save_every = cfg.value("grid", "save_every")
     if save_every <= 0:
         save_every = max(1, n_steps // 400)
-    snapshot_every = cfg.getint("grid", "snapshot_every")
-    probes = cfg.getfloats("output", "probes")
+    snapshot_every = cfg.value("grid", "snapshot_every")
+    probes = cfg.value("output", "probes")
 
     diags: list[Diagnostics] = []
     snaps = _Snapshots()
 
     def observe(s):
-        diags.append(diagnostics(s, model, geometry, probes))
+        d = diagnostics(s, model, geometry, probes)
+        row = d[:6] + d.probes
+        if not all(map(math.isfinite, row)):  # an overflow of finite fields
+            column = _columns(len(probes))[next(i for i, v in enumerate(row) if not math.isfinite(v))]
+            raise StepFailure(
+                f"non-finite diagnostics at t={s.t} (first at {column})",
+                state_dump={"t": s.t, "column": column},
+            )
+        diags.append(d)
 
     observers = [(save_every, True, observe)]
     if snapshot_every > 0:
@@ -397,8 +378,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
 
     if out_dir is not None:
         base = Path(out_dir)
-        _write_atomic(base / cfg.get("output", "diagnostics_file"), result.diagnostics_csv())
+        _write_atomic(base / cfg.value("output", "diagnostics_file"), result.diagnostics_csv())
         if history is not None:
-            _write_atomic(base / cfg.get("output", "snapshots_file"), result.snapshots_csv())
+            _write_atomic(base / cfg.value("output", "snapshots_file"), result.snapshots_csv())
         _write_atomic(base / "run.manifest", cfg.to_ini())
     return result

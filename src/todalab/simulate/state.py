@@ -209,11 +209,6 @@ def check_state(geometry: Geometry, state: FieldState, model) -> None:
         )
 
 
-def vacuum_state(geometry: Geometry, n_components: int = 1) -> FieldState:
-    shape = (n_components, len(geometry.state_x))
-    return FieldState(0.0, np.zeros(shape), np.zeros(shape))
-
-
 def empty_aligned(shape) -> np.ndarray:
     """``np.empty(shape)`` whose data start on a 64-byte boundary, for the
     long-lived buffers of the step and observation plans, so that the speed

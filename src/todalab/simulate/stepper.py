@@ -288,6 +288,9 @@ class _Snapshots:
         )
 
 
+# overflow shows up as non-finite fields or diagnostics, reported at the next
+# observation, not as numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
     """The stepping loop of every run: ``n_steps`` calls of ``step``.
 
@@ -295,8 +298,10 @@ def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
     initial state and the state after every ``every``-th step, and after
     the final step too when ``last`` is set.  The initial state is checked
     against the model and geometry and for non-finite values before
-    anything runs (ValidationError), and each stepped state for non-finite
-    values before an observer sees it (StepFailure).
+    anything runs, and each stepped state for non-finite values before an
+    observer sees it (StepFailure).  Nothing has stepped when the initial
+    state fails its checks or an observer of it raises StepFailure: the
+    input is at fault, and that is a ValidationError.
 
     The initial state is loaded into the step plan's buffers once, and
     every step advances them in place: an observer of a stepped state sees
@@ -307,22 +312,20 @@ def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
     check_state(geometry, state, model)
     try:
         state.check_finite()
-    except StepFailure as exc:  # nothing has stepped: the input is at fault
+        for _, _, fn in observers:
+            fn(state)
+    except StepFailure as exc:
         raise ValidationError(f"initial state: {exc}") from None
-    for _, _, fn in observers:
-        fn(state)
     plan.load(state)
     state = plan.live = FieldState(state.t, plan.phi_view, plan.pi_view)
     try:
-        # overflow shows up as non-finite fields, reported at the next observation
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, n_steps + 1):
-                state = step(state, model, geometry)
-                due = [fn for every, last, fn in observers if k % every == 0 or (last and k == n_steps)]
-                if due:
-                    state.check_finite()
-                    for fn in due:
-                        fn(state)
+        for k in range(1, n_steps + 1):
+            state = step(state, model, geometry)
+            due = [fn for every, last, fn in observers if k % every == 0 or (last and k == n_steps)]
+            if due:
+                state.check_finite()
+                for fn in due:
+                    fn(state)
         final = FieldState(state.t, state.phi.copy(), state.pi.copy())
         if plan.last is state:  # the buffers and ``kick`` are the copy's too
             plan.last = final

@@ -130,7 +130,7 @@ def test_criterion_3_two_boundary_spectrum():
     grid = Grid1D(-L, L, 500)
     geom = interval(grid, left=Robin(lam=0.25), right=Robin(lam=0.5))
     model = KleinGordon(m=m)
-    state = init_gaussian(geom, amplitude=0.1, width=0.8, x0=0.7)
+    state = init_gaussian(geom, model, amplitude=0.1, width=0.8, x0=0.7)
     probes_ix = [int(np.argmin(np.abs(geom.x - xp))) for xp in (0.9, 2.3)]
     series = [[], []]
     for _ in range(int(800.0 / grid.dt)):
@@ -214,7 +214,7 @@ def test_criterion_6_zero_curvature_refinement():
     def run(n_cells, snapshots):
         grid = Grid1D(0.0, 16.0, n_cells)
         geom = periodic_line(grid)
-        state = init_cosine(geom, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
+        state = init_cosine(geom, model, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
         n_steps = int(round(4.0 / grid.dt))
         _, history = evolve(state, model, geom, n_steps, save_every=max(1, n_steps // snapshots))
         return history
@@ -252,7 +252,7 @@ def test_criterion_7_defect_conservation():
     model = SineGordon(m=m, beta=beta)
     grid = Grid1D(-40.0, 40.0, 3200)
     geom = with_defect(grid, SineGordonBacklund(lam=lam_d, m=m, beta=beta), sponge_fraction=0.0)
-    state = init_soliton(geom, model, v=0.5, x0=-15.0)
+    state = init_soliton(geom, model, velocity=0.5, x0=-15.0)
     d0 = diagnostics(state, model, geom)
     drift_e = drift_pu = 0.0
     for k in range(int(60.0 / grid.dt)):

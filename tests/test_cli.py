@@ -230,6 +230,15 @@ def test_derive_boundary_d4_adjacency(capsys):
     assert "matrix_route" not in payload
 
 
+def test_derive_boundary_has_no_matrix_only_route(tmp_path, capsys):
+    """--route matrix wrote the files of --route both but for the label."""
+    out = tmp_path / "out"
+    assert main(["derive-boundary", "--family", "A", "--rank", "2", "--route", "matrix", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "invalid choice: 'matrix'" in err[0]
+    assert not out.exists()
+
+
 def test_derive_boundary_rejects_unsupported(capsys):
     assert main(["derive-boundary", "--family", "B", "--rank", "2"]) == 1
 
@@ -503,6 +512,69 @@ def test_failed_run_writes_failure_dump_and_no_data(tmp_path, capsys):
     assert dump["t"] > 0.0 and isinstance(dump["node"], int)
     assert dump["field"] in ("phi", "pi")
     assert failure["error"] == err[0].removeprefix("todalab: numerical failure: ")
+
+
+# finite fields whose energy overflows at t = 0
+OVERFLOW_CFG = """\
+[model]
+kind = klein_gordon
+
+[grid]
+x_min = -10.0
+x_max = 10.0
+n_cells = 200
+t_final = 1.0
+save_every = 1000
+
+[geometry]
+kind = defect
+defect = free
+defect_lambda = 1.0
+sponge_fraction = 0
+
+[initial]
+kind = gaussian
+amplitude = 1e300
+width = 0.5
+x0 = 0.0
+"""
+
+
+def test_an_overflowing_first_row_exits_one_with_one_line_and_no_warning(tmp_path, capsys):
+    """This run exited 0 with rows of inf and nan, after four numpy
+    RuntimeWarnings on stderr."""
+    config = tmp_path / "overflow.ini"
+    config.write_text(OVERFLOW_CFG)
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["todalab: validation error: initial state: non-finite diagnostics at t=0.0 (first at E)"]
+    assert not list(out.iterdir())  # nothing has stepped: no failure.json either
+
+
+def test_an_overflowing_later_row_exits_two_with_a_failure_dump(tmp_path, capsys):
+    """m dt = 50 > 2: the leapfrog grows the mode ~2500-fold a step, so the
+    energy overflows at t = 2.25 while the fields stay finite to t_final;
+    this run exited 0 with rows of inf and nan."""
+    text = OVERFLOW_CFG.replace("kind = klein_gordon", "kind = klein_gordon\nmass = 1000")
+    text = text.replace("t_final = 1.0\nsave_every = 1000", "t_final = 3.0\nsave_every = 1")
+    text = text.replace("kind = defect", "kind = periodic").replace("amplitude = 1e300", "amplitude = 1.0")
+    config = tmp_path / "unstable.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is a second stderr line
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["todalab: numerical failure: non-finite diagnostics at t=2.25 (first at E)"]
+    assert [f.name for f in out.iterdir()] == ["failure.json"]
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure == {"error": err[0].removeprefix("todalab: numerical failure: "), "state_dump": {"t": 2.25, "column": "E"}}
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

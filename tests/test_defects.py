@@ -89,8 +89,8 @@ def test_state_of_the_wrong_kind_is_refused():
     defect_geom = with_defect(grid, SineGordonBacklund(lam=1.0), sponge_fraction=0.0)
     line_geom = line(grid, sponge_fraction=0.0)
     cases = [
-        (init_soliton(line_geom, model, v=0.5, x0=-3.0), defect_geom),
-        (init_soliton(defect_geom, model, v=0.5, x0=-3.0), line_geom),
+        (init_soliton(line_geom, model, velocity=0.5, x0=-3.0), defect_geom),
+        (init_soliton(defect_geom, model, velocity=0.5, x0=-3.0), line_geom),
     ]
     for state, geom in cases:
         calls = [
@@ -186,7 +186,7 @@ def test_backlund_defect_conserves_charge_and_converged_conditions():
     grid = Grid1D(-40.0, 40.0, 3200)
     defect = SineGordonBacklund(lam=lam_d, m=m, beta=beta)
     geom = with_defect(grid, defect, sponge_fraction=0.0)
-    state = init_soliton(geom, model, v=0.5, x0=-15.0)
+    state = init_soliton(geom, model, velocity=0.5, x0=-15.0)
     d0 = diagnostics(state, model, geom)
     h = grid.h
     n_steps = int(60.0 / grid.dt)
@@ -243,7 +243,7 @@ def test_newton_failure_raises_step_failure():
     grid = Grid1D(-10.0, 10.0, 64)
     geom = with_defect(grid, defect, sponge_fraction=0.0)
     model = SineGordon(m=m, beta=beta)
-    state = init_soliton(geom, model, v=0.5, x0=-3.0)
+    state = init_soliton(geom, model, velocity=0.5, x0=-3.0)
     with pytest.raises(StepFailure) as err:
         for _ in range(50):
             state = step(state, model, geom)
@@ -433,7 +433,7 @@ def test_newton_failure_dump_holds_plain_floats():
     defect = HostileDefect(lam=1.0, m=1.0, beta=1.0)
     geom = with_defect(Grid1D(-10.0, 10.0, 64), defect, sponge_fraction=0.0)
     model = SineGordon(m=1.0, beta=1.0)
-    state = init_soliton(geom, model, v=0.5, x0=-3.0)
+    state = init_soliton(geom, model, velocity=0.5, x0=-3.0)
     with pytest.raises(StepFailure) as err:
         for _ in range(50):
             state = step(state, model, geom)
@@ -449,7 +449,7 @@ def test_non_finite_interface_fails_the_newton_solve():
     StepFailure, not a math domain error from the scalar sine."""
     model = SineGordon(m=1.0, beta=1.0)
     geom = with_defect(Grid1D(-10.0, 10.0, 64), SineGordonBacklund(lam=1.0), sponge_fraction=0.0)
-    state = init_soliton(geom, model, v=0.5, x0=-3.0)
+    state = init_soliton(geom, model, velocity=0.5, x0=-3.0)
     phi = state.phi.copy()
     phi[0, geom.interface_index] = np.inf  # the left side's interface entry
     hand_built = type(state)(t=0.0, phi=phi, pi=state.pi)

@@ -8,9 +8,9 @@ from todalab.simulate import (
     Grid1D,
     KleinGordon,
     diagnostics,
+    init_vacuum,
     measure_frequency,
     periodic_line,
-    vacuum_state,
 )
 
 
@@ -59,7 +59,7 @@ def test_noise_floor_rejected():
 def test_vacuum_diagnostics_are_zero():
     geom = periodic_line(Grid1D(0.0, 10.0, 50))
     model = KleinGordon(m=1.0)
-    d = diagnostics(vacuum_state(geom), model, geom, probes=(2.0, 5.0))
+    d = diagnostics(init_vacuum(geom, model), model, geom, probes=(2.0, 5.0))
     assert d.energy == 0.0
     assert d.momentum == 0.0
     assert d.p_plus_u == 0.0

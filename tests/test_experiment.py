@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todalab.errors import ValidationError
-from todalab.simulate.experiment import load_config, resolve_config, run_experiment
+from todalab.simulate.experiment import _SCHEMA, load_config, resolve_config, run_experiment
 
 
 BASE = {
@@ -120,3 +122,58 @@ def test_halfline_toda_boundary_from_config():
     result = run_experiment(resolve_config(raw))
     e = [d.energy for d in result.diagnostics]
     assert abs(e[-1] - e[0]) / max(abs(e[0]), 1e-10) < 1e-3
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _schema_value(default):
+    """A strategy for values of the type of a schema default."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers()
+    if isinstance(default, float):
+        return _FINITE
+    if isinstance(default, tuple):
+        return st.lists(_FINITE, max_size=4).map(tuple)
+    return st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", max_size=12)
+
+
+_RAW_CONFIGS = st.fixed_dictionaries(
+    {
+        sec: st.fixed_dictionaries({key: _schema_value(default) for key, default in keys.items()})
+        for sec, keys in _SCHEMA.items()
+    }
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_RAW_CONFIGS)
+def test_manifest_text_reads_back_every_value(tmp_path_factory, raw):
+    """The manifest contract on the typed path: every key, set to any value
+    of its type, reads back from ``to_ini`` as the value it was set to."""
+    cfg = resolve_config(raw)
+    path = tmp_path_factory.mktemp("manifest") / "run.manifest"
+    path.write_text(cfg.to_ini())
+    back = load_config(path)
+    for sec, keys in _SCHEMA.items():
+        for key in keys:
+            assert back.value(sec, key) == cfg.value(sec, key) == raw[sec][key], (sec, key)
+
+
+def test_a_hyphenated_word_reads_as_its_underscored_kind():
+    """``kind = boundary-mode`` is the ``boundary_mode`` start, as
+    ``sinh-gordon`` is the ``sinh_gordon`` model."""
+    raw = {
+        "model": {"kind": "Klein-Gordon"},
+        "grid": {"x_min": "-20.0", "x_max": "0.0", "n_cells": "200", "t_final": "1.0"},
+        "geometry": {"kind": "halfline", "right": "robin", "right_lambda": "-0.6"},
+        "initial": {"kind": "boundary-mode", "lambda_b": "-0.6", "amplitude": "0.05"},
+    }
+    underscored = {sec: dict(items) for sec, items in raw.items()}
+    underscored["model"]["kind"] = "klein_gordon"
+    underscored["initial"]["kind"] = "boundary_mode"
+    assert run_experiment(resolve_config(raw)).diagnostics_csv() == run_experiment(
+        resolve_config(underscored)
+    ).diagnostics_csv()

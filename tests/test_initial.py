@@ -53,8 +53,8 @@ def test_gaussian_width_not_positive_is_refused(kind, width):
     geom = line(Grid1D(-20.0, 20.0, 200))
     build = {
         "wavepacket": lambda: init_wavepacket(geom, KleinGordon(), k0=1.0, width=width, x0=0.0, amplitude=0.1),
-        "gaussian": lambda: init_gaussian(geom, amplitude=0.1, width=width, x0=0.0),
-        "noise": lambda: init_noise(geom, amplitude=0.1, width=width),
+        "gaussian": lambda: init_gaussian(geom, KleinGordon(), amplitude=0.1, width=width, x0=0.0),
+        "noise": lambda: init_noise(geom, KleinGordon(), amplitude=0.1, width=width),
     }[kind]
     with pytest.raises(ValidationError, match=f"{kind} width must be > 0"):
         build()
@@ -75,7 +75,7 @@ def test_packet_carrier_frequency_measured_by_fft():
 def test_static_kink_center_stays_put():
     model = SineGordon(m=1.0, beta=1.0)
     geom = line(Grid1D(-30.0, 30.0, 1200), 0.0)
-    state = init_soliton(geom, model, v=0.0, x0=0.0)
+    state = init_soliton(geom, model, velocity=0.0, x0=0.0)
     out, _ = evolve(state, model, geom, 1000)
     x = geom.x
     center0 = x[np.argmin(np.abs(state.phi[0] - np.pi))]
@@ -86,8 +86,8 @@ def test_static_kink_center_stays_put():
 def test_kink_charge_signs():
     model = SineGordon(m=1.0, beta=1.0)
     geom = line(Grid1D(-30.0, 30.0, 600), 0.0)
-    kink = init_soliton(geom, model, v=0.2, x0=0.0, charge=1)
-    anti = init_soliton(geom, model, v=0.2, x0=0.0, charge=-1)
+    kink = init_soliton(geom, model, velocity=0.2, x0=0.0, charge=1)
+    anti = init_soliton(geom, model, velocity=0.2, x0=0.0, charge=-1)
     assert diagnostics(kink, model, geom).topological_charge == pytest.approx(1.0, abs=1e-6)
     assert diagnostics(anti, model, geom).topological_charge == pytest.approx(-1.0, abs=1e-6)
 
@@ -97,7 +97,7 @@ def test_kink_energy_matches_quadrature_oracle(v):
     m, beta = 1.0, 1.0
     model = SineGordon(m=m, beta=beta)
     geom = line(Grid1D(-30.0, 30.0, 1200), 0.0)
-    state = init_soliton(geom, model, v=v, x0=0.0)
+    state = init_soliton(geom, model, velocity=v, x0=0.0)
     e_sim = diagnostics(state, model, geom).energy
     e_oracle = kink_energy_by_quadrature(m, beta, v, geom.x)
     assert e_sim == pytest.approx(e_oracle, rel=5e-4)
@@ -108,21 +108,21 @@ def test_kink_energy_matches_quadrature_oracle(v):
 def test_soliton_rejects_superluminal_speed():
     geom = line(Grid1D(-30.0, 30.0, 600), 0.0)
     with pytest.raises(ValidationError, match=r"\|v\| < 1"):
-        init_soliton(geom, SineGordon(), v=1.0, x0=0.0)
+        init_soliton(geom, SineGordon(), velocity=1.0, x0=0.0)
 
 
 def test_boundary_mode_window_enforced():
     geom = half_line(Grid1D(-20.0, 0.0, 200), right=Robin(lam=0.5))
     with pytest.raises(ValidationError, match="-m < lam_b < 0"):
-        init_boundary_mode(geom, KleinGordon(m=1.0), lam_b=0.5, amplitude=0.1)
+        init_boundary_mode(geom, KleinGordon(m=1.0), lambda_b=0.5, amplitude=0.1)
     with pytest.raises(ValidationError, match="-m < lam_b < 0"):
-        init_boundary_mode(geom, KleinGordon(m=1.0), lam_b=-1.5, amplitude=0.1)
+        init_boundary_mode(geom, KleinGordon(m=1.0), lambda_b=-1.5, amplitude=0.1)
 
 
 def test_boundary_mode_satisfies_robin_exactly():
     lam_b = -0.6
     geom = half_line(Grid1D(-20.0, 0.0, 400), right=Robin(lam=lam_b))
-    state = init_boundary_mode(geom, KleinGordon(m=1.0), lam_b=lam_b, amplitude=0.1)
+    state = init_boundary_mode(geom, KleinGordon(m=1.0), lambda_b=lam_b, amplitude=0.1)
     phi = state.phi[0]
     h = geom.grid.h
     d_num = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * h)
@@ -137,7 +137,7 @@ def test_boundary_mode_frequency_limit():
     lam_b = -0.05
     geom = half_line(Grid1D(-60.0, 0.0, 1200), right=Robin(lam=lam_b))
     model = KleinGordon(m=m)
-    state = init_boundary_mode(geom, model, lam_b=lam_b, amplitude=0.05)
+    state = init_boundary_mode(geom, model, lambda_b=lam_b, amplitude=0.05)
     probe = []
     from todalab.simulate import step
 

@@ -35,13 +35,13 @@ from todalab.simulate import (
     init_cosine,
     init_gaussian,
     init_soliton,
+    init_vacuum,
     init_wavepacket,
     interval,
     line,
     periodic_line,
     step,
     toda_units,
-    vacuum_state,
     with_defect,
 )
 
@@ -311,7 +311,7 @@ def _case(name):
     if name == "periodic":
         geom = periodic_line(Grid1D(0.0, 16.0, 128))
         model = SinhGordon(m=1.0, beta=1.0)
-        return model, geom, init_cosine(geom, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
+        return model, geom, init_cosine(geom, model, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
     if name == "line-sponge":
         geom = line(Grid1D(-20.0, 20.0, 400), sponge_fraction=0.2)
         model = KleinGordon(m=1.0)
@@ -319,11 +319,11 @@ def _case(name):
     if name == "halfline-robin":
         geom = half_line(Grid1D(-20.0, 0.0, 400), right=Robin(lam=-0.6))
         model = KleinGordon(m=1.0)
-        return model, geom, init_boundary_mode(geom, model, lam_b=-0.6, amplitude=0.05)
+        return model, geom, init_boundary_mode(geom, model, lambda_b=-0.6, amplitude=0.05)
     if name == "halfline-toda-sinh":
         model = SinhGordon(m=2.0, beta=np.sqrt(2.0))
         geom = half_line(Grid1D(-12.0, 0.0, 240), right=TodaBoundary(b=(0.7, 0.7)))
-        return model, geom, init_gaussian(geom, amplitude=0.1, width=0.8, x0=-2.0)
+        return model, geom, init_gaussian(geom, model, amplitude=0.1, width=0.8, x0=-2.0)
     if name == "halfline-toda-a2":
         model = AffineToda(rs=build_root_system("A", 2), m=1.0, beta=0.7)
         geom = half_line(Grid1D(-12.0, 0.0, 240), right=TodaBoundary(b=(0.5, -0.3, 0.4)))
@@ -332,7 +332,7 @@ def _case(name):
         right = Robin(lam=0.5, offset=0.01)
         geom = interval(Grid1D(-5.0, 5.0, 200), left=Robin(lam=0.25), right=right)
         model = KleinGordon(m=1.0)
-        return model, geom, init_gaussian(geom, amplitude=0.1, width=0.8, x0=0.7)
+        return model, geom, init_gaussian(geom, model, amplitude=0.1, width=0.8, x0=0.7)
     if name == "defect-free":
         model = KleinGordon(m=1.0)
         defect = FreeDefect(lam=0.7, m=1.0)
@@ -342,12 +342,12 @@ def _case(name):
         model = SineGordon(m=1.0, beta=1.0)
         defect = SineGordonBacklund(lam=1.2, m=1.0, beta=1.0)
         geom = with_defect(Grid1D(-16.0, 16.0, 256), defect, sponge_fraction=0.0)
-        return model, geom, init_soliton(geom, model, v=0.5, x0=-4.0)
+        return model, geom, init_soliton(geom, model, velocity=0.5, x0=-4.0)
     if name == "defect-backlund-off-centre":  # unequal halves: 101 nodes left, 301 right
         model = SineGordon(m=1.0, beta=1.0)
         defect = SineGordonBacklund(lam=0.9, m=1.0, beta=1.0)
         geom = with_defect(Grid1D(-10.0, 30.0, 400), defect, sponge_fraction=0.1)
-        return model, geom, init_soliton(geom, model, v=0.4, x0=-3.0)
+        return model, geom, init_soliton(geom, model, velocity=0.4, x0=-3.0)
     if name == "defect-free-hand-built":  # the two sides jump at x = 0
         model = KleinGordon(m=1.0)
         geom = with_defect(Grid1D(-20.0, 20.0, 400), FreeDefect(lam=0.7, m=1.0), sponge_fraction=0.1)
@@ -646,11 +646,11 @@ def test_a_fresh_run_after_a_failed_one_matches_the_oracle():
     step; the next run on the geometry must start from its own state."""
     geom = periodic_line(Grid1D(0.0, 16.0, 128))
     model = SinhGordon(m=1.0, beta=1.0)
-    blow_up = init_cosine(geom, amplitude=40.0, mode=1)
+    blow_up = init_cosine(geom, model, amplitude=40.0, mode=1)
     with pytest.raises(StepFailure, match="non-finite field values"):
         evolve(blow_up, model, geom, 400, save_every=1)
     assert stepper._plan(model, geom).live is None
-    state = init_cosine(geom, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
+    state = init_cosine(geom, model, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
     out, history = evolve(state, model, geom, 60, save_every=20)
     refs = _oracle_run(state, model, geom, 60)
     _assert_same_state(out, refs[-1])
@@ -692,7 +692,7 @@ def test_defect_steps_match_oracle_on_random_grids(n_cells, data, sponge, backlu
         model = KleinGordon(m=1.0)
         geom = with_defect(grid, FreeDefect(lam=0.7, m=1.0), sponge_fraction=sponge)
     x0 = data.draw(st.floats(grid.x_min, grid.x_max), label="x0")
-    state = init_gaussian(geom, amplitude=0.3, width=0.4, x0=x0)
+    state = init_gaussian(geom, model, amplitude=0.3, width=0.4, x0=x0)
 
     # the layout: [left nodes | right nodes], x = 0 twice
     x, state_x = geom.x, geom.state_x
@@ -702,7 +702,7 @@ def test_defect_steps_match_oracle_on_random_grids(n_cells, data, sponge, backlu
     profile = 0.3 * np.exp(-((state_x - x0) ** 2) / (2.0 * 0.4**2))
     assert np.array_equal(state.phi, profile[None, :])
     assert np.array_equal(state.pi, np.zeros((1, len(state_x))))
-    assert vacuum_state(geom).phi.shape == (1, len(state_x))
+    assert init_vacuum(geom, model).phi.shape == (1, len(state_x))
 
     ref = state
     for _ in range(30):

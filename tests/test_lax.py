@@ -146,7 +146,7 @@ def _sinh_history(n_cells: int, t_final: float = 4.0, snapshots: int = 32):
     grid = Grid1D(0.0, 16.0, n_cells)
     geom = periodic_line(grid)
     model = SinhGordon(m=1.0, beta=1.0)
-    state = init_cosine(geom, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
+    state = init_cosine(geom, model, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
     n_steps = int(round(t_final / grid.dt))
     save = max(1, n_steps // snapshots)
     _, history = evolve(state, model, geom, n_steps, save_every=save)
@@ -276,7 +276,7 @@ def test_boundary_monodromy_conserved_with_k_matrix():
     def drift(n_cells):
         grid = Grid1D(-20.0, 0.0, n_cells)
         geom = half_line(grid, right=TodaBoundary(b=(b0, b1)), sponge_fraction=0.0)
-        state = init_gaussian(geom, amplitude=0.25, width=0.8, x0=-3.0)
+        state = init_gaussian(geom, model, amplitude=0.25, width=0.8, x0=-3.0)
         frame = toda_frame_for(model)
         qs = []
         n_steps = int(6.0 / grid.dt)

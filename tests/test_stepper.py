@@ -18,20 +18,20 @@ from todalab.simulate import (
     half_line,
     init_cosine,
     init_gaussian,
+    init_vacuum,
     init_wavepacket,
     interval,
     line,
     measure_frequency,
     periodic_line,
     step,
-    vacuum_state,
 )
 
 
 def test_vacuum_is_a_fixed_point():
     geom = periodic_line(Grid1D(0.0, 10.0, 50))
     model = KleinGordon(m=1.0)
-    state = vacuum_state(geom)
+    state = init_vacuum(geom, model)
     out, _ = evolve(state, model, geom, 200)
     assert np.all(out.phi == 0.0) and np.all(out.pi == 0.0)
 
@@ -56,7 +56,7 @@ def test_periodic_energy_drift_scales_with_dt_squared():
     drifts = []
     for courant in (0.5, 0.25):
         geom = periodic_line(Grid1D(0.0, 16.0, 128, courant=courant))
-        state = init_cosine(geom, amplitude=0.4, mode=1)
+        state = init_cosine(geom, model, amplitude=0.4, mode=1)
         h = geom.grid.h
         e0 = discrete_energy(state, h)
         d0 = diagnostics(state, model, geom).energy
@@ -76,7 +76,7 @@ def test_kg_dispersion_relation():
     m = 1.0
     geom = periodic_line(Grid1D(0.0, 20.0, 200))
     model = KleinGordon(m=m)
-    state = init_cosine(geom, amplitude=0.01, mode=2, traveling_m=m)
+    state = init_cosine(geom, model, amplitude=0.01, mode=2, traveling=True)
     k = 2.0 * np.pi * 2 / 20.0
     probe = []
     n_steps = int(60.0 / geom.grid.dt)
@@ -91,7 +91,7 @@ def test_kg_dispersion_relation():
 def test_robin_with_zero_lambda_matches_neumann():
     model = KleinGordon(m=1.0)
     grid = Grid1D(-10.0, 0.0, 100)
-    state = init_gaussian(half_line(grid, right=Neumann()), amplitude=0.1, width=1.0, x0=-5.0)
+    state = init_gaussian(half_line(grid, right=Neumann()), model, amplitude=0.1, width=1.0, x0=-5.0)
     out_n, _ = evolve(state, model, half_line(grid, right=Neumann()), 400)
     out_r, _ = evolve(state, model, half_line(grid, right=Robin(lam=0.0)), 400)
     assert np.array_equal(out_n.phi, out_r.phi)
@@ -100,7 +100,7 @@ def test_robin_with_zero_lambda_matches_neumann():
 def test_interval_robin_energy_conserved():
     model = KleinGordon(m=1.0)
     geom = interval(Grid1D(-5.0, 5.0, 200), left=Robin(lam=0.25), right=Robin(lam=0.5))
-    state = init_gaussian(geom, amplitude=0.2, width=0.8, x0=0.7)
+    state = init_gaussian(geom, model, amplitude=0.2, width=0.8, x0=0.7)
     d0 = diagnostics(state, model, geom).energy
     out, _ = evolve(state, model, geom, 4000)
     dN = diagnostics(out, model, geom).energy

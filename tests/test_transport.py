@@ -88,7 +88,7 @@ def sinh_history():
     grid = Grid1D(0.0, 16.0, 64)
     geom = periodic_line(grid)
     model = SinhGordon(m=1.0, beta=1.0)
-    state = init_cosine(geom, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
+    state = init_cosine(geom, model, amplitude=0.3, mode=1, amplitude2=0.15, mode2=2)
     _, history = evolve(state, model, geom, 64, save_every=8)
     return history, model
 
