@@ -256,9 +256,7 @@ def _cmd_reflect(args) -> int:
 def _cmd_derive_boundary(args) -> int:
     from .algebra import build_root_system, to_json_dict
     from .laxboundary import adjacency_constraints, expansion_constraints, routes_agree, solve_k_expansion
-    from .laxboundary.constraints import check_sign_choices
 
-    check_sign_choices(args.rank, "--rank")  # before the root system is built
     rs = build_root_system(args.family, args.rank)
     route = args.route
     if route == "auto":

@@ -5,30 +5,18 @@ diagram (``alpha_i . alpha_j = -1``) gets its coefficient pinned to
 ``b_i^2 = 4 n_i``; the rank-one system has no such pair and stays free.  This
 is the combinatorial counterpart of the matrix route in ``kmatrix``; the two
 must agree wherever both run.
+
+A fully constrained report states its solution set as a rule and a count:
+``b = 0``, or ``|b_i| = 2 sqrt(n_i)`` with the ``2**(rank + 1)`` independent
+signs (Bowcock, Corrigan, Dorey & Rietdijk 1995).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
 
 from ..algebra.roots import RootSystem, affine_adjacency
-from ..errors import ValidationError
 from .kmatrix import KExpansion
-
-# a report refuses to list the 2**(rank + 1) sign vectors past this many
-MAX_SIGN_VECTORS = 2**17
-
-
-def check_sign_choices(rank: int, name: str = "rank") -> None:
-    """Raise a ValidationError, before any list is built, when the sign
-    vectors of a rank-``rank`` report would pass ``MAX_SIGN_VECTORS``;
-    ``name`` is what the message calls the rank."""
-    if rank + 1 > math.log2(MAX_SIGN_VECTORS):
-        raise ValidationError(
-            f"{name} {rank}: the report would list 2**{rank + 1} sign choices, more than {MAX_SIGN_VECTORS}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,14 +31,7 @@ class ConstraintReport:
     def fully_constrained(self) -> bool:
         return len(self.fixed) == self.rank + 1
 
-    def sign_vectors(self) -> list[tuple[int, ...]] | None:
-        if not self.fully_constrained:
-            return None
-        check_sign_choices(self.rank)
-        return list(product((1, -1), repeat=self.rank + 1))
-
     def to_json_dict(self) -> dict:
-        vecs = self.sign_vectors()
         out = {
             "system": self.system,
             "route": self.route,
@@ -61,8 +42,8 @@ class ConstraintReport:
             "free_parameters": [f"b_{i}" for i in self.free],
             "sign_choices": 2 ** (self.rank + 1) if self.fully_constrained else 0,
         }
-        if vecs is not None:
-            out["sign_vectors"] = [list(v) for v in vecs]
+        if self.fully_constrained:
+            out["zero_solution"] = f"b_i = 0 for i = 0..{self.rank}"
         return out
 
 

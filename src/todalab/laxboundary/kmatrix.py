@@ -243,14 +243,13 @@ def _constrained_nodes(obstructions: list[Poly], nnodes: int) -> dict[int, int]:
 def solve_k_expansion(rs: RootSystem) -> KExpansion:
     """Solve the gauge condition order by order in the defining representation.
 
-    Family A, rank <= 5 (the matrix route).  Returns the exact expansion data;
-    ``expansion_constraints`` reads its constraint report, to cross-check
-    against ``adjacency_constraints`` for the combinatorial route.
+    Family A (the matrix route); its time grows about as rank**4.  Returns
+    the exact expansion data; ``expansion_constraints`` reads its constraint
+    report, to cross-check against ``adjacency_constraints`` for the
+    combinatorial route.
     """
     if rs.family != "A":
         raise ValidationError("matrix route requires family A")
-    if rs.rank > 5:
-        raise ValidationError("matrix route supports rank <= 5")
     rep = defining_rep(rs)
     n = rep.n
     nnodes = rs.rank + 1

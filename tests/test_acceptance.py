@@ -162,7 +162,8 @@ def test_criterion_3_two_boundary_spectrum():
 
 def test_criterion_4_constraint_derivation(tmp_path, capsys):
     """derive-boundary reports b_i^2 = 4 n_i with 2^{r+1} sign choices for
-    (A,2..4), (D,4); (A,1) free; matrix and adjacency routes agree, rank <= 5."""
+    (A,2..4), (D,4); (A,1) free; matrix and adjacency routes agree on A1..A5,
+    the ranks ``--route auto`` runs both routes at."""
     from todalab.cli import main
 
     ok, details = True, []

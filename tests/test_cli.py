@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import cli
+from todalab.algebra import roots
 from todalab.cli import main
 from todalab.errors import NumericalError
 
@@ -243,26 +244,50 @@ def test_derive_boundary_rejects_unsupported(capsys):
     assert main(["derive-boundary", "--family", "B", "--rank", "2"]) == 1
 
 
-@pytest.mark.parametrize("family, rank", [("A", 17), ("D", 40)])
-def test_derive_boundary_refuses_too_many_sign_choices_before_building(
-    tmp_path, monkeypatch, capsys, family, rank
-):
-    """2**(rank + 1) sign vectors would pass MAX_SIGN_VECTORS: one line, exit
-    1, and the root system is never built (D40 would list 2**41)."""
-    import todalab.algebra
+@pytest.mark.parametrize("family, rank", [("A", 17), ("A", 40), ("D", 40)])
+def test_derive_boundary_counts_the_sign_choices_it_does_not_list(capsys, family, rank):
+    """Past 2**17 sign choices the report is the same rule and count: b = 0,
+    or b_i^2 = 4 n_i with 2**(rank + 1) sign choices."""
+    assert main(["derive-boundary", "--family", family, "--rank", str(rank)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sign_choices"] == 2 ** (rank + 1)
+    assert payload["zero_solution"] == f"b_i = 0 for i = 0..{rank}"
+    assert "sign_vectors" not in payload
 
-    def built(*args):
-        raise AssertionError("the root system was built")
 
-    monkeypatch.setattr(todalab.algebra, "build_root_system", built)
-    out = tmp_path / "bd"
-    argv = ["derive-boundary", "--family", family, "--rank", str(rank), "--out", str(out)]
+def _refuses_before_building(monkeypatch, capsys, argv, out) -> None:
+    """``main(argv)`` exits 1 with one line naming the rank bound, builds no
+    root and writes nothing to ``out``."""
+
+    def built(cartan):
+        raise AssertionError("the positive roots were built")
+
+    monkeypatch.setattr(roots, "_close_positive_roots", built)
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "Traceback" not in err[0]
-    assert err[0].startswith(f"todalab: validation error: --rank {rank}: ")
-    assert f"2**{rank + 1} sign choices" in err[0]
+    assert err[0].startswith("todalab: validation error: unsupported root system ")
+    assert f"rank {roots.MAX_RANK + 1};" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_derive_boundary_refuses_a_rank_past_the_bound_before_building(
+    tmp_path, monkeypatch, capsys, family
+):
+    out = tmp_path / "bd"
+    argv = ["derive-boundary", "--family", family, "--rank", str(roots.MAX_RANK + 1), "--out", str(out)]
+    _refuses_before_building(monkeypatch, capsys, argv, out)
+
+
+def test_simulate_refuses_an_affine_toda_rank_past_the_bound_before_building(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = CFG.replace("kind = sinh_gordon", f"kind = affine_toda\nrank = {roots.MAX_RANK + 1}")
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--out", str(out)]
+    _refuses_before_building(monkeypatch, capsys, argv, out)
 
 
 def test_lax_check_runs(config_file, capsys):

@@ -1,6 +1,7 @@
 """Boundary K(lambda) solver: exact expansion, constraints, closed-form check."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_rank_one_is_unconstrained(exp1):
     assert exp1.fixed_nodes == {}
     assert exp1.free_nodes == (0, 1)
     assert exp1.obstructions == []
-    assert expansion_constraints(exp1).sign_vectors() is None
+    assert not expansion_constraints(exp1).fully_constrained
 
 
 def test_rank_one_k1_and_k3_match_hand_expansion(exp1):
@@ -126,12 +127,24 @@ def test_all_sign_choices_solve_every_obstruction():
     exp = solve_k_expansion(rs)
     report = expansion_constraints(exp)
     assert report.fully_constrained
-    choices = report.sign_vectors()
-    assert len(choices) == 2 ** 4
+    choices = list(product((1, -1), repeat=4))
+    assert len(set(choices)) == report.to_json_dict()["sign_choices"] == 2 ** 4
     for signs in choices:
         point = [F(2 * s) for s in signs]
         for poly in exp.obstructions:
             assert poly.substitute(point) == 0
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_zero_boundary_solves_every_obstruction(rank):
+    """b = 0, the Neumann end, solves every obstruction polynomial; one
+    coefficient dropped to 0 from a sign choice does not."""
+    exp = solve_k_expansion(build_root_system("A", rank))
+    nnodes = rank + 1
+    assert all(poly.substitute([F(0)] * nnodes) == 0 for poly in exp.obstructions)
+    if rank >= 2:
+        mixed = [F(2)] * rank + [F(0)]
+        assert any(poly.substitute(mixed) != 0 for poly in exp.obstructions)
 
 
 def test_matrix_route_rejects_other_families():

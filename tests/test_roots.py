@@ -133,7 +133,7 @@ def test_a1_reference_data():
 
 
 def test_rejects_unsupported_systems():
-    for family, rank in [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("B", 2), ("G", 2)]:
+    for family, rank in [("A", 0), ("A", 129), ("D", 3), ("D", 129), ("E", 5), ("E", 9), ("B", 2), ("G", 2)]:
         with pytest.raises(ValidationError, match="A_r"):
             build_root_system(family, rank)
 
