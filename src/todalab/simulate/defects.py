@@ -13,7 +13,10 @@ which ``constraint_residuals`` samples, the split makes P + U conserved.
 Every method takes arrays or scalars.  Scalars (the interface Newton solve
 calls with Python floats) are evaluated with ``math``, arrays with numpy,
 through the same expressions: squares are written as products, so a scalar
-gives the same bits as that value in a one-element array.
+gives the same bits as that value in a one-element array.  The Newton reads
+B's gradient through ``b_grad`` once per point it visits, and B's Hessian
+through ``b_phiphi`` (which is ``b_psipsi``) and ``b_phipsi`` once per
+iteration.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ class SplitDefect:
 
     def b_phi(self, phi, psi):
         return self.df(phi + psi) + self.dg(phi - psi)
+
+    def b_grad(self, phi, psi):
+        """(B_phi, B_psi) from one f' and one g': the bits of ``b_phi`` and
+        ``b_psi``."""
+        df, dg = self.df(phi + psi), self.dg(phi - psi)
+        return df + dg, df - dg
 
     def b_psi(self, phi, psi):
         return self.df(phi + psi) - self.dg(phi - psi)

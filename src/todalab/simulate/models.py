@@ -1,9 +1,11 @@
 """Bulk field models: potential, gradient, and component count.
 
 Fields are arrays of shape (n_components, n_nodes); scalar models use a
-single component.  The multi-component exponential model reduces to the
-hyperbolic scalar one at rank one: AffineToda(A1, m, b) evolves identically
-to SinhGordon(2m, b*sqrt(2)).
+single component.  ``gradient(phi, out)`` writes into ``out`` when given,
+by the same operations in the same order, so its bits do not depend on
+``out``.  The multi-component exponential model reduces to the hyperbolic
+scalar one at rank one: AffineToda(A1, m, b) evolves identically to
+SinhGordon(2m, b*sqrt(2)).
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class KleinGordon:
     def potential(self, phi: np.ndarray) -> np.ndarray:
         return _scaled_row_sum(0.5 * self.m**2, phi**2)
 
-    def gradient(self, phi: np.ndarray) -> np.ndarray:
-        return self.m**2 * phi
+    def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(self.m**2, phi, out=out)
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,10 @@ class SineGordon:
     def potential(self, phi: np.ndarray) -> np.ndarray:
         return _scaled_row_sum(self.m**2 / self.beta**2, 1.0 - np.cos(self.beta * phi))
 
-    def gradient(self, phi: np.ndarray) -> np.ndarray:
-        return (self.m**2 / self.beta) * np.sin(self.beta * phi)
+    def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(self.beta, phi, out=out)
+        np.sin(out, out=out)
+        return np.multiply(self.m**2 / self.beta, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,10 @@ class SinhGordon:
     def potential(self, phi: np.ndarray) -> np.ndarray:
         return _scaled_row_sum(self.m**2 / self.beta**2, np.cosh(self.beta * phi) - 1.0)
 
-    def gradient(self, phi: np.ndarray) -> np.ndarray:
-        return (self.m**2 / self.beta) * np.sinh(self.beta * phi)
+    def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(self.beta, phi, out=out)
+        np.sinh(out, out=out)
+        return np.multiply(self.m**2 / self.beta, out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +124,13 @@ class AffineToda:
         exps = np.exp(self.beta * np.einsum("ia,a...->i...", self._alpha, phi))
         return (self.m**2 / self.beta**2) * np.einsum("i,i...->...", self._marks, exps - 1.0)
 
-    def gradient(self, phi: np.ndarray) -> np.ndarray:
+    def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         exps = np.exp(self.beta * np.einsum("ia,a...->i...", self._alpha, phi))
-        return (self.m**2 / self.beta) * np.einsum("i,ia,i...->a...", self._marks, self._alpha, exps)
+        grad = (self.m**2 / self.beta) * np.einsum("i,ia,i...->a...", self._marks, self._alpha, exps)
+        if out is None:
+            return grad
+        np.copyto(out, grad)
+        return out
 
 
 Model = KleinGordon | SineGordon | SinhGordon | AffineToda

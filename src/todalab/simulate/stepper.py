@@ -14,20 +14,22 @@ discretized with a trapezoidal average in time (the explicit version is
 unstable) and one-sided second-order spatial derivatives.  The resulting
 2x2 nonlinear system is solved by damped Newton on Python floats between
 the drift and the closing force; it also gives the two interface momenta,
-set after the closing kick.
+set after the closing kick.  The Newton reads B's gradient once per point
+it visits (the old pair, then each line-search trial, whose residual and
+momenta an accepted trial carries on) and B's Hessian once per iteration.
 
 Everything a step needs that does not change during a run (spacing, time
 step, sponge damping, bound boundary conditions, the interface) sits in a
 step plan built once per (model, geometry).  The plan also owns the only
-live field buffers, ``phi`` and ``pi``, and the scratch ``kick``, all
-64-byte aligned: the step runs in place on them, velocity Verlet with one
-copy of (phi, pi) plus the force.  A run (``_drive``) loads its initial
-state into the buffers once; each step then advances the plan's live state
-in place and returns it as a new state over read-only views of the
-buffers.  Observers see that view, which is valid only during their call:
-whoever keeps fields keeps a copy.  A ``step`` from any other state copies
-it in and returns fresh arrays, and so do ``evolve`` and ``_drive`` with
-their final state.
+live field buffers, ``phi`` and ``pi``, and the scratch ``kick`` and
+``grad`` (the model gradient), all 64-byte aligned: the step runs in place
+on them, velocity Verlet with one copy of (phi, pi) plus the force.  A run
+(``_drive``) loads its initial state into the buffers once; each step then
+advances the plan's live state in place and returns it as a new state over
+read-only views of the buffers.  Observers see that view, which is valid
+only during their call: whoever keeps fields keeps a copy.  A ``step`` from
+any other state copies it in and returns fresh arrays, and so do ``evolve``
+and ``_drive`` with their final state.
 
 The force at the end of a step is the force at the start of the next one
 ("first same as last"): the plan remembers the last state it returned, and
@@ -101,7 +103,7 @@ class _StepPlan:
         self.db_right = right.bind(model) if right is not None else None
         self.damp = _sponge_profile(geometry)
         # the fields the step advances in place, and its scratch
-        self.phi, self.pi, self.kick = (empty_aligned(self.shape) for _ in range(3))
+        self.phi, self.pi, self.kick, self.grad = (empty_aligned(self.shape) for _ in range(4))
         self.phi_view, self.pi_view = self.phi.view(), self.pi.view()
         self.phi_view.flags.writeable = self.pi_view.flags.writeable = False
         # the state over the read-only views during a run, else None
@@ -119,7 +121,8 @@ class _StepPlan:
         np.copyto(self.pi, state.pi)
 
     def force(self, phi: np.ndarray) -> np.ndarray:
-        """Ghost-cell Laplacian minus the model gradient, into ``kick``."""
+        """Ghost-cell Laplacian minus the model gradient (computed into
+        ``grad``), into ``kick``."""
         h2 = self.h2
         f = self.kick
         _interior_laplacian(phi, f, h2)
@@ -146,7 +149,7 @@ class _StepPlan:
         if self.defect is not None:
             a = self.interface
             f[:, a : a + 2] = 0.0
-        np.subtract(f, self.model.gradient(phi), out=f)
+        np.subtract(f, self.model.gradient(phi, out=self.grad), out=f)
         return f
 
 
@@ -156,7 +159,7 @@ def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[fl
     momenta (diagnostic values).  ``old`` holds the row's six values around
     the interface, entries a - 2 to a + 3, before the drift."""
     defect = plan.defect
-    dt, h = plan.dt, plan.h
+    hdt, h = plan.half_dt, plan.h
     a = plan.interface  # phi's interface node; psi's is a + 1
 
     # old interface values and their one-sided second-order d_x
@@ -165,8 +168,9 @@ def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[fl
     dpsi_old = (-3.0 * psi0_old + 4.0 * r1 - r2) / (2.0 * h)
 
     # trapezoidal update of the interface pair
-    rhs_phi = phi0_old + 0.5 * dt * (dpsi_old - defect.b_psi(phi0_old, psi0_old))
-    rhs_psi = psi0_old + 0.5 * dt * (dphi_old + defect.b_phi(phi0_old, psi0_old))
+    grad_old = defect.b_grad(phi0_old, psi0_old)
+    rhs_phi = phi0_old + hdt * (dpsi_old - grad_old[1])
+    rhs_psi = psi0_old + hdt * (dphi_old + grad_old[0])
     # new-time one-sided derivatives split into known interior part + interface term
     l2, l1 = u[a - 2 : a].tolist()
     r1, r2 = u[a + 2 : a + 4].tolist()
@@ -174,20 +178,28 @@ def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[fl
     dpsi_known = (4.0 * r1 - r2) / (2.0 * h)
     cp, cm = 3.0 / (2.0 * h), -3.0 / (2.0 * h)
 
+    def sewing(u_phi, u_psi, b_grad):
+        """The momenta (p_phi, p_psi) and residuals (g1, g2) at a pair
+        whose (B_phi, B_psi) is ``b_grad``."""
+        p_phi = (dpsi_known + cm * u_psi) - b_grad[1]
+        p_psi = (dphi_known + cp * u_phi) + b_grad[0]
+        return p_phi, p_psi, u_phi - hdt * p_phi - rhs_phi, u_psi - hdt * p_psi - rhs_psi
+
     u_phi, u_psi = phi0_old, psi0_old
+    p_phi, p_psi, g1, g2 = sewing(u_phi, u_psi, grad_old)
     scale = max(1.0, abs(rhs_phi), abs(rhs_psi))
     converged = False
     for _ in range(25):
-        g1 = u_phi - 0.5 * dt * ((dpsi_known + cm * u_psi) - defect.b_psi(u_phi, u_psi)) - rhs_phi
-        g2 = u_psi - 0.5 * dt * ((dphi_known + cp * u_phi) + defect.b_phi(u_phi, u_psi)) - rhs_psi
         res = max(abs(g1), abs(g2))
         if res < 1e-12 * scale:
             converged = True
             break
-        j11 = 1.0 + 0.5 * dt * defect.b_phipsi(u_phi, u_psi)  # dB_psi/dphi = B_phipsi
-        j12 = -0.5 * dt * (cm - defect.b_psipsi(u_phi, u_psi))
-        j21 = -0.5 * dt * (cp + defect.b_phiphi(u_phi, u_psi))
-        j22 = 1.0 - 0.5 * dt * defect.b_phipsi(u_phi, u_psi)
+        b_pp = defect.b_phiphi(u_phi, u_psi)  # = B_psipsi
+        b_ps = defect.b_phipsi(u_phi, u_psi)  # dB_psi/dphi = B_phipsi
+        j11 = 1.0 + hdt * b_ps
+        j12 = -hdt * (cm - b_pp)
+        j21 = -hdt * (cp + b_pp)
+        j22 = 1.0 - hdt * b_ps
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             break
@@ -196,13 +208,18 @@ def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[fl
         lam = 1.0
         for _ in range(8):
             t_phi, t_psi = u_phi + lam * du_phi, u_psi + lam * du_psi
-            n1 = t_phi - 0.5 * dt * ((dpsi_known + cm * t_psi) - defect.b_psi(t_phi, t_psi)) - rhs_phi
-            n2 = t_psi - 0.5 * dt * ((dphi_known + cp * t_phi) + defect.b_phi(t_phi, t_psi)) - rhs_psi
-            if max(abs(n1), abs(n2)) < res:
+            trial = sewing(t_phi, t_psi, defect.b_grad(t_phi, t_psi))
+            if max(abs(trial[2]), abs(trial[3])) < res:
+                # the next iterate is this trial, residual and momenta included
+                u_phi, u_psi = t_phi, t_psi
+                p_phi, p_psi, g1, g2 = trial
                 break
             lam *= 0.5
-        u_phi += lam * du_phi
-        u_psi += lam * du_psi
+        else:
+            # no trial lowered the residual: take the step halved once more
+            u_phi += lam * du_phi
+            u_psi += lam * du_psi
+            p_phi, p_psi, g1, g2 = sewing(u_phi, u_psi, defect.b_grad(u_phi, u_psi))
     if not converged:
         raise StepFailure(
             f"defect interface Newton failed to converge at t={t}",
@@ -215,10 +232,7 @@ def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[fl
             },
         )
     u[a], u[a + 1] = u_phi, u_psi
-    return (
-        (dpsi_known + cm * u_psi) - defect.b_psi(u_phi, u_psi),
-        (dphi_known + cp * u_phi) + defect.b_phi(u_phi, u_psi),
-    )
+    return p_phi, p_psi
 
 
 def _plan(model, geometry: Geometry) -> _StepPlan:

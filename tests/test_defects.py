@@ -227,34 +227,36 @@ def test_backlund_defect_conserves_charge_and_converged_conditions():
     assert worst_sew < 1e-8  # Newton tolerance, scaled by 1/dt
 
 
+class _HostileDefect(SineGordonBacklund):
+    """Wildly oscillatory sewing data in the (f, g) split, so every partial
+    of B that the Newton solve reads sees it: no iteration can settle."""
+
+    def df(self, s):
+        return 1e6 * np.sin(1e6 * s)
+
+    def dg(self, d):
+        return 1e6 * np.cos(1e6 * d)
+
+
 def test_newton_failure_raises_step_failure():
     """Non-convergence in 25 iterations reports failure with a state dump."""
 
-    class HostileDefect(SineGordonBacklund):
-        # wildly oscillatory sewing data: no Newton iteration can settle
-        def b_psi(self, phi, psi):
-            return 1e6 * np.sin(1e6 * (phi + psi))
-
-        def b_phi(self, phi, psi):
-            return 1e6 * np.cos(1e6 * (phi - psi))
-
     m, beta = 1.0, 1.0
-    defect = HostileDefect(lam=1.0, m=m, beta=beta)
+    defect = _HostileDefect(lam=1.0, m=m, beta=beta)
     grid = Grid1D(-10.0, 10.0, 64)
     geom = with_defect(grid, defect, sponge_fraction=0.0)
     model = SineGordon(m=m, beta=beta)
     state = init_soliton(geom, model, velocity=0.5, x0=-3.0)
-    with pytest.raises(StepFailure) as err:
+    with pytest.raises(StepFailure, match="Newton") as err:
         for _ in range(50):
             state = step(state, model, geom)
-    assert "t" in err.value.state_dump
-    assert "phi0" in err.value.state_dump
+    assert set(err.value.state_dump) == {"t", "phi0", "psi0", "u_phi", "u_psi"}
 
 
 # ---------------------------------------------------------------------------
 # scalar and array evaluation of the defect potentials
 
-_PAIR_METHODS = ("b_value", "b_phi", "b_psi", "b_phiphi", "b_psipsi", "b_phipsi", "u_value")
+_PAIR_METHODS = ("b_value", "b_phi", "b_psi", "b_grad", "b_phiphi", "b_psipsi", "b_phipsi", "u_value")
 _field = st.floats(min_value=-50.0, max_value=50.0)
 _lam = st.one_of(st.floats(min_value=-5.0, max_value=-0.1), st.floats(min_value=0.1, max_value=5.0))
 _positive = st.floats(min_value=0.2, max_value=3.0)
@@ -276,12 +278,27 @@ def test_scalar_defect_values_have_the_bits_of_one_element_arrays(kind, lam, m, 
     calls += [("potential_left", (phi,)), ("potential_right", (psi,))]
     for name, args in calls:
         method = getattr(defect, name)
-        want = method(*(np.array([a]) for a in args))
-        assert want.shape == (1,)
+        # b_grad gives the pair (B_phi, B_psi); every other method one value
+        want = _parts(method(*(np.array([a]) for a in args)))
+        assert all(w.shape == (1,) for w in want)
         for scalars in (args, tuple(np.float64(a) for a in args)):
-            got = method(*scalars)
-            assert np.ndim(got) == 0
-            assert np.float64(got).tobytes() == want.tobytes(), (name, scalars)
+            got = _parts(method(*scalars))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.ndim(g) == 0
+                assert np.float64(g).tobytes() == w.tobytes(), (name, scalars)
+
+
+def _parts(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("pair", [(math.inf, 0.0), (0.0, -math.inf), (math.inf, math.inf)])
+def test_b_grad_of_an_infinite_pair_is_nan_without_an_error(pair):
+    """The scalar sine of +-inf is numpy's nan, not a math domain error, so a
+    Newton solve that meets an infinite interface value fails as a StepFailure."""
+    b_phi, b_psi = SineGordonBacklund(lam=1.0).b_grad(*pair)
+    assert math.isnan(b_phi) and math.isnan(b_psi)
 
 
 # The hand-written derivatives the (f, g) split replaced, kept as the
@@ -393,7 +410,7 @@ def _bits(x):
 @settings(max_examples=200, deadline=None)
 def test_derived_defect_methods_have_the_bits_of_the_hand_written_forms(kind, lam, m, beta, phi, psi):
     """Every method derived from (f, g) gives the hand-written form's bits on
-    floats and on one-element arrays.  b_psipsi is b_phiphi itself; the old
+    floats and on one-element arrays, and b_grad those of (b_phi, b_psi).  b_psipsi is b_phiphi itself; the old
     separate form rounded differently, so it agrees to 1e-15 of
     |f''| + |g''| = max(|B_phiphi|, |B_phipsi|)."""
     defect = _make_defect(kind, lam, m, beta)
@@ -402,6 +419,8 @@ def test_derived_defect_methods_have_the_bits_of_the_hand_written_forms(kind, la
     for a, b in ((phi, psi), (np.array([phi]), np.array([psi]))):
         for name in ("b_value", "b_phi", "b_psi", "b_phiphi", "b_phipsi", "u_value"):
             assert _bits(getattr(defect, name)(a, b)) == _bits(getattr(ref, name)(a, b)), name
+        b_phi, b_psi = defect.b_grad(a, b)
+        assert (_bits(b_phi), _bits(b_psi)) == (_bits(ref.b_phi(a, b)), _bits(ref.b_psi(a, b)))
         assert _bits(defect.potential_left(a)) == _bits(ref.potential_left(a))
         assert _bits(defect.potential_right(b)) == _bits(ref.potential_right(b))
         assert _bits(defect.b_psipsi(a, b)) == _bits(defect.b_phiphi(a, b))
@@ -423,14 +442,7 @@ def test_defect_potential_identity_holds_on_random_samples(kind, lam, m, beta, p
 def test_newton_failure_dump_holds_plain_floats():
     import json
 
-    class HostileDefect(SineGordonBacklund):
-        def b_psi(self, phi, psi):
-            return 1e6 * np.sin(1e6 * (phi + psi))
-
-        def b_phi(self, phi, psi):
-            return 1e6 * np.cos(1e6 * (phi - psi))
-
-    defect = HostileDefect(lam=1.0, m=1.0, beta=1.0)
+    defect = _HostileDefect(lam=1.0, m=1.0, beta=1.0)
     geom = with_defect(Grid1D(-10.0, 10.0, 64), defect, sponge_fraction=0.0)
     model = SineGordon(m=1.0, beta=1.0)
     state = init_soliton(geom, model, velocity=0.5, x0=-3.0)

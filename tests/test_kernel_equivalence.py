@@ -145,9 +145,11 @@ def _two_sided(t, phi, pi_phi, psi, pi_psi):
     return FieldState(t=t, phi=row[None, :], pi=pi[None, :])
 
 
-def oracle_step(state, model, geometry):
+def oracle_step(state, model, geometry, newton=None):
+    """The two-force step.  On a defect, ``newton`` (a list) gets the step's
+    (Newton iterations, line-search trials, exhausted line searches)."""
     if geometry.kind == "defect":
-        return _oracle_defect_step(state, model, geometry)
+        return _oracle_defect_step(state, model, geometry, newton)
     dt = geometry.grid.dt
     phi, pi = state.phi, state.pi
     pi_half = pi + 0.5 * dt * _force(phi, geometry, model)
@@ -159,7 +161,7 @@ def oracle_step(state, model, geometry):
     return FieldState(t=state.t + dt, phi=phi_new, pi=pi_new)
 
 
-def _oracle_defect_step(state, model, geometry):
+def _oracle_defect_step(state, model, geometry, newton=None):
     defect = geometry.defect
     defect.validate_model(model)
     dt = geometry.grid.dt
@@ -182,6 +184,7 @@ def _oracle_defect_step(state, model, geometry):
     u_phi, u_psi = phi0_old, psi0_old
     scale = max(1.0, abs(rhs_phi), abs(rhs_psi))
     converged = False
+    iters = trials = exhausted = 0
     for _ in range(25):
         g1 = u_phi - 0.5 * dt * ((dpsi_known + cm * u_psi) - defect.b_psi(u_phi, u_psi)) - rhs_phi
         g2 = u_psi - 0.5 * dt * ((dphi_known + cp * u_phi) + defect.b_phi(u_phi, u_psi)) - rhs_psi
@@ -189,6 +192,7 @@ def _oracle_defect_step(state, model, geometry):
         if res < 1e-12 * scale:
             converged = True
             break
+        iters += 1
         j11 = 1.0 + 0.5 * dt * defect.b_phipsi(u_phi, u_psi)
         j12 = -0.5 * dt * (cm - defect.b_psipsi(u_phi, u_psi))
         j21 = -0.5 * dt * (cp + defect.b_phiphi(u_phi, u_psi))
@@ -200,14 +204,19 @@ def _oracle_defect_step(state, model, geometry):
         du_psi = -(-j21 * g1 + j11 * g2) / det
         lam = 1.0
         for _ in range(8):
+            trials += 1
             t_phi, t_psi = u_phi + lam * du_phi, u_psi + lam * du_psi
             n1 = t_phi - 0.5 * dt * ((dpsi_known + cm * t_psi) - defect.b_psi(t_phi, t_psi)) - rhs_phi
             n2 = t_psi - 0.5 * dt * ((dphi_known + cp * t_phi) + defect.b_phi(t_phi, t_psi)) - rhs_psi
             if max(abs(n1), abs(n2)) < res:
                 break
             lam *= 0.5
+        else:
+            exhausted += 1
         u_phi += lam * du_phi
         u_psi += lam * du_psi
+    if newton is not None:
+        newton.append((iters, trials, exhausted))
     assert converged
     phi[-1], psi[0] = u_phi, u_psi
     f_phi = _interior_force(phi, model, h, fixed_end="right")
@@ -618,9 +627,9 @@ def test_a_run_evaluates_the_force_once_per_step_plus_once_in_its_first_step(mon
     inside, calls = [], []
 
     class CountingKleinGordon(KleinGordon):
-        def gradient(self, phi):
+        def gradient(self, phi, out=None):
             calls.append(bool(inside))
-            return super().gradient(phi)
+            return super().gradient(phi, out=out)
 
     def counted_step(*args):
         inside.append(True)
@@ -639,6 +648,92 @@ def test_a_run_evaluates_the_force_once_per_step_plus_once_in_its_first_step(mon
     # stepping on from the copy the run returned reuses its half-kick
     _assert_same_state(step(out, model, geom), refs[41])
     assert len(calls) == 42
+
+
+def _oscillatory_backlund(amplitude, k):
+    """A defect whose f' and g' oscillate as amplitude * sin(k s) and
+    amplitude * cos(k d): steep enough that Newton steps overshoot."""
+
+    class Oscillatory(SineGordonBacklund):
+        def df(self, s):
+            return amplitude * np.sin(k * s)
+
+        def dg(self, d):
+            return amplitude * np.cos(k * d)
+
+        def d2f(self, s):
+            return amplitude * k * np.cos(k * s)
+
+        def d2g(self, d):
+            return -amplitude * k * np.sin(k * d)
+
+    return Oscillatory
+
+
+# defect class, steps: the Backlund kink needs only full Newton steps; the
+# milder oscillatory data rejects some line-search trials and converges; the
+# steeper exhausts line searches and fails in its first step
+_NEWTON_COUNT_CASES = {
+    "backlund": (SineGordonBacklund, 160),
+    "trials-rejected": (_oscillatory_backlund(1.0, 100.0), 40),
+    "searches-exhausted": (_oscillatory_backlund(10.0, 100.0), 40),
+}
+
+
+@pytest.mark.parametrize("name", list(_NEWTON_COUNT_CASES))
+def test_the_newton_reads_b_grad_once_per_point_and_the_hessian_once_per_iteration(name):
+    """Per step, B's gradient is read once at the old interface pair and once
+    per line-search trial (once more after a line search that no trial
+    passes), and B_phiphi and B_phipsi once per Newton iteration, as the
+    oracle counts them.  A profiler that counts Newton iterations by the
+    calls of ``b_phiphi`` relies on this."""
+    kind, n_steps = _NEWTON_COUNT_CASES[name]
+    calls = []
+
+    class Counting(kind):
+        pass
+
+    for method in ("b_grad", "b_phi", "b_psi", "b_phiphi", "b_psipsi", "b_phipsi"):
+
+        def counted(self, phi, psi, _name=method, _fn=getattr(kind, method)):
+            calls.append(_name)
+            return _fn(self, phi, psi)
+
+        setattr(Counting, method, counted)
+
+    model = SineGordon(m=1.0, beta=1.0)
+    grid = Grid1D(-16.0, 16.0, 256)
+    plain = with_defect(grid, kind(lam=1.2), sponge_fraction=0.0)
+    geom = with_defect(grid, Counting(lam=1.2), sponge_fraction=0.0)
+    state = ref = init_soliton(geom, model, velocity=0.5, x0=-4.0)
+    seen = []
+    for _ in range(n_steps):
+        del calls[:]
+        newton = []
+        try:
+            state = step(state, model, geom)
+        except StepFailure:
+            with pytest.raises(AssertionError):
+                oracle_step(ref, model, plain, newton)
+            failed = True
+        else:
+            ref = oracle_step(ref, model, plain, newton)
+            _assert_same_state(state, ref)
+            failed = False
+        [(iters, trials, exhausted)] = newton
+        assert calls.count("b_phiphi") == calls.count("b_phipsi") == iters
+        assert calls.count("b_grad") == 1 + trials + exhausted
+        assert len(calls) == 2 * iters + 1 + trials + exhausted  # nothing else
+        seen.append((iters, trials, exhausted))
+        if failed:
+            break
+    iters, trials, exhausted = (sum(c) for c in zip(*seen))
+    if name == "backlund":
+        assert len(seen) == n_steps and iters > n_steps and trials == iters and not exhausted
+    elif name == "trials-rejected":
+        assert len(seen) == n_steps and trials > iters and not exhausted
+    else:
+        assert seen[-1][0] == 25 and exhausted > 0
 
 
 def test_a_fresh_run_after_a_failed_one_matches_the_oracle():

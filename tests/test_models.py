@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from todalab.algebra import build_root_system
 from todalab.errors import ValidationError
@@ -110,3 +113,43 @@ def test_potential_coefficient_not_finite_is_refused(kind, m, beta, coefficient)
     ZeroDivisionError from m**2 / beta**2, as beta**2 underflows to 0."""
     with pytest.raises(ValidationError, match=re.escape(f"potential coefficient {coefficient} is not finite")):
         make_model(kind, m=m, beta=beta)
+
+
+# the gradients as written before they took an out buffer
+_REFERENCE_GRADIENT = {
+    KleinGordon: lambda model, phi: model.m**2 * phi,
+    SineGordon: lambda model, phi: (model.m**2 / model.beta) * np.sin(model.beta * phi),
+    SinhGordon: lambda model, phi: (model.m**2 / model.beta) * np.sinh(model.beta * phi),
+    AffineToda: lambda model, phi: (model.m**2 / model.beta)
+    * np.einsum(
+        "i,ia,i...->a...",
+        model._marks,
+        model._alpha,
+        np.exp(model.beta * np.einsum("ia,a...->i...", model._alpha, phi)),
+    ),
+}
+_coupling = st.floats(min_value=0.2, max_value=3.0)
+
+
+@st.composite
+def _model_and_field(draw):
+    kind = draw(st.sampled_from(["klein_gordon", "sine_gordon", "sinh_gordon", "affine_toda"]))
+    rank = draw(st.integers(1, 3)) if kind == "affine_toda" else 1
+    model = make_model(kind, m=draw(_coupling), beta=draw(_coupling), rank=rank)
+    n_nodes = draw(st.integers(1, 40))
+    phi = draw(arrays(np.float64, (rank, n_nodes), elements=st.floats(-4.0, 4.0)))
+    return model, phi
+
+
+@given(_model_and_field())
+@settings(max_examples=200, deadline=None)
+def test_gradient_into_a_buffer_has_the_bits_of_a_fresh_gradient(case):
+    """gradient(phi, out=buf) returns buf, holding the bits of gradient(phi)
+    and of the expression each model had before it took ``out``."""
+    model, phi = case
+    want = model.gradient(phi)
+    buf = np.full_like(phi, np.nan)
+    got = model.gradient(phi, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    assert want.tobytes() == _REFERENCE_GRADIENT[type(model)](model, phi).tobytes()
