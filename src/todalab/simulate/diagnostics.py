@@ -22,9 +22,25 @@ e_i + e_{i+1}, and (D_i + D_{i+1}) (h/4) is exactly ((e_i + e_{i+1}) h) / 2,
 the addend of ``np.trapezoid(e, dx=h)``.  The pairwise sum then adds the same
 addends in the same order, so E and P equal the ``np.gradient`` /
 ``np.trapezoid`` form bit for bit, with the two ``x 0.5`` passes and one
-pass of each trapezoid left out.  The exceptions are values at the edges of
-the double range: a square, a density or an addend below 2**-1022
-(subnormal, where halving drops bits) or a doubled density that overflows.
+pass of each trapezoid left out.  2V takes no pass of its own either: it is
+the model's ``potential_terms`` T times twice its
+``potential_coefficient`` c, and (2c) T is exactly 2 (c T) by the same
+argument.  The models refuse parameters whose 2c is not finite.  The
+exceptions are values at the edges of the double range: a square, a
+density, a potential c T or an addend below 2**-1022 (subnormal, where
+halving drops bits, or doubling c before the rounding keeps one) or a
+doubled density that overflows.
+
+Every array an observation writes belongs to its plan, built on the first
+call for a (model, geometry, state shape, probes) and kept with the
+geometry.  Each segment owns its gradient, its 2V (and the root
+exponentials of an affine Toda potential), the densities D and p as the
+two rows of one buffer, their trapezoid addends as the two rows of
+another, and the two sums, each buffer and each of those rows 64-byte
+aligned.  One ufunc call takes both rows through the pair sum and through
+the reduction.  An observation therefore allocates no field-sized array.
+A field of one component is read as its 1-D row, and the gradient's end
+values, the charges, the interface pair and the probes as Python floats.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ValidationError
+from .models import AffineToda
 from .state import Geometry, check_state, empty_aligned
 
 
@@ -48,44 +65,80 @@ class Diagnostics(NamedTuple):
     probes: tuple[float, ...]
 
 
-def _gradient_into(arr: np.ndarray, h: float, out: np.ndarray) -> None:
-    """np.gradient(arr, h, axis=-1) of the rows of a 2-D ``arr`` (second
-    order inside, first order at the ends), the same operations written
-    into ``out``."""
-    inner = out[:, 1:-1]
-    np.subtract(arr[:, 2:], arr[:, :-2], out=inner)
-    np.divide(inner, 2.0 * h, out=inner)
-    # end nodes (f[1] - f[0]) / h and (f[n-1] - f[n-2]) / h on Python floats,
-    # without the per-call cost of tiny array ops
-    for c, ((a0, a1), (b1, b0)) in enumerate(zip(arr[:, :2].tolist(), arr[:, -2:].tolist())):
-        out[c, 0] = (a1 - a0) / h
-        out[c, -1] = (b0 - b1) / h
+def _aligned_rows(k: int, n: int) -> np.ndarray:
+    """(k, n) views of ``empty_aligned`` rows padded to whole 64-byte lines,
+    so that every row starts on a 64-byte boundary."""
+    return empty_aligned((k, -(-n // 8) * 8))[:, :n]
 
 
-class _Integrals:
-    """Gradient and integrand buffers of the energy and momentum integrals
-    of fields of shape (n_components, n), and the integration weights."""
+class _Segment:
+    """The energy and momentum integrals over one run of row entries: the
+    whole row, or one side of a defect.  Owns every buffer the integrals
+    write, 64-byte aligned, with their fixed views and weights.  A field of
+    one component is read as its 1-D row."""
 
-    def __init__(self, n_components: int, n: int, h: float, periodic: bool):
-        self.grad = empty_aligned((n_components, n))
-        # rows are summed through ``work``; one row is squared in place
-        self.work = empty_aligned((n_components, n)) if n_components > 1 else None
-        self.dens, self.flux = empty_aligned(n), empty_aligned(n)
-        self.pair = empty_aligned(n - 1)
-        self.h, self.quarter_h, self.half_h = h, h / 4.0, h / 2.0
+    def __init__(self, model, cut: slice | None, n: int, h: float, periodic: bool):
+        self.cut = cut  # None: the whole row
+        k = model.n_components
+        self.one = k == 1
+        self.grad = empty_aligned(n if self.one else (k, n))
+        self.grad_rows = [self.grad] if self.one else list(self.grad)
+        self.grad_inner = self.grad[..., 1:-1]
+        # rows of several components are summed through ``work``
+        self.work = None if self.one else empty_aligned((k, n))
+        self.pot = empty_aligned(n)
+        # the densities D and p as two rows, which one ufunc call takes
+        # through the pair sum, or on a ring through the reduction
+        self.integrands = _aligned_rows(2, n)
+        self.dens, self.flux = self.integrands
+        # the trapezoid addends of D and p, weighted a row at a time (a
+        # broadcast weight column would cost numpy's iterator a buffer)
+        self.pair = _aligned_rows(2, n - 1)
+        self.e_pair, self.p_pair = self.pair
+        self.integrands_hi, self.integrands_lo = self.integrands[:, 1:], self.integrands[:, :-1]
+        self.sums = empty_aligned(2)
+        # 2V into ``pot``: the model's potential terms, then twice its
+        # coefficient on them
+        self.roots = None
+        self.terms, self.terms_args = model.potential_terms, (self.pot,)
+        if isinstance(model, AffineToda):
+            self.roots = empty_aligned((len(model.rs.affine_rootspace), n))
+            self.terms_args += (self.roots,)
+        self.twice_coefficient = np.array(2.0 * model.potential_coefficient)
+        self.h, self.two_h = h, 2.0 * h
+        # the ufuncs' scalar operands as 0-d arrays, which numpy takes
+        # without converting a Python float on every call
+        self.divisor = np.array(self.two_h)
+        self.quarter_h, self.half_h = np.array(h / 4.0), np.array(h / 2.0)
         self.periodic = periodic
 
-    def __call__(self, phi: np.ndarray, pi: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-        """E and P of field ``phi`` and momentum ``pi``; ``v``, the potential
-        density, is doubled in place."""
-        grad, work, dens, flux, h = self.grad, self.work, self.dens, self.flux, self.h
-        if self.periodic:
-            np.subtract(np.roll(phi, -1, axis=-1), np.roll(phi, 1, axis=-1), out=grad)
-            np.divide(grad, 2.0 * h, out=grad)
+    def __call__(self, phi: np.ndarray, pi: np.ndarray) -> tuple[float, float, float, float]:
+        """E and P over the segment of the state's fields ``phi`` and ``pi``,
+        and the segment's first and last value of the first component."""
+        if self.cut is not None:
+            phi, pi = phi[:, self.cut], pi[:, self.cut]
+        v = self.terms(phi, *self.terms_args)
+        np.multiply(v, self.twice_coefficient, out=v)
+        if self.one:
+            phi, pi = phi[0], pi[0]
+            lo, hi = [(phi.item(0), phi.item(1))], [(phi.item(-2), phi.item(-1))]
         else:
-            _gradient_into(phi, h, grad)
+            lo, hi = phi[:, :2].tolist(), phi[:, -2:].tolist()
+        grad, work, dens, flux = self.grad, self.work, self.dens, self.flux
+        # np.gradient along the row: second order inside; at the ends first
+        # order, or the central difference around a ring, on Python floats
+        # without the per-call cost of tiny array ops
+        inner = self.grad_inner
+        np.subtract(phi[..., 2:], phi[..., :-2], out=inner)
+        np.divide(inner, self.divisor, out=inner)
+        for row, (a0, a1), (b1, b0) in zip(self.grad_rows, lo, hi):
+            if self.periodic:
+                row[0] = (a1 - b0) / self.two_h
+                row[-1] = (a0 - b1) / self.two_h
+            else:
+                row[0] = (a1 - a0) / self.h
+                row[-1] = (b0 - b1) / self.h
         if work is None:
-            pi, grad = pi[0], grad[0]
             np.square(pi, out=dens)
             np.square(grad, out=flux)
         else:
@@ -94,23 +147,26 @@ class _Integrals:
             np.square(grad, out=work)
             np.add.reduce(work, axis=0, out=flux)
         np.add(dens, flux, out=dens)
-        np.multiply(v, 2.0, out=v)
         np.add(dens, v, out=dens)
         if work is None:
-            flux = np.multiply(grad, pi, out=grad)  # in place of the spent gradient
+            np.multiply(grad, pi, out=flux)
         else:
             np.multiply(pi, grad, out=work)
             np.add.reduce(work, axis=0, out=flux)
-        total = np.add.reduce  # np.sum without its Python wrapper
+        first, last = lo[0][0], hi[0][1]
+        # each row's sum by the pairwise np.add.reduce that np.sum runs
+        sums = self.sums
         if self.periodic:
-            return float(total(dens) * h) / 2.0, float(total(flux) * h)
+            np.add.reduce(self.integrands, axis=1, out=sums)
+            e, p = sums.tolist()
+            return (e * self.h) / 2.0, p * self.h, first, last
         pair = self.pair
-        np.add(dens[1:], dens[:-1], out=pair)
-        np.multiply(pair, self.quarter_h, out=pair)
-        e = float(total(pair))
-        np.add(flux[1:], flux[:-1], out=pair)
-        np.multiply(pair, self.half_h, out=pair)
-        return e, float(total(pair))
+        np.add(self.integrands_hi, self.integrands_lo, out=pair)
+        np.multiply(self.e_pair, self.quarter_h, out=self.e_pair)
+        np.multiply(self.p_pair, self.half_h, out=self.p_pair)
+        np.add.reduce(pair, axis=1, out=sums)
+        e, p = sums.tolist()
+        return e, p, first, last
 
 
 class _ObservePlan:
@@ -137,8 +193,10 @@ class _ObservePlan:
         self.defect = geometry.defect if geometry.kind == "defect" else None
         starts = [0] if self.defect is None else [0, geometry.interface_index + 1]
         bounds = list(zip(starts, starts[1:] + [len(x)]))
-        n_components = state.phi.shape[0]
-        self.segments = [(slice(a, b), _Integrals(n_components, b - a, h, periodic)) for a, b in bounds]
+        self.segments = [
+            _Segment(model, slice(a, b) if len(bounds) > 1 else None, b - a, h, periodic) for a, b in bounds
+        ]
+        # the probed nodes of row 0, which are also their flat indices
         self.probes = []
         for px in probes:
             a, b = bounds[sum(not px < x[a] for a, _ in bounds[1:])]
@@ -158,35 +216,32 @@ def diagnostics(state, model, geometry: Geometry, probes: tuple[float, ...] = ()
     overflows; there the equality is not proven.
     """
     probes = tuple(probes)
+    phi, pi = state.phi, state.pi
     plan = geometry.memo(
-        ("observe", model, state.phi.shape, probes),
+        ("observe", model, phi.shape, probes),
         lambda: _ObservePlan(model, geometry, state, probes),
     )
-    phi, pi = state.phi, state.pi
-    e = p = None
-    for seg, integrals in plan.segments:
-        part = phi[:, seg]
-        de, dp = integrals(part, pi[:, seg], model.potential(part))
-        # the first segment's values as they are, sign of zero included
-        e, p = (de, dp) if e is None else (e + de, p + dp)
+    segments = plan.segments
+    # the first segment's values as they are, sign of zero included
+    e, p, first, last = segments[0](phi, pi)
+    if plan.defect is not None:
+        phi0 = last
+        de, dp, psi0, last = segments[1](phi, pi)
+        e, p = e + de, p + dp
     if plan.energy_right is not None:
         e += plan.energy_right(phi[:, -1])
     if plan.energy_left is not None:
         e += plan.energy_left(phi[:, 0])
-    row, coeff = phi[0], plan.charge_coeff
-    charge = field_charge = 0.0 if coeff is None else float(coeff * (row[-1] - row[0]))
+    coeff = plan.charge_coeff
+    charge = field_charge = 0.0 if coeff is None else coeff * (last - first)
     u, p_plus_u = 0.0, p
     if plan.defect is not None:
-        cut = plan.segments[1][0].start
-        phi0, psi0 = row[cut - 1], row[cut]
         e += float(plan.defect.b_value(phi0, psi0))
         u = float(plan.defect.u_value(phi0, psi0))
         p_plus_u = p + u
         if coeff is not None:
-            field_charge = coeff * ((phi0 - row[0]) + (row[-1] - psi0))
-    return Diagnostics(
-        state.t, e, p, u, p_plus_u, charge, field_charge, tuple(float(row[i]) for i in plan.probes)
-    )
+            field_charge = coeff * ((phi0 - first) + (last - psi0))
+    return Diagnostics(state.t, e, p, u, p_plus_u, charge, field_charge, tuple(map(phi.item, plan.probes)))
 
 
 def measure_frequency(

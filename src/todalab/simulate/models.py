@@ -1,10 +1,19 @@
 """Bulk field models: potential, gradient, and component count.
 
 Fields are arrays of shape (n_components, n_nodes); scalar models use a
-single component.  ``gradient(phi, out)`` writes into ``out`` when given,
-by the same operations in the same order, so its bits do not depend on
-``out``.  The multi-component exponential model reduces to the hyperbolic
-scalar one at rank one: AffineToda(A1, m, b) evolves identically to
+single component.  A model's potential is V = c T: its
+``potential_coefficient`` c (m^2/2, or m^2/beta^2) times its
+``potential_terms`` T(phi), the sum over the terms of the potential
+without c.  ``gradient(phi, out)``, ``potential(phi, out)`` and
+``potential_terms(phi, out)`` write into ``out`` when given, by the same
+operations in the same order, so their bits do not depend on ``out``;
+``AffineToda`` copies its gradient into ``out`` and evaluates the root
+exponentials of its terms in ``work``, a buffer of shape
+(r + 1, n_nodes), when given.  A power of two times c applied to T gives
+exactly that multiple of V wherever neither is subnormal; the energy
+density takes 2V so, and ``_check_parameters`` keeps 2c finite.  The
+multi-component exponential model reduces to the hyperbolic scalar one at
+rank one: AffineToda(A1, m, b) evolves identically to
 SinhGordon(2m, b*sqrt(2)).
 """
 
@@ -20,19 +29,20 @@ from ..algebra.roots import RootSystem, build_root_system
 from ..errors import ValidationError
 
 
-def _scaled_row_sum(scale: float, terms: np.ndarray) -> np.ndarray:
-    """scale * np.sum(terms, axis=0), written into the fresh array ``terms``
-    or its row sum.  The terms are never -0.0, so one row is its own sum,
-    without a pass that adds it to zero."""
-    total = terms[0] if len(terms) == 1 else np.add.reduce(terms, axis=0)
-    return np.multiply(total, scale, out=total)
+def _one_row(phi: np.ndarray) -> np.ndarray:
+    """The row of a one-component model's field."""
+    if len(phi) != 1:
+        raise ValidationError(f"a one-component model takes a field of one row, not {len(phi)}")
+    return phi[0]
 
 
 def _check_parameters(model) -> None:
     """Refuse a non-finite mass or coupling, the coupling beta = 0 that the
     potentials divide by, and parameters whose potential coefficients m^2,
-    m^2/beta and m^2/beta^2 are not finite floats (Klein-Gordon has no
-    coupling and only m^2)."""
+    m^2/beta, m^2/beta^2 and 2 m^2/beta^2 (the doubled potential coefficient
+    of the energy density) are not finite floats.  Klein-Gordon has no
+    coupling and only m^2, which is also its doubled coefficient
+    2 (m^2/2)."""
     name = type(model).__name__
     m = model.m
     if not math.isfinite(m):
@@ -45,7 +55,8 @@ def _check_parameters(model) -> None:
             raise ValidationError(f"{name} coupling beta = {beta!r} must be finite and nonzero")
         beta2 = beta * beta
         coefficients["m^2/beta"] = m2 / beta
-        coefficients["m^2/beta^2"] = m2 / beta2 if beta2 else math.inf  # beta^2 underflows to 0
+        coefficients["m^2/beta^2"] = c = m2 / beta2 if beta2 else math.inf  # beta^2 underflows to 0
+        coefficients["2 m^2/beta^2"] = 2.0 * c
     for label, value in coefficients.items():
         if not math.isfinite(value):
             where = f"m = {m!r}" if beta is None else f"m = {m!r}, beta = {beta!r}"
@@ -60,8 +71,16 @@ class KleinGordon:
     def __post_init__(self):
         _check_parameters(self)
 
-    def potential(self, phi: np.ndarray) -> np.ndarray:
-        return _scaled_row_sum(0.5 * self.m**2, phi**2)
+    @property
+    def potential_coefficient(self) -> float:
+        return 0.5 * self.m**2
+
+    def potential_terms(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.square(_one_row(phi), out=out)
+
+    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        terms = self.potential_terms(phi, out)
+        return np.multiply(terms, self.potential_coefficient, out=terms)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.multiply(self.m**2, phi, out=out)
@@ -76,8 +95,18 @@ class SineGordon:
     def __post_init__(self):
         _check_parameters(self)
 
-    def potential(self, phi: np.ndarray) -> np.ndarray:
-        return _scaled_row_sum(self.m**2 / self.beta**2, 1.0 - np.cos(self.beta * phi))
+    @property
+    def potential_coefficient(self) -> float:
+        return self.m**2 / self.beta**2
+
+    def potential_terms(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        terms = np.multiply(self.beta, _one_row(phi), out=out)
+        np.cos(terms, out=terms)
+        return np.subtract(1.0, terms, out=terms)
+
+    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        terms = self.potential_terms(phi, out)
+        return np.multiply(terms, self.potential_coefficient, out=terms)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.multiply(self.beta, phi, out=out)
@@ -94,8 +123,18 @@ class SinhGordon:
     def __post_init__(self):
         _check_parameters(self)
 
-    def potential(self, phi: np.ndarray) -> np.ndarray:
-        return _scaled_row_sum(self.m**2 / self.beta**2, np.cosh(self.beta * phi) - 1.0)
+    @property
+    def potential_coefficient(self) -> float:
+        return self.m**2 / self.beta**2
+
+    def potential_terms(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        terms = np.multiply(self.beta, _one_row(phi), out=out)
+        np.cosh(terms, out=terms)
+        return np.subtract(terms, 1.0, out=terms)
+
+    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        terms = self.potential_terms(phi, out)
+        return np.multiply(terms, self.potential_coefficient, out=terms)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.multiply(self.beta, phi, out=out)
@@ -120,9 +159,22 @@ class AffineToda:
     def n_components(self) -> int:
         return self.rs.rank
 
-    def potential(self, phi: np.ndarray) -> np.ndarray:
-        exps = np.exp(self.beta * np.einsum("ia,a...->i...", self._alpha, phi))
-        return (self.m**2 / self.beta**2) * np.einsum("i,i...->...", self._marks, exps - 1.0)
+    @property
+    def potential_coefficient(self) -> float:
+        return self.m**2 / self.beta**2
+
+    def potential_terms(
+        self, phi: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> np.ndarray:
+        exps = np.einsum("ia,a...->i...", self._alpha, phi, out=work)
+        np.multiply(self.beta, exps, out=exps)
+        np.exp(exps, out=exps)
+        np.subtract(exps, 1.0, out=exps)
+        return np.einsum("i,i...->...", self._marks, exps, out=out)
+
+    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        terms = self.potential_terms(phi, out)
+        return np.multiply(terms, self.potential_coefficient, out=terms)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         exps = np.exp(self.beta * np.einsum("ia,a...->i...", self._alpha, phi))

@@ -454,6 +454,27 @@ def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replac
     assert not out.exists()
 
 
+def test_a_doubled_potential_coefficient_that_overflows_exits_one_with_one_line(tmp_path, capsys):
+    """m^2/beta^2 = 1e308 is finite, but the energy density takes twice it:
+    the run is refused before it steps.  It used to exit 0 with E = 0 on
+    every row; unrefused, the doubled coefficient inf would give a NaN first
+    row (inf * 0)."""
+    path = tmp_path / "doubled.ini"
+    path.write_text(
+        "[model]\nkind = sine_gordon\nmass = 1e154\nbeta = 1.0\n\n"
+        "[grid]\nx_min = -10.0\nx_max = 10.0\nn_cells = 40\nt_final = 1.0\n\n"
+        "[geometry]\nkind = periodic\n\n[initial]\nkind = vacuum\n"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "SineGordon potential coefficient 2 m^2/beta^2 is not finite at m = 1e+154, beta = 1.0" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "lambdas, message",
     [

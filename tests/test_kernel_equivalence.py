@@ -3,6 +3,7 @@ plain two-force velocity-Verlet step and the np.gradient/np.trapezoid
 diagnostics they replace: same arithmetic in the same order, so the
 results must be equal bit for bit."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from todalab.algebra import build_root_system
 from todalab.errors import StepFailure, ValidationError
 from todalab.simulate import stepper
-from todalab.simulate.diagnostics import _Integrals
+from todalab.simulate.diagnostics import _ObservePlan, _Segment
 from todalab.simulate import (
     AffineToda,
     Diagnostics,
@@ -62,11 +63,13 @@ def _sponge_profile(geometry):
         ends = ("left",)
     else:
         return None
+    # d clamped at 1: np.where discards the nodes past the sponge, whose
+    # square could overflow
     if "left" in ends:
-        d = (x - geometry.grid.x_min) / width
+        d = np.minimum((x - geometry.grid.x_min) / width, 1.0)
         sigma = np.where(d < 1.0, geometry.sponge_strength * (1.0 - d) ** 2, sigma)
     if "right" in ends:
-        d = (geometry.grid.x_max - x) / width
+        d = np.minimum((geometry.grid.x_max - x) / width, 1.0)
         sigma = np.where(d < 1.0, geometry.sponge_strength * (1.0 - d) ** 2, sigma)
     return np.exp(-sigma * geometry.grid.dt)
 
@@ -536,13 +539,36 @@ def test_step_and_observe_scratch_is_64_byte_aligned(name):
     fast the loops over them run."""
     model, geom, state = _case(name)
     plan = stepper._StepPlan(model, geom)
-    buffers = [plan.phi, plan.pi, plan.kick]
-    for n in (len(geom.state_x), 7):
-        integrals = _Integrals(model.n_components, n, geom.grid.h, False)
-        buffers += [integrals.grad, integrals.work, integrals.dens, integrals.flux, integrals.pair]
+    buffers = [plan.phi, plan.pi, plan.kick, plan.grad]
+    segments = _ObservePlan(model, geom, state, ()).segments + [_Segment(model, None, 7, geom.grid.h, False)]
+    for seg in segments:
+        buffers += [seg.grad, seg.work, seg.pot, seg.roots, seg.dens, seg.flux, *seg.pair, seg.sums]
     for buf in buffers:
-        if buf is not None:  # ``work`` of a one-component field
+        if buf is not None:  # ``work`` of a one-component field, ``roots`` of a model without roots
             assert buf.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("name", ["periodic", "halfline-robin", "interval-robin", "defect-backlund", "halfline-toda-a2"])
+def test_an_observation_allocates_less_than_one_row(name):
+    """Every array ``diagnostics`` writes belongs to its plan: a second
+    observation of a 4000-cell state allocates less than one row's bytes
+    at its peak."""
+    model, geom, _ = _case(name)
+    geom = replace(geom, grid=replace(geom.grid, n_cells=4000))
+    x = geom.state_x
+    phi = np.stack([0.1 * np.cos(x + c) for c in range(model.n_components)])
+    state = FieldState(t=0.0, phi=phi, pi=0.05 * np.sin(x) * np.ones_like(phi))
+    lo, hi = geom.grid.x_min, geom.grid.x_max
+    probes = (lo, 0.5 * (lo + hi), hi)
+    first = diagnostics(state, model, geom, probes)
+    tracemalloc.start()
+    try:
+        again = diagnostics(state, model, geom, probes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == first == oracle_diagnostics(state, model, geom, probes)
+    assert peak < 8 * len(x)
 
 
 def test_a_non_finite_initial_state_is_refused_before_any_observer():

@@ -106,6 +106,10 @@ def test_mass_not_finite_is_refused(kind, m):
         ("sinh_gordon", 1.0, 1e-200, "m^2/beta^2"),
         ("sine_gordon", 1e154, 0.5, "m^2/beta"),
         ("affine_toda", 1.0, 1e-160, "m^2/beta^2"),
+        # m^2/beta^2 is finite, twice it is not
+        ("sine_gordon", 1e154, 1.0, "2 m^2/beta^2"),
+        ("sinh_gordon", 1.0, 7.5e-155, "2 m^2/beta^2"),
+        ("affine_toda", 1e154, 1.0, "2 m^2/beta^2"),
     ],
 )
 def test_potential_coefficient_not_finite_is_refused(kind, m, beta, coefficient):
@@ -153,3 +157,46 @@ def test_gradient_into_a_buffer_has_the_bits_of_a_fresh_gradient(case):
     assert got is buf
     assert got.tobytes() == want.tobytes()
     assert want.tobytes() == _REFERENCE_GRADIENT[type(model)](model, phi).tobytes()
+
+
+# the potentials as written before they took an out buffer
+_REFERENCE_POTENTIAL = {
+    KleinGordon: lambda model, phi: (0.5 * model.m**2) * (phi**2)[0],
+    SineGordon: lambda model, phi: (model.m**2 / model.beta**2) * (1.0 - np.cos(model.beta * phi))[0],
+    SinhGordon: lambda model, phi: (model.m**2 / model.beta**2) * (np.cosh(model.beta * phi) - 1.0)[0],
+    AffineToda: lambda model, phi: (model.m**2 / model.beta**2)
+    * np.einsum(
+        "i,i...->...",
+        model._marks,
+        np.exp(model.beta * np.einsum("ia,a...->i...", model._alpha, phi)) - 1.0,
+    ),
+}
+
+
+@given(_model_and_field())
+@settings(max_examples=200, deadline=None)
+def test_potential_into_a_buffer_has_the_bits_of_a_fresh_potential(case):
+    """potential(phi, out=buf) returns buf, holding the bits of potential(phi)
+    and of the expression each model had before it took ``out``; twice the
+    coefficient on potential_terms(phi, out=buf) (AffineToda's root
+    exponentials in ``work``) holds exactly 2V wherever V is not subnormal."""
+    model, phi = case
+    want = model.potential(phi)
+    assert want.tobytes() == _REFERENCE_POTENTIAL[type(model)](model, phi).tobytes()
+    buf = np.full(phi.shape[1:], np.nan)
+    got = model.potential(phi, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    extra = {}
+    if isinstance(model, AffineToda):
+        extra["work"] = np.full((len(model._alpha),) + phi.shape[1:], np.nan)
+    terms = model.potential_terms(phi, out=np.full_like(buf, np.nan), **extra)
+    doubled = np.multiply(terms, np.array(2.0 * model.potential_coefficient))
+    normal = (want == 0.0) | (np.abs(want) >= np.finfo(float).tiny)
+    assert (2.0 * want)[normal].tobytes() == doubled[normal].tobytes()
+
+
+@pytest.mark.parametrize("model", [KleinGordon(), SineGordon(), SinhGordon()])
+def test_a_one_component_model_refuses_a_field_of_two_rows(model):
+    with pytest.raises(ValidationError, match="a one-component model takes a field of one row, not 2"):
+        model.potential(np.zeros((2, 5)))
