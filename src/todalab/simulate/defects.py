@@ -7,8 +7,10 @@ The sewing conditions at x = 0 are
 with B(phi, psi) = f(phi + psi) + g(phi - psi).  Each defect states f, g and
 their first two derivatives; ``SplitDefect`` derives every partial of B and
 U = f - g from them, so B_phiphi = B_psipsi = f'' + g'' holds by
-construction.  Together with (1/2)(B_phi^2 - B_psi^2) = V(phi) - W(psi),
-which ``constraint_residuals`` samples, the split makes P + U conserved.
+construction.  Each defect's ``bulk`` is the model on both sides, so
+W = V, and the model a run steps must be that bulk.  Together with
+(1/2)(B_phi^2 - B_psi^2) = V(phi) - W(psi), which ``constraint_residuals``
+samples with the bulk's own ``potential``, the split makes P + U conserved.
 
 Every method takes arrays or scalars.  Scalars (the interface Newton solve
 calls with Python floats) are evaluated with ``math``, arrays with numpy,
@@ -52,9 +54,16 @@ class SplitDefect:
     """B(phi, psi) = f(phi + psi) + g(phi - psi) and its derivatives.
 
     A defect states f, g and their first two derivatives (``df``, ``d2f``,
-    ``dg``, ``d2g``) as functions of one argument, plus ``potential_left``;
-    the same bulk model sits on both sides, so W = V.
+    ``dg``, ``d2g``) as functions of one argument, and its ``bulk``, the
+    model on both sides, so W = V.
     """
+
+    def validate_model(self, model) -> None:
+        """Refuse any model but ``bulk``: another class, or other parameters."""
+        bulk = self.bulk
+        if model != bulk:
+            got = type(model).__name__
+            raise ValidationError(f"{type(self).__name__} requires a bulk matching {bulk!r}; got a {got}")
 
     def b_value(self, phi, psi):
         return self.f(phi + psi) + self.g(phi - psi)
@@ -82,9 +91,6 @@ class SplitDefect:
     def u_value(self, phi, psi):
         return self.f(phi + psi) - self.g(phi - psi)
 
-    def potential_right(self, psi):
-        return self.potential_left(psi)
-
 
 @dataclass(frozen=True)
 class FreeDefect(SplitDefect):
@@ -101,9 +107,9 @@ class FreeDefect(SplitDefect):
         if self.lam == 0:
             raise ValidationError("defect parameter lam must be nonzero")
 
-    def validate_model(self, model) -> None:
-        if not isinstance(model, KleinGordon) or model.m != self.m:
-            raise ValidationError("free defect requires KleinGordon bulk with matching mass")
+    @property
+    def bulk(self) -> KleinGordon:
+        return KleinGordon(self.m)
 
     def f(self, s):
         return (self.m * self.lam / 4.0) * (s * s)
@@ -123,9 +129,6 @@ class FreeDefect(SplitDefect):
     def d2g(self, d):
         return self.m / (2.0 * self.lam) + 0.0 * d
 
-    def potential_left(self, phi):
-        return 0.5 * self.m**2 * (phi * phi)
-
 
 @dataclass(frozen=True)
 class SineGordonBacklund(SplitDefect):
@@ -143,15 +146,9 @@ class SineGordonBacklund(SplitDefect):
         if self.lam == 0:
             raise ValidationError("defect parameter lam must be nonzero")
 
-    def validate_model(self, model) -> None:
-        if (
-            not isinstance(model, SineGordon)
-            or model.m != self.m
-            or model.beta != self.beta
-        ):
-            raise ValidationError(
-                "Backlund defect requires SineGordon bulk with matching (m, beta)"
-            )
+    @property
+    def bulk(self) -> SineGordon:
+        return SineGordon(self.m, self.beta)
 
     def f(self, s):
         return -(2.0 * self.m * self.lam / self.beta**2) * _cos(self.beta * s / 2.0)
@@ -171,17 +168,16 @@ class SineGordonBacklund(SplitDefect):
     def d2g(self, d):
         return (self.m / (2.0 * self.lam)) * _cos(self.beta * d / 2.0)
 
-    def potential_left(self, phi):
-        return (self.m**2 / self.beta**2) * (1.0 - _cos(self.beta * phi))
-
 
 DefectSpec = FreeDefect | SineGordonBacklund
 
 
 def constraint_residuals(defect: DefectSpec, phi: np.ndarray, psi: np.ndarray) -> float:
     """Max residual of the defect-potential identity (1/2)(B_phi^2 -
-    B_psi^2) = V(phi) - W(psi) on samples."""
+    B_psi^2) = V(phi) - W(psi) on samples, with V = W the bulk's potential
+    on the samples taken as one row."""
+    potential = defect.bulk.potential
     alg = 0.5 * (defect.b_phi(phi, psi) ** 2 - defect.b_psi(phi, psi) ** 2) - (
-        defect.potential_left(phi) - defect.potential_right(psi)
+        potential(np.reshape(phi, (1, -1))) - potential(np.reshape(psi, (1, -1)))
     )
     return float(np.max(np.abs(alg)))

@@ -187,10 +187,12 @@ class _ObservePlan:
         h = geometry.grid.h
         periodic = geometry.kind == "periodic"
         # B(phi) resolved once, like the stepper's dB
-        left, right = geometry.boundary_ends
+        left, right = geometry.left, geometry.right
         self.energy_left = left.energy(model) if left is not None else None
         self.energy_right = right.energy(model) if right is not None else None
-        self.defect = geometry.defect if geometry.kind == "defect" else None
+        self.defect = geometry.defect
+        if self.defect is not None:
+            self.defect.validate_model(model)
         starts = [0] if self.defect is None else [0, geometry.interface_index + 1]
         bounds = list(zip(starts, starts[1:] + [len(x)]))
         self.segments = [

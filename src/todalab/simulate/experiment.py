@@ -206,30 +206,30 @@ def _build_boundary(cfg: RunConfig, side: str):
     raise ValidationError(f"unknown boundary kind {kind!r} for {side}")
 
 
-def _build_defect(cfg: RunConfig, model):
+def _build_defect(cfg: RunConfig):
+    """The defect of the config's [model] parameters; the step plan refuses
+    a model that is not its bulk."""
     kind = cfg.value("geometry", "defect")
-    lam = cfg.value("geometry", "defect_lambda")
+    lam, m = cfg.value("geometry", "defect_lambda"), cfg.value("model", "mass")
     if kind == "free":
-        return FreeDefect(lam=lam, m=model.m)
+        return FreeDefect(lam=lam, m=m)
     if kind == "backlund":
-        return SineGordonBacklund(lam=lam, m=model.m, beta=model.beta)
+        return SineGordonBacklund(lam=lam, m=m, beta=cfg.value("model", "beta"))
     raise ValidationError(f"unknown defect kind {kind!r}")
 
 
-def _build_geometry(cfg: RunConfig, model) -> Geometry:
+def _build_geometry(cfg: RunConfig) -> Geometry:
     kind = cfg.value("geometry", "kind")
     grid = Grid1D(**{key: cfg.value("grid", key) for key in ("x_min", "x_max", "n_cells", "courant")})
     sponge = cfg.value("geometry", "sponge_fraction")
-    if sponge < 0:  # unset: spec default is absorbing ends on line/defect
-        sponge = 0.1 if kind in ("line", "defect") else 0.0
     sides = BOUNDARY_SIDES.get(kind, ())  # Geometry rejects an unknown kind
     return Geometry(
         kind=kind,
         grid=grid,
         left=_build_boundary(cfg, "left") if "left" in sides else None,
         right=_build_boundary(cfg, "right") if "right" in sides else None,
-        defect=_build_defect(cfg, model) if kind == "defect" else None,
-        sponge_fraction=sponge,
+        defect=_build_defect(cfg) if kind == "defect" else None,
+        sponge_fraction=None if sponge < 0 else sponge,  # negative: the kind's default
         sponge_strength=cfg.value("geometry", "sponge_strength"),
     )
 
@@ -334,7 +334,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     before re-raising.
     """
     model = _build_model(cfg)
-    geometry = _build_geometry(cfg, model)
+    geometry = _build_geometry(cfg)
     state = _build_initial(cfg, model, geometry)
 
     n_steps = _step_count(cfg.value("grid", "t_final"), geometry.grid.dt)

@@ -6,15 +6,18 @@ single component.  A model's potential is V = c T: its
 ``potential_terms`` T(phi), the sum over the terms of the potential
 without c.  ``gradient(phi, out)``, ``potential(phi, out)`` and
 ``potential_terms(phi, out)`` write into ``out`` when given, by the same
-operations in the same order, so their bits do not depend on ``out``;
-``AffineToda`` copies its gradient into ``out`` and evaluates the root
-exponentials of its terms in ``work``, a buffer of shape
-(r + 1, n_nodes), when given.  A power of two times c applied to T gives
-exactly that multiple of V wherever neither is subnormal; the energy
-density takes 2V so, and ``_check_parameters`` keeps 2c finite.  The
-multi-component exponential model reduces to the hyperbolic scalar one at
-rank one: AffineToda(A1, m, b) evolves identically to
-SinhGordon(2m, b*sqrt(2)).
+operations in the same order, so their bits do not depend on ``out``.
+``AffineToda`` evaluates its root exponentials exp(beta alpha_i . phi) in
+one routine, for both its gradient and its potential terms, and takes
+``work``, a buffer of shape (r + 1, n_nodes), for them in both: with
+``out`` and ``work`` given, neither allocates a field-sized array.  One
+base class holds what the models share: one component, the parameter
+check, c = m^2/beta^2 and ``potential`` = T c.  A power of two times c
+applied to T gives exactly that multiple of V wherever neither is
+subnormal; the energy density takes 2V so, and ``_check_parameters`` keeps
+2c finite.  The multi-component exponential model reduces to the
+hyperbolic scalar one at rank one: AffineToda(A1, m, b) evolves
+identically to SinhGordon(2m, b*sqrt(2)).
 """
 
 from __future__ import annotations
@@ -63,13 +66,27 @@ def _check_parameters(model) -> None:
             raise ValidationError(f"{name} potential coefficient {label} is not finite at {where}")
 
 
-@dataclass(frozen=True)
-class KleinGordon:
-    m: float = 1.0
+class _Model:
+    """What the four models share: one component, the parameter check, the
+    potential coefficient m^2/beta^2 and V = c T."""
+
     n_components = 1
 
     def __post_init__(self):
         _check_parameters(self)
+
+    @property
+    def potential_coefficient(self) -> float:
+        return self.m**2 / self.beta**2
+
+    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        terms = self.potential_terms(phi, out)
+        return np.multiply(terms, self.potential_coefficient, out=terms)
+
+
+@dataclass(frozen=True)
+class KleinGordon(_Model):
+    m: float = 1.0
 
     @property
     def potential_coefficient(self) -> float:
@@ -78,35 +95,19 @@ class KleinGordon:
     def potential_terms(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.square(_one_row(phi), out=out)
 
-    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        terms = self.potential_terms(phi, out)
-        return np.multiply(terms, self.potential_coefficient, out=terms)
-
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.multiply(self.m**2, phi, out=out)
 
 
 @dataclass(frozen=True)
-class SineGordon:
+class SineGordon(_Model):
     m: float = 1.0
     beta: float = 1.0
-    n_components = 1
-
-    def __post_init__(self):
-        _check_parameters(self)
-
-    @property
-    def potential_coefficient(self) -> float:
-        return self.m**2 / self.beta**2
 
     def potential_terms(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         terms = np.multiply(self.beta, _one_row(phi), out=out)
         np.cos(terms, out=terms)
         return np.subtract(1.0, terms, out=terms)
-
-    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        terms = self.potential_terms(phi, out)
-        return np.multiply(terms, self.potential_coefficient, out=terms)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.multiply(self.beta, phi, out=out)
@@ -115,26 +116,14 @@ class SineGordon:
 
 
 @dataclass(frozen=True)
-class SinhGordon:
+class SinhGordon(_Model):
     m: float = 1.0
     beta: float = 1.0
-    n_components = 1
-
-    def __post_init__(self):
-        _check_parameters(self)
-
-    @property
-    def potential_coefficient(self) -> float:
-        return self.m**2 / self.beta**2
 
     def potential_terms(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         terms = np.multiply(self.beta, _one_row(phi), out=out)
         np.cosh(terms, out=terms)
         return np.subtract(terms, 1.0, out=terms)
-
-    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        terms = self.potential_terms(phi, out)
-        return np.multiply(terms, self.potential_coefficient, out=terms)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.multiply(self.beta, phi, out=out)
@@ -143,7 +132,7 @@ class SinhGordon:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineToda:
+class AffineToda(_Model):
     rs: RootSystem
     m: float = 1.0
     beta: float = 1.0
@@ -151,7 +140,7 @@ class AffineToda:
     _marks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_parameters(self)
+        super().__post_init__()
         object.__setattr__(self, "_alpha", self.rs.affine_rootspace)
         object.__setattr__(self, "_marks", np.asarray(self.rs.marks, dtype=float))
 
@@ -159,30 +148,25 @@ class AffineToda:
     def n_components(self) -> int:
         return self.rs.rank
 
-    @property
-    def potential_coefficient(self) -> float:
-        return self.m**2 / self.beta**2
+    def _root_exps(self, phi: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+        """exp(beta alpha_i . phi) for the r + 1 affine roots alpha_i, into
+        ``work`` when given."""
+        exps = np.einsum("ia,a...->i...", self._alpha, phi, out=work)
+        np.multiply(self.beta, exps, out=exps)
+        return np.exp(exps, out=exps)
 
     def potential_terms(
         self, phi: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
     ) -> np.ndarray:
-        exps = np.einsum("ia,a...->i...", self._alpha, phi, out=work)
-        np.multiply(self.beta, exps, out=exps)
-        np.exp(exps, out=exps)
+        exps = self._root_exps(phi, work)
         np.subtract(exps, 1.0, out=exps)
         return np.einsum("i,i...->...", self._marks, exps, out=out)
 
-    def potential(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        terms = self.potential_terms(phi, out)
-        return np.multiply(terms, self.potential_coefficient, out=terms)
-
-    def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        exps = np.exp(self.beta * np.einsum("ia,a...->i...", self._alpha, phi))
-        grad = (self.m**2 / self.beta) * np.einsum("i,ia,i...->a...", self._marks, self._alpha, exps)
-        if out is None:
-            return grad
-        np.copyto(out, grad)
-        return out
+    def gradient(
+        self, phi: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> np.ndarray:
+        out = np.einsum("i,ia,i...->a...", self._marks, self._alpha, self._root_exps(phi, work), out=out)
+        return np.multiply(self.m**2 / self.beta, out, out=out)
 
 
 Model = KleinGordon | SineGordon | SinhGordon | AffineToda

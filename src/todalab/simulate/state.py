@@ -31,7 +31,10 @@ class Geometry:
     x < x_max, conventionally x_max = 0).  ``sponge_fraction`` > 0 switches on
     momentum damping over that fraction of the domain at each of
     ``open_ends``; a geometry without open ends range-checks it and damps
-    nothing.
+    nothing.  Left as None, it is the one default: 0.1 on a line or a
+    defect, else 0.  A boundary spec on an end without a boundary term
+    (``BOUNDARY_SIDES``), or a defect spec on a geometry that is not a
+    defect, is refused.
     """
 
     kind: str
@@ -39,7 +42,7 @@ class Geometry:
     left: BoundarySpec | None = None
     right: BoundarySpec | None = None
     defect: DefectSpec | None = None
-    sponge_fraction: float = 0.0
+    sponge_fraction: float | None = None
     sponge_strength: float = 2.0
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -50,6 +53,13 @@ class Geometry:
         if any(getattr(self, side) is None for side in sides):
             need = "both boundary specs" if len(sides) == 2 else f"the {sides[0]} boundary spec"
             raise ValidationError(f"{self.kind} geometry needs {need}")
+        for side in ("left", "right"):
+            if getattr(self, side) is not None and side not in sides:
+                raise ValidationError(f"{self.kind} geometry has no boundary term at its {side} end to take a spec")
+        if self.defect is not None and self.kind != "defect":
+            raise ValidationError(f"{self.kind} geometry takes no defect spec")
+        if self.sponge_fraction is None:
+            object.__setattr__(self, "sponge_fraction", 0.1 if self.kind in ("line", "defect") else 0.0)
         if self.kind == "defect":
             if self.defect is None:
                 raise ValidationError("defect geometry needs a defect spec")
@@ -90,13 +100,6 @@ class Geometry:
         return round((0.0 - self.grid.x_min) / self.grid.h)
 
     @property
-    def boundary_ends(self) -> tuple:
-        """(left, right) boundary specs of the ends that carry a boundary
-        term (``BOUNDARY_SIDES``), None elsewhere."""
-        sides = BOUNDARY_SIDES[self.kind]
-        return tuple(getattr(self, side) if side in sides else None for side in ("left", "right"))
-
-    @property
     def open_ends(self) -> tuple[str, ...]:
         """The ends, "left" and/or "right", that carry no boundary term on a
         non-periodic geometry."""
@@ -118,11 +121,11 @@ def periodic_line(grid: Grid1D) -> Geometry:
     return Geometry(kind="periodic", grid=grid)
 
 
-def line(grid: Grid1D, sponge_fraction: float = 0.1) -> Geometry:
+def line(grid: Grid1D, sponge_fraction: float | None = None) -> Geometry:
     return Geometry(kind="line", grid=grid, sponge_fraction=sponge_fraction)
 
 
-def half_line(grid: Grid1D, right: BoundarySpec, sponge_fraction: float = 0.0) -> Geometry:
+def half_line(grid: Grid1D, right: BoundarySpec, sponge_fraction: float | None = None) -> Geometry:
     return Geometry(kind="halfline", grid=grid, right=right, sponge_fraction=sponge_fraction)
 
 
@@ -130,7 +133,7 @@ def interval(grid: Grid1D, left: BoundarySpec, right: BoundarySpec) -> Geometry:
     return Geometry(kind="interval", grid=grid, left=left, right=right)
 
 
-def with_defect(grid: Grid1D, defect: DefectSpec, sponge_fraction: float = 0.1) -> Geometry:
+def with_defect(grid: Grid1D, defect: DefectSpec, sponge_fraction: float | None = None) -> Geometry:
     return Geometry(kind="defect", grid=grid, defect=defect, sponge_fraction=sponge_fraction)
 
 

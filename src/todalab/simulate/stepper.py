@@ -21,15 +21,16 @@ momenta an accepted trial carries on) and B's Hessian once per iteration.
 Everything a step needs that does not change during a run (spacing, time
 step, sponge damping, bound boundary conditions, the interface) sits in a
 step plan built once per (model, geometry).  The plan also owns the only
-live field buffers, ``phi`` and ``pi``, and the scratch ``kick`` and
-``grad`` (the model gradient), all 64-byte aligned: the step runs in place
-on them, velocity Verlet with one copy of (phi, pi) plus the force.  A run
-(``_drive``) loads its initial state into the buffers once; each step then
-advances the plan's live state in place and returns it as a new state over
-read-only views of the buffers.  Observers see that view, which is valid
-only during their call: whoever keeps fields keeps a copy.  A ``step`` from
-any other state copies it in and returns fresh arrays, and so do ``evolve``
-and ``_drive`` with their final state.
+live field buffers, ``phi`` and ``pi``, and the scratch ``kick``, ``grad``
+(the model gradient) and, for an affine Toda model, ``roots`` (its r + 1
+root exponentials), all 64-byte aligned: the step runs in place on them,
+velocity Verlet with one copy of (phi, pi) plus the force, which allocates
+no field-sized array.  A run (``_drive``) loads its initial state into the
+buffers once; each step then advances the plan's live state in place and
+returns it as a new state over read-only views of the buffers.  Observers
+see that view, which is valid only during their call: whoever keeps fields
+keeps a copy.  A ``step`` from any other state copies it in and returns
+fresh arrays, and so do ``evolve`` and ``_drive`` with their final state.
 
 The force at the end of a step is the force at the start of the next one
 ("first same as last"): the plan remembers the last state it returned, and
@@ -47,6 +48,7 @@ import math
 import numpy as np
 
 from ..errors import StepFailure, ValidationError
+from .models import AffineToda
 from .state import FieldHistory, FieldState, Geometry, check_state, empty_aligned
 
 
@@ -86,7 +88,7 @@ class _StepPlan:
     def __init__(self, model, geometry: Geometry):
         grid = geometry.grid
         self.model = model
-        self.defect = geometry.defect if geometry.kind == "defect" else None
+        self.defect = geometry.defect
         if self.defect is not None:
             self.defect.validate_model(model)
             # phi's interface entry in the two-sided row; psi's is the next one
@@ -98,12 +100,16 @@ class _StepPlan:
         self.h2 = grid.h**2
         self.ghost = 2.0 * grid.h
         self.periodic = geometry.kind == "periodic"
-        left, right = geometry.boundary_ends
+        left, right = geometry.left, geometry.right
         self.db_left = left.bind(model) if left is not None else None
         self.db_right = right.bind(model) if right is not None else None
         self.damp = _sponge_profile(geometry)
         # the fields the step advances in place, and its scratch
         self.phi, self.pi, self.kick, self.grad = (empty_aligned(self.shape) for _ in range(4))
+        # an affine Toda gradient's root exponentials
+        toda = isinstance(model, AffineToda)
+        self.roots = empty_aligned((len(model.rs.affine_rootspace), self.shape[1])) if toda else None
+        self.grad_args = (self.grad,) if self.roots is None else (self.grad, self.roots)
         self.phi_view, self.pi_view = self.phi.view(), self.pi.view()
         self.phi_view.flags.writeable = self.pi_view.flags.writeable = False
         # the state over the read-only views during a run, else None
@@ -122,7 +128,8 @@ class _StepPlan:
 
     def force(self, phi: np.ndarray) -> np.ndarray:
         """Ghost-cell Laplacian minus the model gradient (computed into
-        ``grad``), into ``kick``."""
+        ``grad``, an affine Toda model's root exponentials into ``roots``),
+        into ``kick``."""
         h2 = self.h2
         f = self.kick
         _interior_laplacian(phi, f, h2)
@@ -149,7 +156,7 @@ class _StepPlan:
         if self.defect is not None:
             a = self.interface
             f[:, a : a + 2] = 0.0
-        np.subtract(f, self.model.gradient(phi, out=self.grad), out=f)
+        np.subtract(f, self.model.gradient(phi, *self.grad_args), out=f)
         return f
 
 

@@ -438,6 +438,17 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
             None,
             "SinhGordon potential coefficient m^2/beta^2 is not finite at m = 1.0, beta = 1e-200",
         ),
+        # an AttributeError traceback: the Backlund defect read the
+        # Klein-Gordon model's missing beta
+        (
+            {
+                "kind = sinh_gordon": "kind = klein_gordon",
+                "x_min = 0.0": "x_min = -16.0",
+                "kind = periodic": "kind = defect\ndefect = backlund",
+            },
+            None,
+            "SineGordonBacklund requires a bulk matching SineGordon(m=1.0, beta=1.0); got a KleinGordon",
+        ),
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):

@@ -14,6 +14,7 @@ from todalab.simulate import (
     KleinGordon,
     SineGordon,
     SineGordonBacklund,
+    SinhGordon,
     constraint_residuals,
     diagnostics,
     evolve,
@@ -272,10 +273,17 @@ def _make_defect(kind, lam, m, beta):
 @settings(max_examples=200, deadline=None)
 def test_scalar_defect_values_have_the_bits_of_one_element_arrays(kind, lam, m, beta, phi, psi):
     """The Newton solve evaluates on Python floats, the diagnostics on numpy
-    scalars, the constraint check on arrays: all three give the same bits."""
+    scalars, the constraint check on arrays: all three give the same bits.
+    The bulk's V on a one-element row has the bits of the hand-written V on
+    a float and on a numpy scalar."""
     defect = _make_defect(kind, lam, m, beta)
+    ref = _make_reference(kind, lam, m, beta)
+    for a in (phi, psi):
+        v = defect.bulk.potential(np.array([[a]]))
+        assert v.shape == (1,)
+        for scalar in (a, np.float64(a)):
+            assert np.float64(ref.potential_left(scalar)).tobytes() == v.tobytes()
     calls = [(name, (phi, psi)) for name in _PAIR_METHODS]
-    calls += [("potential_left", (phi,)), ("potential_right", (psi,))]
     for name, args in calls:
         method = getattr(defect, name)
         # b_grad gives the pair (B_phi, B_psi); every other method one value
@@ -402,6 +410,10 @@ class _HandWrittenBacklund:
         return (self.m**2 / self.beta**2) * (1.0 - _ref_cos(self.beta * psi))
 
 
+def _make_reference(kind, lam, m, beta):
+    return _HandWrittenFree(lam, m) if kind == "free" else _HandWrittenBacklund(lam, m, beta)
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
@@ -410,19 +422,21 @@ def _bits(x):
 @settings(max_examples=200, deadline=None)
 def test_derived_defect_methods_have_the_bits_of_the_hand_written_forms(kind, lam, m, beta, phi, psi):
     """Every method derived from (f, g) gives the hand-written form's bits on
-    floats and on one-element arrays, and b_grad those of (b_phi, b_psi).  b_psipsi is b_phiphi itself; the old
-    separate form rounded differently, so it agrees to 1e-15 of
-    |f''| + |g''| = max(|B_phiphi|, |B_phipsi|)."""
+    floats and on one-element arrays, and b_grad those of (b_phi, b_psi).
+    The bulk's V on a one-element row has the bits of the hand-written V and
+    W.  b_psipsi is b_phiphi itself; the old separate form rounded
+    differently, so it agrees to 1e-15 of |f''| + |g''| =
+    max(|B_phiphi|, |B_phipsi|)."""
     defect = _make_defect(kind, lam, m, beta)
-    ref = _HandWrittenFree(lam, m) if kind == "free" else _HandWrittenBacklund(lam, m, beta)
+    ref = _make_reference(kind, lam, m, beta)
     assert type(defect).b_psipsi is type(defect).b_phiphi
     for a, b in ((phi, psi), (np.array([phi]), np.array([psi]))):
         for name in ("b_value", "b_phi", "b_psi", "b_phiphi", "b_phipsi", "u_value"):
             assert _bits(getattr(defect, name)(a, b)) == _bits(getattr(ref, name)(a, b)), name
         b_phi, b_psi = defect.b_grad(a, b)
         assert (_bits(b_phi), _bits(b_psi)) == (_bits(ref.b_phi(a, b)), _bits(ref.b_psi(a, b)))
-        assert _bits(defect.potential_left(a)) == _bits(ref.potential_left(a))
-        assert _bits(defect.potential_right(b)) == _bits(ref.potential_right(b))
+        assert _bits(defect.bulk.potential(np.reshape(a, (1, 1)))) == _bits(ref.potential_left(a))
+        assert _bits(defect.bulk.potential(np.reshape(b, (1, 1)))) == _bits(ref.potential_right(b))
         assert _bits(defect.b_psipsi(a, b)) == _bits(defect.b_phiphi(a, b))
         scale = max(abs(defect.b_phiphi(a, b)), abs(defect.b_phipsi(a, b)))
         assert abs(defect.b_psipsi(a, b) - ref.b_psipsi(a, b)) <= 1e-15 * scale
@@ -431,12 +445,48 @@ def test_derived_defect_methods_have_the_bits_of_the_hand_written_forms(kind, la
 @given(st.sampled_from(["free", "backlund"]), _lam, _positive, _positive, _field, _field)
 @settings(max_examples=200, deadline=None)
 def test_defect_potential_identity_holds_on_random_samples(kind, lam, m, beta, phi, psi):
-    """(1/2)(B_phi^2 - B_psi^2) = V(phi) - W(psi) to 1e-12 of the size of its terms."""
+    """(1/2)(B_phi^2 - B_psi^2) = V(phi) - W(psi) to 1e-12 of the size of its
+    terms, with V = W the potential of the bulk model that a run steps."""
     defect = _make_defect(kind, lam, m, beta)
     b_phi2, b_psi2 = defect.b_phi(phi, psi) ** 2, defect.b_psi(phi, psi) ** 2
-    v, w = defect.potential_left(phi), defect.potential_right(psi)
+    v, w = (defect.bulk.potential(np.array([[x]])).item() for x in (phi, psi))
     scale = max(1.0, b_phi2, b_psi2, abs(v), abs(w))
     assert abs(0.5 * (b_phi2 - b_psi2) - (v - w)) <= 1e-12 * scale
+
+
+class _InstrumentedKleinGordon(KleinGordon):
+    pass
+
+
+@pytest.mark.parametrize(
+    "defect, model",
+    [
+        (FreeDefect(lam=0.8, m=1.5), KleinGordon(m=1.0)),
+        (FreeDefect(lam=0.8, m=1.5), SineGordon(m=1.5)),
+        (FreeDefect(lam=0.8, m=1.5), _InstrumentedKleinGordon(m=1.5)),
+        (SineGordonBacklund(lam=1.2, m=1.5, beta=0.7), SineGordon(m=1.0, beta=0.7)),
+        (SineGordonBacklund(lam=1.2, m=1.5, beta=0.7), SineGordon(m=1.5, beta=1.0)),
+        (SineGordonBacklund(lam=1.2, m=1.5, beta=0.7), SinhGordon(m=1.5, beta=0.7)),
+        (SineGordonBacklund(lam=1.2, m=1.5, beta=0.7), KleinGordon(m=1.5)),
+    ],
+)
+def test_a_defect_accepts_its_bulk_and_refuses_any_other_model(defect, model):
+    """The one model a defect sews is its bulk: another mass, coupling or
+    model class (a subclass included) is refused."""
+    bulk = KleinGordon(m=1.5) if isinstance(defect, FreeDefect) else SineGordon(m=1.5, beta=0.7)
+    assert defect.bulk == bulk
+    defect.validate_model(bulk)
+    with pytest.raises(ValidationError, match="matching"):
+        defect.validate_model(model)
+
+
+def test_an_observation_refuses_a_model_that_is_not_the_defects_bulk():
+    """E and U are those of the bulk: diagnostics under another model would
+    take another V, and used to report it."""
+    geom = with_defect(Grid1D(-10.0, 10.0, 100), FreeDefect(lam=0.5, m=1.0), sponge_fraction=0.0)
+    state = init_wavepacket(geom, KleinGordon(m=1.0), k0=1.0, width=1.5, x0=-5.0, amplitude=0.05)
+    with pytest.raises(ValidationError, match="matching"):
+        diagnostics(state, SineGordon(m=1.0), geom)
 
 
 def test_newton_failure_dump_holds_plain_floats():

@@ -539,7 +539,7 @@ def test_step_and_observe_scratch_is_64_byte_aligned(name):
     fast the loops over them run."""
     model, geom, state = _case(name)
     plan = stepper._StepPlan(model, geom)
-    buffers = [plan.phi, plan.pi, plan.kick, plan.grad]
+    buffers = [plan.phi, plan.pi, plan.kick, plan.grad, plan.roots]
     segments = _ObservePlan(model, geom, state, ()).segments + [_Segment(model, None, 7, geom.grid.h, False)]
     for seg in segments:
         buffers += [seg.grad, seg.work, seg.pot, seg.roots, seg.dens, seg.flux, *seg.pair, seg.sums]
@@ -568,6 +568,28 @@ def test_an_observation_allocates_less_than_one_row(name):
     finally:
         tracemalloc.stop()
     assert again == first == oracle_diagnostics(state, model, geom, probes)
+    assert peak < 8 * len(x)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_a_toda_force_allocates_less_than_one_row(rank):
+    """The step plan owns the buffers of an affine Toda gradient, its root
+    exponentials included: a second force evaluation on a 4000-cell A_r
+    half-line allocates less than one row's bytes at its peak."""
+    model = AffineToda(rs=build_root_system("A", rank), m=1.0, beta=0.7)
+    b = (0.5, -0.3, 0.4, 0.2)[: rank + 1]
+    geom = half_line(Grid1D(-12.0, 0.0, 4000), right=TodaBoundary(b=b))
+    x = geom.state_x
+    phi = np.stack([0.2 * np.cos(x + c) for c in range(rank)])
+    plan = stepper._StepPlan(model, geom)
+    first = plan.force(phi).copy()
+    tracemalloc.start()
+    try:
+        again = plan.force(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again.tobytes() == first.tobytes() == _force(phi, geom, model).tobytes()
     assert peak < 8 * len(x)
 
 

@@ -7,7 +7,10 @@ import pytest
 
 from todalab.errors import ValidationError
 from todalab.simulate import stepper
+from todalab.simulate.experiment import _build_geometry, resolve_config
+from todalab.simulate.state import BOUNDARY_SIDES, Geometry
 from todalab.simulate import (
+    FreeDefect,
     Grid1D,
     KleinGordon,
     Neumann,
@@ -25,6 +28,7 @@ from todalab.simulate import (
     measure_frequency,
     periodic_line,
     step,
+    with_defect,
 )
 
 
@@ -176,3 +180,56 @@ def test_interval_requires_both_boundaries():
 
     with pytest.raises(ValidationError, match="both boundary"):
         Geometry(kind="interval", grid=Grid1D(-5.0, 5.0, 50), left=Neumann())
+
+
+def _specs(kind):
+    """The boundary specs a geometry of ``kind`` needs, and its defect spec."""
+    specs = {side: Neumann() for side in BOUNDARY_SIDES[kind]}
+    return specs | ({"defect": FreeDefect(lam=0.5)} if kind == "defect" else {})
+
+
+@pytest.mark.parametrize(
+    "kind, side",
+    [("periodic", "left"), ("line", "left"), ("line", "right"), ("halfline", "left"), ("defect", "right")],
+)
+def test_a_boundary_spec_on_an_end_without_a_boundary_term_is_refused(kind, side):
+    """A spec the geometry would ignore is refused, not run as an open or
+    periodic end: a stiff Robin end on a line once ran as the open line."""
+    specs = _specs(kind) | {side: Robin(lam=50.0)}
+    with pytest.raises(ValidationError, match=f"^{kind} geometry has no boundary term at its {side} end"):
+        Geometry(kind=kind, grid=Grid1D(-5.0, 5.0, 50), **specs)
+
+
+@pytest.mark.parametrize("kind", ["periodic", "line", "halfline", "interval"])
+def test_a_defect_spec_on_a_geometry_without_a_defect_is_refused(kind):
+    with pytest.raises(ValidationError, match=f"^{kind} geometry takes no defect spec$"):
+        Geometry(kind=kind, grid=Grid1D(-5.0, 5.0, 50), defect=FreeDefect(lam=0.5), **_specs(kind))
+
+
+@pytest.mark.parametrize("kind", ["periodic", "line", "halfline", "interval", "defect"])
+def test_a_geometry_given_no_sponge_takes_its_kinds_default(kind):
+    """``Geometry``, its factories and a config without ``sponge_fraction``
+    read one rule: a sponge of 0.1 on a line or a defect, none elsewhere."""
+    grid = Grid1D(-5.0, 5.0, 50)
+    specs = _specs(kind)
+    factories = {
+        "periodic": lambda: periodic_line(grid),
+        "line": lambda: line(grid),
+        "halfline": lambda: half_line(grid, **specs),
+        "interval": lambda: interval(grid, **specs),
+        "defect": lambda: with_defect(grid, **specs),
+    }
+    raw = {
+        "model": {"kind": "klein_gordon"},
+        "grid": {"x_min": "-5.0", "x_max": "5.0", "n_cells": "50", "t_final": "1.0"},
+        "geometry": {"kind": kind},
+        "initial": {},
+        "output": {},
+    }
+    built = [
+        Geometry(kind=kind, grid=grid, **specs),
+        factories[kind](),
+        _build_geometry(resolve_config(raw)),
+    ]
+    want = 0.1 if kind in ("line", "defect") else 0.0
+    assert [g.sponge_fraction for g in built] == [want] * 3
