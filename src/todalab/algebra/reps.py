@@ -95,11 +95,10 @@ def is_zero(a: Matrix) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
-    """Defining representation: dimension, Cartan generators, step operators."""
+    """Defining representation: dimension and step operators."""
 
     rs: RootSystem
     n: int
-    h_mats: tuple[Matrix, ...]
     e_mats: dict[Vector, Matrix]
 
     def step(self, vec: Sequence[Fraction]) -> Matrix:
@@ -137,8 +136,7 @@ def defining_rep(rs: RootSystem) -> MatrixRep:
     for root in rs.roots:
         iv = tuple(int(x) for x in root.vector)
         e_mats[root.vector] = unit(n, iv.index(1), iv.index(-1))
-    h_mats = tuple(diag(tuple(int(x) for x in a)) for a in rs.simple_roots)
-    rep = MatrixRep(rs=rs, n=n, h_mats=h_mats, e_mats=e_mats)
+    rep = MatrixRep(rs=rs, n=n, e_mats=e_mats)
     _verify(rep)
     return rep
 
@@ -149,7 +147,8 @@ def _verify(rep: MatrixRep) -> None:
     by_ints = {tuple(int(x) for x in vec): e for vec, e in rep.e_mats.items()}
     rs = rep.rs
     nodes = [tuple(int(x) for x in rs.affine_vector(i)) for i in range(rs.rank + 1)]
-    for a, h in zip(nodes[1:], rep.h_mats):
+    for a in nodes[1:]:
+        h = diag(a)
         for iv, e in by_ints.items():
             want = mscale(sum(x * y for x, y in zip(iv, a)), e)
             if commutator(h, e) != want:

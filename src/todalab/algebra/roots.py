@@ -96,21 +96,18 @@ class RootSystem:
         return frozenset(r.vector for r in self.roots)
 
     def is_root(self, vec: Sequence[Fraction]) -> bool:
-        return tuple(Fraction(x) for x in vec) in self._index()
+        return tuple(Fraction(x) for x in vec) in self._index
 
     def find(self, vec: Sequence[Fraction]) -> Root:
         key = tuple(Fraction(x) for x in vec)
         try:
-            return self._index()[key]
+            return self._index[key]
         except KeyError:
             raise ValidationError(f"{vec} is not a root of {self.name}") from None
 
+    @cached_property
     def _index(self) -> dict[Vector, Root]:
-        cache = getattr(self, "_root_index", None)
-        if cache is None:
-            cache = {r.vector: r for r in self.roots}
-            object.__setattr__(self, "_root_index", cache)
-        return cache
+        return {r.vector: r for r in self.roots}
 
     @property
     def name(self) -> str:

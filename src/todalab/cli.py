@@ -168,15 +168,15 @@ def _cmd_simulate(args) -> int:
                 f"bad --sweep {spec!r}; expected section.key=v1,v2,..."
             ) from None
         sweeps.append((section.strip(), key.strip(), values.split(",")))
-    out = _out_dir(args, cfg)
-    if not sweeps:
-        run_experiment(cfg, out_dir=out)
-        return 0
     if len(sweeps) > 1:
         raise ValidationError("one --sweep key at a time")
-    section, key, values = sweeps[0]
-    for value in values:  # disjoint configs, fully independent runs
-        run_experiment(cfg.replace(section, key, value), out_dir=out / f"{key}={value}")
+    out = _out_dir(args, cfg)
+    members = [(cfg, out)]
+    if sweeps:  # each member's config is resolved, so refused, before any runs
+        section, key, values = sweeps[0]
+        members = [(cfg.replace(section, key, v), out / f"{key}={v}") for v in values]
+    for member, member_out in members:  # disjoint configs, fully independent runs
+        run_experiment(member, out_dir=member_out)
     return 0
 
 

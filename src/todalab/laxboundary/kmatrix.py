@@ -11,7 +11,8 @@ b_i are kept symbolic over the rationals, so the orders solved here are exact:
 the first order pins k_1 = sum_i b_i E_{alpha_i} (equivalently the displayed
 gradient of the boundary term), the second shows K_2 - k_1^2/2 is central
 (k_2 = 0 after normalization), and the third either solves for k_3 or emits
-polynomial obstructions whose vanishing constrains the b_i.
+polynomial obstructions whose vanishing constrains the b_i.  The series
+and its obstructions are returned; ``constraints`` decides what they fix.
 
 The matrix arithmetic (products, commutators, anticommutators) is that of
 ``algebra.reps``, run on ``Poly`` entries; this module only sets up and
@@ -145,8 +146,6 @@ class KExpansion:
     k1: PolyMatrix
     k3: PolyMatrix
     obstructions: list[Poly]
-    fixed_nodes: dict[int, int]  # node -> forced value of b_i^2
-    free_nodes: tuple[int, ...]
 
 
 def _node_data(rs: RootSystem, rep: MatrixRep):
@@ -212,34 +211,6 @@ def _is_central(mat: PolyMatrix) -> bool:
     return True
 
 
-def _constrained_nodes(obstructions: list[Poly], nnodes: int) -> dict[int, int]:
-    """Which nodes are forced to b_i^2 = 4 by the obstruction set.
-
-    Restrict all other variables to a valid sign choice (b_j = 2); the
-    surviving univariate polynomials must vanish exactly at b_i = +-2, and the
-    node counts as fixed when at least one of them is not identically zero.
-    """
-    fixed: dict[int, int] = {}
-    for i in range(nnodes):
-        others = {j: F(2) for j in range(nnodes) if j != i}
-        forced = False
-        for poly in obstructions:
-            uni = poly.partial_substitute(others)
-            if uni.is_zero():
-                continue
-            if uni.substitute([F(2)] * nnodes) != 0 or uni.substitute(
-                [F(-2) if k == i else F(2) for k in range(nnodes)]
-            ) != 0:
-                raise AssertionError(
-                    f"obstruction {poly} is not solved by b_i = +-2; "
-                    "no integrable boundary of this form"
-                )
-            forced = True
-        if forced:
-            fixed[i] = 4
-    return fixed
-
-
 def solve_k_expansion(rs: RootSystem) -> KExpansion:
     """Solve the gauge condition order by order in the defining representation.
 
@@ -252,18 +223,17 @@ def solve_k_expansion(rs: RootSystem) -> KExpansion:
         raise ValidationError("matrix route requires family A")
     rep = defining_rep(rs)
     n = rep.n
-    nnodes = rs.rank + 1
-    nv = nnodes  # one symbol b_i per affine node
+    nnodes = rs.rank + 1  # one symbol b_i per affine node
     e_plus, e_minus, alpha_h, masses = _node_data(rs, rep)
     solver = _adjoint_system(e_minus, masses)
 
     if solver.ncols - solver.rank != 1:
         raise AssertionError("adjoint system kernel is not one-dimensional")
 
-    b = [Poly.var(nv, i) for i in range(nnodes)]
+    b = [Poly.var(nnodes, i) for i in range(nnodes)]
     # constant generators as Poly matrices, so both orders of a product
     # sum Poly entries
-    one = Poly.const(nv, 1)
+    one = Poly.const(nnodes, 1)
     alpha_h_p = [mscale(one, m) for m in alpha_h]
     e_plus_p = [mscale(one, m) for m in e_plus]
 
@@ -301,9 +271,6 @@ def solve_k_expansion(rs: RootSystem) -> KExpansion:
     ]
     sol, obstructions = solver.solve(_flatten_rhs(rhs2))
 
-    fixed = _constrained_nodes(obstructions, nnodes)
-    free = tuple(i for i in range(nnodes) if i not in fixed)
-
     # rhs2 was assembled with K2 = k1^2/2, i.e. in the gauge k2 = 0 where
     # K3 = k3 + k1^3/6; the remaining scalar-rescale freedom only shifts the
     # trace, which is removed.
@@ -315,8 +282,6 @@ def solve_k_expansion(rs: RootSystem) -> KExpansion:
         k1=k1,
         k3=k3,
         obstructions=obstructions,
-        fixed_nodes=fixed,
-        free_nodes=free,
     )
 
 

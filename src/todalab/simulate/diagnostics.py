@@ -50,7 +50,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ValidationError
-from .models import AffineToda
 from .state import Geometry, check_state, empty_aligned
 
 
@@ -99,11 +98,9 @@ class _Segment:
         self.sums = empty_aligned(2)
         # 2V into ``pot``: the model's potential terms, then twice its
         # coefficient on them
-        self.roots = None
-        self.terms, self.terms_args = model.potential_terms, (self.pot,)
-        if isinstance(model, AffineToda):
-            self.roots = empty_aligned((len(model.rs.affine_rootspace), n))
-            self.terms_args += (self.roots,)
+        self.roots = empty_aligned((model.work_rows, n)) if model.work_rows else None
+        self.terms = model.potential_terms
+        self.terms_args = (self.pot,) if self.roots is None else (self.pot, self.roots)
         self.twice_coefficient = np.array(2.0 * model.potential_coefficient)
         self.h, self.two_h = h, 2.0 * h
         # the ufuncs' scalar operands as 0-d arrays, which numpy takes

@@ -158,7 +158,7 @@ class RunConfig:
 
 
 def resolve_config(raw: dict[str, dict]) -> RunConfig:
-    """Merge user keys over defaults, rejecting anything unknown."""
+    """Merge user keys over defaults, refusing an unknown key and a value not of its key's type."""
     sections = {sec: {key: _text(v) for key, v in defaults.items()} for sec, defaults in _SCHEMA.items()}
     for sec, items in raw.items():
         if sec not in _SCHEMA:
@@ -167,7 +167,11 @@ def resolve_config(raw: dict[str, dict]) -> RunConfig:
             if key not in _SCHEMA[sec]:
                 raise ValidationError(f"unknown config key {key!r} in section [{sec}]")
             sections[sec][key] = _text(value)
-    return RunConfig(sections=sections)
+    cfg = RunConfig(sections=sections)
+    for sec, keys in _SCHEMA.items():
+        for key in keys:
+            cfg.value(sec, key)
+    return cfg
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:

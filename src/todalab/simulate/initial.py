@@ -66,7 +66,9 @@ def init_soliton(geometry: Geometry, model, velocity: float, x0: float, charge: 
         raise ValidationError("soliton speed must satisfy |v| < 1")
     if charge not in (1, -1):
         raise ValidationError("topological charge must be +1 or -1")
-    m, beta = model.m, model.beta
+    m, beta = model.m, getattr(model, "beta", None)
+    if beta is None:
+        raise ValidationError(f"a soliton needs a model with a coupling beta; {type(model).__name__} has none")
     gamma = 1.0 / np.sqrt(1.0 - velocity**2)
 
     x = geometry.state_x
@@ -104,11 +106,13 @@ def init_noise(geometry: Geometry, model, amplitude: float, width: float, seed: 
     useful for exciting every mode of a cavity at once.
     """
     _check_width("noise", width)
-    rng = np.random.default_rng(seed)
     x = geometry.x
     h = geometry.grid.h
+    half = max(1, int(round(min(3.0 * width / h, len(x)))))  # min: round(inf) overflows
+    if seed < 0 or 2 * half + 1 > len(x):
+        raise ValidationError(f"noise needs seed >= 0 and a kernel of <= {len(x)} taps, got seed {seed}, width {width}")
+    rng = np.random.default_rng(seed)
     raw = rng.standard_normal(len(x))
-    half = max(1, int(round(3.0 * width / h)))
     kernel_x = h * np.arange(-half, half + 1)
     kernel = np.exp(-(kernel_x**2) / (2.0 * width**2))
     kernel /= kernel.sum()

@@ -9,15 +9,15 @@ without c.  ``gradient(phi, out)``, ``potential(phi, out)`` and
 operations in the same order, so their bits do not depend on ``out``.
 ``AffineToda`` evaluates its root exponentials exp(beta alpha_i . phi) in
 one routine, for both its gradient and its potential terms, and takes
-``work``, a buffer of shape (r + 1, n_nodes), for them in both: with
-``out`` and ``work`` given, neither allocates a field-sized array.  One
-base class holds what the models share: one component, the parameter
-check, c = m^2/beta^2 and ``potential`` = T c.  A power of two times c
-applied to T gives exactly that multiple of V wherever neither is
-subnormal; the energy density takes 2V so, and ``_check_parameters`` keeps
-2c finite.  The multi-component exponential model reduces to the
-hyperbolic scalar one at rank one: AffineToda(A1, m, b) evolves
-identically to SinhGordon(2m, b*sqrt(2)).
+``work``, a buffer of its ``work_rows`` = r + 1 rows, for them in both:
+with ``out`` and ``work`` given, neither allocates a field-sized array.
+One base class holds what the models share: one component, no ``work``
+rows, the parameter check, c = m^2/beta^2 and ``potential`` = T c.  A
+power of two times c applied to T gives exactly that multiple of V
+wherever neither is subnormal; the energy density takes 2V so, and
+``_check_parameters`` keeps 2c finite.  The multi-component exponential
+model reduces to the hyperbolic scalar one at rank one: AffineToda(A1,
+m, b) evolves identically to SinhGordon(2m, b*sqrt(2)).
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ def _check_parameters(model) -> None:
 
 
 class _Model:
-    """What the four models share: one component, the parameter check, the
-    potential coefficient m^2/beta^2 and V = c T."""
+    """What the four models share: one component, no ``work`` rows, the
+    parameter check, the potential coefficient m^2/beta^2 and V = c T."""
 
     n_components = 1
+    work_rows = 0
 
     def __post_init__(self):
         _check_parameters(self)
@@ -147,6 +148,10 @@ class AffineToda(_Model):
     @property
     def n_components(self) -> int:
         return self.rs.rank
+
+    @property
+    def work_rows(self) -> int:
+        return self.rs.rank + 1
 
     def _root_exps(self, phi: np.ndarray, work: np.ndarray | None) -> np.ndarray:
         """exp(beta alpha_i . phi) for the r + 1 affine roots alpha_i, into

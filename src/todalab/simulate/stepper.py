@@ -22,8 +22,8 @@ Everything a step needs that does not change during a run (spacing, time
 step, sponge damping, bound boundary conditions, the interface) sits in a
 step plan built once per (model, geometry).  The plan also owns the only
 live field buffers, ``phi`` and ``pi``, and the scratch ``kick``, ``grad``
-(the model gradient) and, for an affine Toda model, ``roots`` (its r + 1
-root exponentials), all 64-byte aligned: the step runs in place on them,
+(the model gradient) and, for a model with ``work_rows``, ``roots`` (its
+``work`` scratch), all 64-byte aligned: the step runs in place on them,
 velocity Verlet with one copy of (phi, pi) plus the force, which allocates
 no field-sized array.  A run (``_drive``) loads its initial state into the
 buffers once; each step then advances the plan's live state in place and
@@ -48,7 +48,6 @@ import math
 import numpy as np
 
 from ..errors import StepFailure, ValidationError
-from .models import AffineToda
 from .state import FieldHistory, FieldState, Geometry, check_state, empty_aligned
 
 
@@ -106,9 +105,8 @@ class _StepPlan:
         self.damp = _sponge_profile(geometry)
         # the fields the step advances in place, and its scratch
         self.phi, self.pi, self.kick, self.grad = (empty_aligned(self.shape) for _ in range(4))
-        # an affine Toda gradient's root exponentials
-        toda = isinstance(model, AffineToda)
-        self.roots = empty_aligned((len(model.rs.affine_rootspace), self.shape[1])) if toda else None
+        # the model gradient's ``work`` rows, if it takes any
+        self.roots = empty_aligned((model.work_rows, self.shape[1])) if model.work_rows else None
         self.grad_args = (self.grad,) if self.roots is None else (self.grad, self.roots)
         self.phi_view, self.pi_view = self.phi.view(), self.pi.view()
         self.phi_view.flags.writeable = self.pi_view.flags.writeable = False
@@ -128,7 +126,7 @@ class _StepPlan:
 
     def force(self, phi: np.ndarray) -> np.ndarray:
         """Ghost-cell Laplacian minus the model gradient (computed into
-        ``grad``, an affine Toda model's root exponentials into ``roots``),
+        ``grad``, with ``roots`` as its ``work`` when the model takes one),
         into ``kick``."""
         h2 = self.h2
         f = self.kick

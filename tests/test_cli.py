@@ -380,6 +380,22 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
     assert payload["matrix_route"]["route"] == "matrix"
 
 
+def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
+    """``simulate`` of CFG with ``replace`` made (and ``--sweep sweep``)
+    exits 1 with one stderr line holding ``message``, and writes nothing."""
+    path = _write_config(tmp_path, CFG, **replace)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--out", str(out)]
+    if sweep:
+        argv += ["--sweep", sweep]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is a second stderr line
+        assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0] and "Traceback" not in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "replace, sweep, message",
     [
@@ -452,17 +468,67 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):
-    path = _write_config(tmp_path, CFG, **replace)
-    out = tmp_path / "out"
-    argv = ["simulate", "--config", str(path), "--out", str(out)]
-    if sweep:
-        argv += ["--sweep", sweep]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a RuntimeWarning is a second stderr line
-        assert main(argv) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and message in err[0]
-    assert not out.exists()
+    _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message)
+
+
+def test_a_noise_state_with_a_negative_seed_exits_one_with_one_line(tmp_path, capsys):
+    """numpy's ValueError traceback: expected non-negative integer."""
+    replace = {"kind = cosine": "kind = noise\nseed = -1"}
+    message = "noise needs seed >= 0 and a kernel of <= 128 taps, got seed -1, width 1.0"
+    _exits_one_with_one_line(tmp_path, capsys, replace, None, message)
+
+
+@pytest.mark.parametrize("width", ["100", "1e9", "inf"])
+def test_a_noise_kernel_longer_than_the_node_row_exits_one_with_one_line(tmp_path, capsys, width):
+    """Tracebacks: an interp of mismatched lengths at 100, a MemoryError
+    for an 89 GiB kernel at 1e9, an OverflowError in round at inf."""
+    replace = {"kind = cosine": f"kind = noise\nwidth = {width}"}
+    message = f"noise needs seed >= 0 and a kernel of <= 128 taps, got seed 0, width {float(width)}"
+    _exits_one_with_one_line(tmp_path, capsys, replace, None, message)
+
+
+@pytest.mark.parametrize("geometry", ["periodic", "line", "halfline", "interval", "defect"])
+def test_a_soliton_on_a_model_without_a_coupling_exits_one_with_one_line(tmp_path, capsys, geometry):
+    """An AttributeError traceback: the kink read KleinGordon's missing beta."""
+    replace = {
+        "kind = sinh_gordon": "kind = klein_gordon",
+        "x_min = 0.0": "x_min = -16.0",
+        "kind = periodic": f"kind = {geometry}",
+        "kind = cosine": "kind = soliton",
+    }
+    message = "a soliton needs a model with a coupling beta; KleinGordon has none"
+    _exits_one_with_one_line(tmp_path, capsys, replace, None, message)
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        ({"kind = cosine": "kind = gaussian\nseed = abc"}, "[initial] seed = 'abc' is not an integer"),
+        ({"kind = cosine": "kind = gaussian", "mode = 1": "mode = 1.5"}, "[initial] mode = '1.5' is not an integer"),
+        (
+            {"kind = cosine": "kind = gaussian\ntraveling = maybe"},
+            "[initial] traveling = 'maybe' is not 1/yes/true/on or 0/no/false/off",
+        ),
+        (
+            {"kind = cosine": "kind = gaussian", "kind = periodic": "kind = periodic\nleft_lambda = xyz"},
+            "[geometry] left_lambda = 'xyz' is not a number",
+        ),
+        (
+            {"kind = cosine": "kind = gaussian", "kind = periodic": "kind = periodic\nright_b = 1,foo"},
+            "[geometry] right_b = '1,foo' is not a comma-separated list of numbers",
+        ),
+    ],
+    ids=["seed", "mode", "traveling", "left_lambda", "right_b"],
+)
+def test_a_value_not_of_its_keys_type_exits_one_though_the_run_does_not_read_it(tmp_path, capsys, replace, message):
+    """The gaussian run on the periodic ring read none of these keys; it
+    exited 0 and echoed each into run.manifest."""
+    _exits_one_with_one_line(tmp_path, capsys, replace, None, message)
+
+
+def test_a_sweep_with_a_bad_member_exits_one_before_any_member_runs(tmp_path, capsys):
+    """The n_cells=32 member used to run and write its directory first."""
+    _exits_one_with_one_line(tmp_path, capsys, {}, "grid.n_cells=32,abc", "[grid] n_cells = 'abc' is not an integer")
 
 
 def test_a_doubled_potential_coefficient_that_overflows_exits_one_with_one_line(tmp_path, capsys):

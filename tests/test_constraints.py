@@ -66,7 +66,27 @@ def test_reports_that_differ_in_fixed_or_free_nodes_disagree():
     report = adjacency_constraints(build_root_system("A", 2))
     assert routes_agree(report, replace(report, route="matrix"))
     assert not routes_agree(report, replace(report, fixed={0: 4, 1: 4}))
-    assert not routes_agree(report, replace(report, free=(2,)))
+    assert not routes_agree(report, replace(report, rank=3))
+
+
+_ADJACENCY_SYSTEMS = (
+    [("A", r) for r in range(1, 9)] + [("D", r) for r in range(4, 9)] + [("E", r) for r in (6, 7, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "route,family,rank",
+    [("adjacency", f, r) for f, r in _ADJACENCY_SYSTEMS] + [("matrix", "A", r) for r in range(1, 6)],
+)
+def test_free_and_fixed_nodes_partition_the_affine_nodes(route, family, rank):
+    rs = build_root_system(family, rank)
+    if route == "adjacency":
+        report = adjacency_constraints(rs)
+    else:
+        report = expansion_constraints(solve_k_expansion(rs))
+    assert report.route == route
+    assert not set(report.free) & set(report.fixed)
+    assert sorted([*report.free, *report.fixed]) == list(range(rank + 1))
 
 
 def test_json_report_shape():

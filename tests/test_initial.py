@@ -60,6 +60,17 @@ def test_gaussian_width_not_positive_is_refused(kind, width):
         build()
 
 
+def test_a_noise_kernel_may_fill_the_node_row_and_no_more():
+    """On 128 ring nodes, h = 1/8: 3 width/h = 63 gives 127 taps, the
+    widest kernel np.convolve's "same" mode keeps at the row's length;
+    64 gives 129, which ended in np.interp's length-mismatch ValueError."""
+    geom = periodic_line(Grid1D(0.0, 16.0, 128))
+    state = init_noise(geom, KleinGordon(), amplitude=0.1, width=63 / 24, seed=3)
+    assert state.phi.shape == (1, 128) and np.all(np.isfinite(state.phi))
+    with pytest.raises(ValidationError, match="a kernel of <= 128 taps, got seed 3, width 2.66"):
+        init_noise(geom, KleinGordon(), amplitude=0.1, width=64 / 24, seed=3)
+
+
 def test_packet_carrier_frequency_measured_by_fft():
     """The carrier wavenumber survives a round trip through the spatial FFT."""
     geom = periodic_line(Grid1D(-40.0, 40.0, 1024))

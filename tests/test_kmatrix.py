@@ -40,10 +40,11 @@ def exp1(rs1):
 
 
 def test_rank_one_is_unconstrained(exp1):
-    assert exp1.fixed_nodes == {}
-    assert exp1.free_nodes == (0, 1)
+    report = expansion_constraints(exp1)
+    assert report.fixed == {}
+    assert report.free == (0, 1)
     assert exp1.obstructions == []
-    assert not expansion_constraints(exp1).fully_constrained
+    assert not report.fully_constrained
 
 
 def test_rank_one_k1_and_k3_match_hand_expansion(exp1):
@@ -111,7 +112,9 @@ def test_identity_k_is_equivalent_to_neumann(rs1):
 def test_rank_two_obstructions_factor_as_adjacent_pairs():
     rs = build_root_system("A", 2)
     exp = solve_k_expansion(rs)
-    assert exp.fixed_nodes == {0: 4, 1: 4, 2: 4}
+    report = expansion_constraints(exp)
+    assert report.fixed == {0: 4, 1: 4, 2: 4}
+    assert report.free == ()
     assert len(exp.obstructions) == 6  # ordered adjacent pairs of the triangle
     for poly in exp.obstructions:
         stripped = poly.strip_content()
