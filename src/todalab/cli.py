@@ -302,6 +302,9 @@ def _cmd_lax_check(args) -> int:
     cfg = load_config(args.config)
     if cfg.value("grid", "snapshot_every") <= 0:
         raise ValidationError("lax-check needs snapshot_every > 0 in [grid]")
+    kind = cfg.value("geometry", "kind")
+    if kind != "periodic":  # the transport tr V is conserved on a ring only
+        raise ValidationError(f"lax-check computes the monodromy charge of a periodic geometry only, not of {kind!r}")
     frame = toda_frame_for(_build_model(cfg))
 
     # an overflow leaves a non-finite number, which the JSON writer refuses
@@ -311,14 +314,8 @@ def _cmd_lax_check(args) -> int:
         report = {}
         for lam in lambdas:
             res = curvature_residual(result.history, frame, lam)
-            qs = monodromy_charge(
-                result.history.x,
-                result.history.phi,
-                result.history.pi,
-                frame,
-                lam,
-                geometry=result.geometry.kind if result.geometry.kind == "periodic" else "line",
-            )
+            h = result.history
+            qs = monodromy_charge(h.x, h.phi, h.pi, frame, lam)
             drift = float(np.max(np.abs(qs - qs[0])) / max(1e-30, abs(qs[0])))
             report[repr(lam)] = {"curvature_rms": res, "monodromy_drift": drift}
         return report

@@ -16,7 +16,10 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from ..errors import StepFailure, ValidationError
 from . import initial as init_mod
@@ -272,23 +275,26 @@ class RunResult:
     probes: tuple[float, ...] = field(default=())
 
     def diagnostics_csv(self) -> str:
+        from .csvtext import csv_text  # imported on first use: see csvtext
+
         cols = _columns(len(self.probes))
-        row_fmt = ",".join([FLOAT_FMT] * len(cols))
-        lines = [",".join(cols)]
-        for d in self.diagnostics:  # t, E, P, U, P + U, Q and the probes
-            lines.append(row_fmt % (d[:6] + d.probes))
-        return "\n".join(lines) + "\n"
+        rows = chain.from_iterable(d[:6] + d.probes for d in self.diagnostics)  # t, E, P, U, P + U, Q, probes
+        table = np.fromiter(rows, dtype=np.float64, count=len(self.diagnostics) * len(cols))
+        return csv_text(",".join(cols), table.reshape(-1, len(cols)))
 
     def snapshots_csv(self) -> str:
+        """``t``, then the field of each component at each node: one column
+        per node, headed by its x, or with several components ``phi_a@x``."""
         if self.history is None:
             raise ValidationError("run was configured without snapshots")
-        xs = self.history.x
-        x_fmt = ",".join([FLOAT_FMT] * len(xs))
-        row_fmt = FLOAT_FMT + "," + x_fmt
-        lines = ["t," + x_fmt % tuple(xs.tolist())]
-        for t, phi in zip(self.history.times.tolist(), self.history.phi[:, 0]):
-            lines.append(row_fmt % (t, *phi.tolist()))
-        return "\n".join(lines) + "\n"
+        from .csvtext import csv_text
+
+        h = self.history
+        n_t, n_c, n_x = h.phi.shape
+        xs = csv_text("", h.x.reshape(1, n_x)).strip()
+        if n_c > 1:
+            xs = ",".join(f"phi_{a}@{x}" for a in range(1, n_c + 1) for x in xs.split(","))
+        return csv_text("t," + xs, h.times, h.phi.reshape(n_t, n_c * n_x))
 
 
 def _umask() -> int:

@@ -102,17 +102,35 @@ def test_lax_check_writes_no_simulation_output(tmp_path):
     assert sorted(f.name for f in out.iterdir()) == ["lax_check.json", "run.manifest"]
 
 
-def test_lax_check_refuses_a_model_without_lax_frame_before_stepping(tmp_path, monkeypatch, capsys):
+@pytest.fixture()
+def no_step(monkeypatch):
+    """A run that steps fails the test."""
     from todalab.simulate import stepper
 
-    def no_step(*args, **kwargs):
-        raise AssertionError("stepped before the Lax frame was checked")
+    def step(*args, **kwargs):
+        raise AssertionError("stepped before the input was checked")
 
-    monkeypatch.setattr(stepper, "step", no_step)
+    monkeypatch.setattr(stepper, "step", step)
+
+
+def test_lax_check_refuses_a_model_without_lax_frame_before_stepping(tmp_path, no_step, capsys):
     config = _write_config(tmp_path, CFG, **{"kind = sinh_gordon": "kind = klein_gordon"})
     assert main(["lax-check", "--config", str(config), "--refine"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "KleinGordon has no real Lax frame" in err[0]
+
+
+@pytest.mark.parametrize(
+    "geometry", ["halfline\nright = toda\nright_b = 0.8,-0.5", "line", "interval"], ids=["halfline", "line", "interval"]
+)
+def test_lax_check_refuses_a_geometry_that_is_not_periodic_before_stepping(tmp_path, no_step, capsys, geometry):
+    """tr V ignores the ends, so off a ring it is no conserved charge: on a
+    half-line its drift did not fall with the grid step (refine ratio
+    1.0002), and lax-check exited 0 reporting it."""
+    config = _write_config(tmp_path, CFG, **{"kind = periodic": f"kind = {geometry}"})
+    assert main(["lax-check", "--config", str(config), "--refine"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "a periodic geometry only" in err[0]
 
 
 def test_malformed_config_key_exits_one_without_output(tmp_path, capsys):

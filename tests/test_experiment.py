@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab.errors import ValidationError
-from todalab.simulate.experiment import _SCHEMA, load_config, resolve_config, run_experiment
+from todalab.simulate.experiment import _SCHEMA, RunResult, load_config, resolve_config, run_experiment
+from todalab.simulate.state import FieldHistory
 
 
 BASE = {
@@ -75,6 +76,23 @@ def test_csv_shapes_and_seventeen_digits(tmp_path):
     snaps = (out / "snapshots.csv").read_text().splitlines()
     assert snaps[0].startswith("t,")
     assert len(snaps[0].split(",")) == 1 + len(result.geometry.x)
+
+
+def test_snapshots_write_every_component_under_phi_a_at_x():
+    """Each component gets a column per node, headed ``phi_a@x``; one
+    component keeps the header of bare node positions."""
+    times, x = np.array([0.0, 0.125]), np.array([-1.0, 0.5, 1.25])
+    phi = np.arange(12.0).reshape(2, 2, 3) / 7
+
+    def lines(field):
+        history = FieldHistory(times=times, x=x, phi=field, pi=np.zeros_like(field))
+        return RunResult(diagnostics=[], history=history, geometry=None).snapshots_csv().splitlines()
+
+    assert lines(phi)[0] == "t,phi_1@-1,phi_1@0.5,phi_1@1.25,phi_2@-1,phi_2@0.5,phi_2@1.25"
+    assert lines(phi)[1:] == [",".join("%.17g" % v for v in (t, *row.ravel())) for t, row in zip(times, phi)]
+    assert lines(phi[:, 1:]) == ["t,-1,0.5,1.25"] + [
+        ",".join("%.17g" % v for v in (t, *row.ravel())) for t, row in zip(times, phi[:, 1:])
+    ]
 
 
 def test_noise_initial_is_seed_deterministic():
