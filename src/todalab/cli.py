@@ -23,8 +23,8 @@ from .errors import NumericalError, PoleError, ValidationError
 from .simulate.experiment import (
     FLOAT_FMT,
     RunConfig,
-    _build_model,
     _write_atomic,
+    build_run,
     load_config,
     parse_numbers,
     run_experiment,
@@ -172,11 +172,13 @@ def _cmd_simulate(args) -> int:
         raise ValidationError("one --sweep key at a time")
     out = _out_dir(args, cfg)
     members = [(cfg, out)]
-    if sweeps:  # each member's config is resolved, so refused, before any runs
+    if sweeps:  # each member's config is resolved, so refused, before any is built
         section, key, values = sweeps[0]
         members = [(cfg.replace(section, key, v), out / f"{key}={v}") for v in values]
-    for member, member_out in members:  # disjoint configs, fully independent runs
-        run_experiment(member, out_dir=member_out)
+    runs = [(build_run(member), member_out) for member, member_out in members]
+    runs.reverse()  # every member is built, so refused, before any steps
+    while runs:  # each released once its files are written
+        run_experiment(*runs.pop())
     return 0
 
 
@@ -305,12 +307,15 @@ def _cmd_lax_check(args) -> int:
     kind = cfg.value("geometry", "kind")
     if kind != "periodic":  # the transport tr V is conserved on a ring only
         raise ValidationError(f"lax-check computes the monodromy charge of a periodic geometry only, not of {kind!r}")
-    frame = toda_frame_for(_build_model(cfg))
+    # both runs are built, so refused, before either steps
+    base = build_run(cfg)
+    refined = build_run(cfg.replace("grid", "n_cells", 2 * cfg.value("grid", "n_cells"))) if args.refine else None
+    frame = toda_frame_for(base.model)
 
     # an overflow leaves a non-finite number, which the JSON writer refuses
     @np.errstate(over="ignore", invalid="ignore")
-    def run_at(run_cfg: RunConfig):
-        result = run_experiment(run_cfg)
+    def run_at(run):
+        result = run_experiment(run)
         report = {}
         for lam in lambdas:
             res = curvature_residual(result.history, frame, lam)
@@ -320,9 +325,9 @@ def _cmd_lax_check(args) -> int:
             report[repr(lam)] = {"curvature_rms": res, "monodromy_drift": drift}
         return report
 
-    payload = {"base": run_at(cfg)}
-    if args.refine:
-        payload["refined"] = run_at(cfg.replace("grid", "n_cells", 2 * cfg.value("grid", "n_cells")))
+    payload = {"base": run_at(base)}
+    if refined is not None:
+        payload["refined"] = run_at(refined)
         payload["ratios"] = {
             lam: {
                 "curvature": payload["base"][lam]["curvature_rms"]

@@ -94,26 +94,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def content_monomial(self) -> Monomial:
-        """Componentwise-minimal exponent vector dividing every term."""
-        if not self.terms:
-            return tuple([0] * self.nvars)
-        monos = list(self.terms)
-        return tuple(min(m[k] for m in monos) for k in range(self.nvars))
-
-    def strip_content(self) -> "Poly":
-        """Divide out the monomial content (variables common to all terms)."""
-        content = self.content_monomial()
-        if all(e == 0 for e in content):
-            return self
-        return Poly(
-            self.nvars,
-            {
-                tuple(a - b for a, b in zip(m, content)): c
-                for m, c in self.terms.items()
-            },
-        )
-
     def substitute(self, values: Iterable) -> Fraction:
         """Exact evaluation at a full point (one value per variable)."""
         vals = [Fraction(v) for v in values]

@@ -5,6 +5,11 @@ Configs are flat INI files with sections [model], [grid], [geometry],
 ``run.manifest`` echoing the fully resolved configuration (all defaults made
 explicit), so re-running from the manifest reproduces the run byte for byte.
 Floats in all outputs carry 17 significant digits.
+
+A run is built, then executed.  ``build_run`` makes every refusal, up to the
+checks and observation of the state at t = 0, so a caller can build all its
+runs (a ``--sweep``, ``lax-check --refine``) before any steps.
+``run_experiment`` steps a built run and writes its files.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .defects import FreeDefect, SineGordonBacklund
 from .diagnostics import Diagnostics, diagnostics
 from .grid import Grid1D
 from .models import make_model
-from .state import BOUNDARY_SIDES, FieldHistory, Geometry
-from .stepper import _drive, _Snapshots
+from .state import BOUNDARY_SIDES, FieldHistory, FieldState, Geometry
+from .stepper import _loop, _Snapshots, _start
 
 # every key with its default, whose type is the key's type: float, int, bool,
 # str, or an empty tuple for a comma-separated list of numbers
@@ -310,7 +315,8 @@ def _write_atomic(path: Path, text: str) -> None:
         # mkstemp creates the file 0600; give it the mode open() would
         os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for i in range(0, len(text), 1 << 18):  # 256 KiB slices: the file encodes each into a copy
+                fh.write(text[i : i + (1 << 18)])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -332,17 +338,26 @@ def _step_count(t_final: float, dt: float) -> int:
     return int(n)
 
 
-def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> RunResult:
-    """Execute a configured run; deterministic for a fixed config.
+@dataclass(frozen=True, eq=False)
+class BuiltRun:
+    """A run as ``build_run`` leaves it: built, checked and observed at
+    t = 0, not yet stepped.  ``run_experiment`` executes it once."""
 
-    Writes diagnostics CSV, optional snapshot CSV, and the manifest into
-    ``out_dir``, and nothing when it is None.  A diagnostics row with a
-    non-finite value fails the run: a ValidationError at t = 0, a
-    StepFailure after a step.  A run whose stepping fails writes none of
-    them and creates no directory; if ``out_dir`` already exists, it writes
-    ``failure.json`` (the message and the StepFailure state dump) there
-    before re-raising.
-    """
+    cfg: RunConfig
+    model: object
+    geometry: Geometry
+    state: FieldState
+    n_steps: int
+    probes: tuple[float, ...]
+    observers: tuple  # the (every, last, fn) triples of ``stepper._drive``
+    diagnostics: list[Diagnostics]
+    snapshots: _Snapshots
+
+
+def build_run(cfg: RunConfig) -> BuiltRun:
+    """The run of ``cfg`` as built: model, geometry, initial state, step
+    count, probes and observers, the t = 0 row and snapshot taken.  Every
+    refusal of the run is a ValidationError raised here, before any step."""
     model = _build_model(cfg)
     geometry = _build_geometry(cfg)
     state = _build_initial(cfg, model, geometry)
@@ -371,23 +386,35 @@ def run_experiment(cfg: RunConfig, out_dir: str | os.PathLike | None = None) -> 
     observers = [(save_every, True, observe)]
     if snapshot_every > 0:
         observers.append((snapshot_every, False, snaps))
+    _start(state, model, geometry, observers)
+    return BuiltRun(cfg, model, geometry, state, n_steps, probes, tuple(observers), diags, snaps)
+
+
+def run_experiment(run: RunConfig | BuiltRun, out_dir: str | os.PathLike | None = None) -> RunResult:
+    """Execute a run, built by ``build_run`` from ``run`` if it is a
+    config; deterministic for a fixed config.
+
+    Writes diagnostics CSV, optional snapshot CSV, and the manifest into
+    ``out_dir``, and nothing when it is None.  A diagnostics row with a
+    non-finite value after a step fails the run with a StepFailure.  A run
+    whose stepping fails writes none of them and creates no directory; if
+    ``out_dir`` already exists, it writes ``failure.json`` (the message and
+    the StepFailure state dump) there before re-raising.
+    """
+    if isinstance(run, RunConfig):
+        run = build_run(run)
     try:
-        _drive(state, model, geometry, n_steps, observers)
+        _loop(run.state, run.model, run.geometry, run.n_steps, run.observers)
     except StepFailure as exc:
         if out_dir is not None and Path(out_dir).is_dir():
             dump = json.dumps({"error": str(exc), "state_dump": exc.state_dump}, indent=2, sort_keys=True)
             _write_atomic(Path(out_dir) / "failure.json", dump + "\n")
         raise
-    history = snaps.history(geometry)
-    result = RunResult(
-        diagnostics=diags,
-        history=history,
-        geometry=geometry,
-        probes=probes,
-    )
+    history = run.snapshots.history(run.geometry)
+    result = RunResult(diagnostics=run.diagnostics, history=history, geometry=run.geometry, probes=run.probes)
 
     if out_dir is not None:
-        base = Path(out_dir)
+        base, cfg = Path(out_dir), run.cfg
         _write_atomic(base / cfg.value("output", "diagnostics_file"), result.diagnostics_csv())
         if history is not None:
             _write_atomic(base / cfg.value("output", "snapshots_file"), result.snapshots_csv())

@@ -25,7 +25,7 @@ live field buffers, ``phi`` and ``pi``, and the scratch ``kick``, ``grad``
 (the model gradient) and, for a model with ``work_rows``, ``roots`` (its
 ``work`` scratch), all 64-byte aligned: the step runs in place on them,
 velocity Verlet with one copy of (phi, pi) plus the force, which allocates
-no field-sized array.  A run (``_drive``) loads its initial state into the
+no field-sized array.  A run's ``_loop`` loads its initial state into the
 buffers once; each step then advances the plan's live state in place and
 returns it as a new state over read-only views of the buffers.  Observers
 see that view, which is valid only during their call: whoever keeps fields
@@ -310,24 +310,12 @@ class _Snapshots:
 # overflow shows up as non-finite fields or diagnostics, reported at the next
 # observation, not as numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
-    """The stepping loop of every run: ``n_steps`` calls of ``step``.
-
-    ``observers`` are ``(every, last, fn)`` triples.  ``fn(state)`` sees the
-    initial state and the state after every ``every``-th step, and after
-    the final step too when ``last`` is set.  The initial state is checked
-    against the model and geometry and for non-finite values before
-    anything runs, and each stepped state for non-finite values before an
-    observer sees it (StepFailure).  Nothing has stepped when the initial
-    state fails its checks or an observer of it raises StepFailure: the
-    input is at fault, and that is a ValidationError.
-
-    The initial state is loaded into the step plan's buffers once, and
-    every step advances them in place: an observer of a stepped state sees
-    read-only views of the buffers, valid only during its call.  Returns a
-    copy of the final state.
-    """
-    plan = _plan(model, geometry)  # checks the model against the geometry
+def _start(state, model, geometry: Geometry, observers=()) -> None:
+    """A run's checks and its observation at t = 0, before anything steps:
+    the model against the geometry, the initial state against both and for
+    non-finite values, then each observer.  The input is at fault, so a
+    StepFailure here is a ValidationError."""
+    _plan(model, geometry)  # checks the model against the geometry
     check_state(geometry, state, model)
     try:
         state.check_finite()
@@ -335,6 +323,14 @@ def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
             fn(state)
     except StepFailure as exc:
         raise ValidationError(f"initial state: {exc}") from None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _loop(state, model, geometry: Geometry, n_steps: int, observers=()):
+    """The stepping loop of every run, from a state ``_start`` has seen:
+    ``n_steps`` calls of ``step``, each stepped state checked for
+    non-finite values before an observer sees it (StepFailure)."""
+    plan = _plan(model, geometry)
     plan.load(state)
     state = plan.live = FieldState(state.t, plan.phi_view, plan.pi_view)
     try:
@@ -351,6 +347,17 @@ def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
         return final
     finally:
         plan.live = None
+
+
+def _drive(state, model, geometry: Geometry, n_steps: int, observers=()):
+    """A whole run: ``_start``, then ``_loop``.  ``observers`` are
+    ``(every, last, fn)`` triples: ``fn(state)`` sees the initial state and
+    the state after every ``every``-th step, and after the final step too
+    when ``last`` is set.  Every step advances the plan's buffers in place:
+    an observer of a stepped state sees read-only views of them, valid only
+    during its call.  Returns a copy of the final state."""
+    _start(state, model, geometry, observers)
+    return _loop(state, model, geometry, n_steps, observers)
 
 
 def evolve(state, model, geometry: Geometry, n_steps: int, save_every: int = 0):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from todalab import cli
 from todalab.algebra import roots
 from todalab.cli import main
-from todalab.errors import NumericalError
+from todalab.errors import NumericalError, ValidationError
 
 CFG = """\
 [model]
@@ -118,6 +118,39 @@ def test_lax_check_refuses_a_model_without_lax_frame_before_stepping(tmp_path, n
     assert main(["lax-check", "--config", str(config), "--refine"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "KleinGordon has no real Lax frame" in err[0]
+
+
+def test_lax_check_refine_builds_both_runs_before_either_steps(config_file, no_step, monkeypatch, capsys):
+    """A refined run refused at build time exits 1 with the base run unstepped."""
+    from todalab.simulate import experiment
+
+    build = experiment._build_initial
+    calls = []
+
+    def second_refused(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValidationError("refined initial state refused")
+        return build(*args)
+
+    monkeypatch.setattr(experiment, "_build_initial", second_refused)
+    assert main(["lax-check", "--config", str(config_file), "--refine"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["todalab: validation error: refined initial state refused"]
+
+
+def test_lax_check_refine_refuses_a_noise_kernel_only_the_refined_row_cannot_hold(tmp_path, no_step, capsys):
+    """17 cells of h = 1 hold the 2 round(3w/h) + 1 = 17 taps of width 2.77;
+    the refined 34 cells of h = 1/2 cannot hold its 35.  The base run once
+    stepped before the refined run was refused."""
+    from todalab.simulate.experiment import build_run, load_config
+
+    replace = {"x_max = 16.0": "x_max = 17.0", "n_cells = 128": "n_cells = 17", "kind = cosine": "kind = noise\nwidth = 2.77"}
+    config = _write_config(tmp_path, CFG, **replace)
+    assert build_run(load_config(config)).n_steps == 4
+    assert main(["lax-check", "--config", str(config), "--refine"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["todalab: validation error: noise needs seed >= 0 and a kernel of <= 34 taps, got seed 0, width 2.77"]
 
 
 @pytest.mark.parametrize(
@@ -483,6 +516,10 @@ def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
             None,
             "SineGordonBacklund requires a bulk matching SineGordon(m=1.0, beta=1.0); got a KleinGordon",
         ),
+        # a later sweep member refused at build time, or by its t = 0
+        # observation, once exited 1 with the earlier members written
+        ({}, "model.beta=1,0", "beta = 0.0 must be finite and nonzero"),
+        ({}, "initial.amplitude=0.1,1e300", "initial state: non-finite diagnostics at t=0.0"),
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):

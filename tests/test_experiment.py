@@ -1,12 +1,21 @@
 """Config handling, determinism, and the manifest round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab.errors import ValidationError
-from todalab.simulate.experiment import _SCHEMA, RunResult, load_config, resolve_config, run_experiment
+from todalab.simulate.experiment import (
+    _SCHEMA,
+    RunResult,
+    _write_atomic,
+    load_config,
+    resolve_config,
+    run_experiment,
+)
 from todalab.simulate.state import FieldHistory
 
 
@@ -195,3 +204,20 @@ def test_a_hyphenated_word_reads_as_its_underscored_kind():
     assert run_experiment(resolve_config(raw)).diagnostics_csv() == run_experiment(
         resolve_config(underscored)
     ).diagnostics_csv()
+
+
+def test_an_atomic_write_holds_no_copy_of_its_text(tmp_path):
+    """A 3.2 MB text (a defect sweep member's snapshots) is written in
+    slices, so the encoded bytes are never a second copy of it; the one
+    write of the whole text peaked at 3.21 MB."""
+    text = "".join(f"{i * 0.1:.17g},{i:d}\n" for i in range(150_000))
+    assert len(text) > 3_200_000
+    path = tmp_path / "out" / "snapshots.csv"
+    tracemalloc.start()
+    try:
+        _write_atomic(path, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert path.read_bytes() == text.encode()

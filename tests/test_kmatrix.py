@@ -117,12 +117,14 @@ def test_rank_two_obstructions_factor_as_adjacent_pairs():
     assert report.free == ()
     assert len(exp.obstructions) == 6  # ordered adjacent pairs of the triangle
     for poly in exp.obstructions:
-        stripped = poly.strip_content()
-        # s * (b_i^2 - 4): two terms, quadratic in one variable
-        assert len(stripped.terms) == 2
-        monos = sorted(stripped.terms, key=sum)
+        # s * (b_i^2 - 4): with the monomial common to every term divided
+        # out, two terms, quadratic in one variable
+        common = [min(exps) for exps in zip(*poly.terms)]
+        stripped = {tuple(e - c for e, c in zip(mono, common)): v for mono, v in poly.terms.items()}
+        assert len(stripped) == 2
+        monos = sorted(stripped, key=sum)
         assert sum(monos[0]) == 0 and sum(monos[1]) == 2
-        assert stripped.terms[monos[0]] / stripped.terms[monos[1]] == F(-4)
+        assert stripped[monos[0]] / stripped[monos[1]] == F(-4)
 
 
 def test_all_sign_choices_solve_every_obstruction():
