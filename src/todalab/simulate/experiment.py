@@ -341,7 +341,8 @@ def _step_count(t_final: float, dt: float) -> int:
 @dataclass(frozen=True, eq=False)
 class BuiltRun:
     """A run as ``build_run`` leaves it: built, checked and observed at
-    t = 0, not yet stepped.  ``run_experiment`` executes it once."""
+    t = 0, not yet stepped, and holding no step or observation plan.
+    ``run_experiment`` executes it once."""
 
     cfg: RunConfig
     model: object
@@ -387,6 +388,9 @@ def build_run(cfg: RunConfig) -> BuiltRun:
     if snapshot_every > 0:
         observers.append((snapshot_every, False, snaps))
     _start(state, model, geometry, observers)
+    # a built run holds no plan: its step and observation plans, which the
+    # checks and the t = 0 row built, are built again when it runs
+    geometry.plans.clear()
     return BuiltRun(cfg, model, geometry, state, n_steps, probes, tuple(observers), diags, snaps)
 
 

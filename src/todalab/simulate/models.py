@@ -18,6 +18,12 @@ wherever neither is subnormal; the energy density takes 2V so, and
 ``_check_parameters`` keeps 2c finite.  The multi-component exponential
 model reduces to the hyperbolic scalar one at rank one: AffineToda(A1,
 m, b) evolves identically to SinhGordon(2m, b*sqrt(2)).
+
+A gradient's scalar factors (m^2; beta and m^2/beta) are made once per
+model as 0-d float64 arrays, and a factor of exactly 1.0 is not
+multiplied: x * 1.0 is x for every double, so leaving it out keeps the
+bits.  At m = beta = 1 the sine- and sinh-Gordon gradients are one ufunc
+pass, f(phi), instead of three.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import numpy as np
 
 from ..algebra.roots import RootSystem, build_root_system
 from ..errors import ValidationError
+
+_mul = np.multiply
 
 
 def _one_row(phi: np.ndarray) -> np.ndarray:
@@ -66,15 +74,46 @@ def _check_parameters(model) -> None:
             raise ValidationError(f"{name} potential coefficient {label} is not finite at {where}")
 
 
+def _factor(value: float) -> np.ndarray | None:
+    """A gradient's scalar factor as a 0-d float64 array, which a ufunc
+    takes without converting a Python float on every call, or None where it
+    is exactly 1.0: x * 1.0 is x for every double, signed zeros, infinities,
+    quiet NaNs and subnormals included, so that multiply is left out."""
+    return None if value == 1.0 else np.array(value, dtype=np.float64)
+
+
 class _Model:
     """What the four models share: one component, no ``work`` rows, the
-    parameter check, the potential coefficient m^2/beta^2 and V = c T."""
+    parameter check, the potential coefficient m^2/beta^2 and V = c T, and
+    the gradient's scalar factors, made once: Klein-Gordon's m^2 as a 0-d
+    array (``_m2``), a coupled model's beta (``_beta``) and m^2/beta
+    (``_scale``) by ``_factor``.  They are plain attributes, not dataclass
+    fields, so they take no part in a model's ``__eq__`` and ``__hash__``,
+    which make models memo keys."""
 
     n_components = 1
     work_rows = 0
 
     def __post_init__(self):
         _check_parameters(self)
+        beta = getattr(self, "beta", None)
+        if beta is None:
+            object.__setattr__(self, "_m2", np.array(self.m**2, dtype=np.float64))
+        else:
+            object.__setattr__(self, "_beta", _factor(beta))
+            object.__setattr__(self, "_scale", _factor(self.m**2 / beta))
+
+    def _odd_gradient(self, odd, phi: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """(m^2/beta) odd(beta phi), into ``out`` when given."""
+        beta, scale = self._beta, self._scale
+        if beta is None:
+            out = odd(phi, out)
+        else:
+            out = _mul(beta, phi, out)
+            odd(out, out)
+        if scale is not None:
+            _mul(scale, out, out)
+        return out
 
     @property
     def potential_coefficient(self) -> float:
@@ -97,7 +136,7 @@ class KleinGordon(_Model):
         return np.square(_one_row(phi), out=out)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.multiply(self.m**2, phi, out=out)
+        return _mul(self._m2, phi, out)
 
 
 @dataclass(frozen=True)
@@ -111,9 +150,7 @@ class SineGordon(_Model):
         return np.subtract(1.0, terms, out=terms)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.multiply(self.beta, phi, out=out)
-        np.sin(out, out=out)
-        return np.multiply(self.m**2 / self.beta, out, out=out)
+        return self._odd_gradient(np.sin, phi, out)
 
 
 @dataclass(frozen=True)
@@ -127,9 +164,7 @@ class SinhGordon(_Model):
         return np.subtract(terms, 1.0, out=terms)
 
     def gradient(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.multiply(self.beta, phi, out=out)
-        np.sinh(out, out=out)
-        return np.multiply(self.m**2 / self.beta, out, out=out)
+        return self._odd_gradient(np.sinh, phi, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +192,8 @@ class AffineToda(_Model):
         """exp(beta alpha_i . phi) for the r + 1 affine roots alpha_i, into
         ``work`` when given."""
         exps = np.einsum("ia,a...->i...", self._alpha, phi, out=work)
-        np.multiply(self.beta, exps, out=exps)
+        if self._beta is not None:
+            _mul(self._beta, exps, exps)
         return np.exp(exps, out=exps)
 
     def potential_terms(
@@ -171,7 +207,9 @@ class AffineToda(_Model):
         self, phi: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
     ) -> np.ndarray:
         out = np.einsum("i,ia,i...->a...", self._marks, self._alpha, self._root_exps(phi, work), out=out)
-        return np.multiply(self.m**2 / self.beta, out, out=out)
+        if self._scale is not None:
+            _mul(self._scale, out, out)
+        return out
 
 
 Model = KleinGordon | SineGordon | SinhGordon | AffineToda

@@ -44,7 +44,8 @@ class Geometry:
     defect: DefectSpec | None = None
     sponge_fraction: float | None = None
     sponge_strength: float = 2.0
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # run data derived from this geometry (step and observation plans), by key
+    plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in BOUNDARY_SIDES:
@@ -111,9 +112,9 @@ class Geometry:
         """Run data derived from this geometry (step and observation plans),
         built by ``build()`` on first use of ``key`` and kept with it."""
         try:
-            return self._memo[key]
+            return self.plans[key]
         except KeyError:
-            value = self._memo[key] = build()
+            value = self.plans[key] = build()
             return value
 
 
@@ -189,6 +190,21 @@ class FieldState:
 
     def check_finite(self) -> None:
         _check_finite(self.t, {"phi": self.phi, "pi": self.pi})
+
+
+_new_object = object.__new__
+_set_t, _set_phi, _set_pi = FieldState.t.__set__, FieldState.phi.__set__, FieldState.pi.__set__
+
+
+def trusted_state(t: float, phi: np.ndarray, pi: np.ndarray) -> FieldState:
+    """The FieldState ``(t, phi, pi)`` built through its slots, without the
+    checks of ``__post_init__``: for read-only arrays of one shape, such as
+    the views a step plan made so when it was built."""
+    state = _new_object(FieldState)
+    _set_t(state, t)
+    _set_phi(state, phi)
+    _set_pi(state, pi)
+    return state
 
 
 @dataclass(frozen=True, eq=False)

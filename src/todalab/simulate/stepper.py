@@ -32,6 +32,22 @@ see that view, which is valid only during their call: whoever keeps fields
 keeps a copy.  A ``step`` from any other state copies it in and returns
 fresh arrays, and so do ``evolve`` and ``_drive`` with their final state.
 
+Around that arithmetic a step does as little interpreter work as it can,
+since at a few thousand nodes about half of a step is fixed per-call cost.
+The ufuncs' scalar operands (dt, dt/2, h^2, 2) are 0-d float64 arrays made
+once per plan, which numpy takes without converting a Python float on
+every call; under NEP 50 they give the values the Python floats give.
+``out`` is passed positionally.  The views a step reads and writes (the
+Laplacian's three stencil rows and its inner nodes, the end pairs, the
+sewing's window around the interface, the interface momenta) are made once
+per plan over its buffers; a force of any other array slices it as before.
+The live state is built over the plan's read-only views without the checks
+of ``FieldState.__post_init__`` (``state.trusted_state``): the plan checked
+them when it made them.  The geometry keeps the step plan it found last, so
+a step of that plan's own model finds it without hashing the model.  A run
+keeps each observer's next due step instead of taking a modulo per
+observer on every step.
+
 The force at the end of a step is the force at the start of the next one
 ("first same as last"): the plan remembers the last state it returned, and
 its ``kick`` buffer still holds that state's force * dt/2, so a step from
@@ -48,7 +64,10 @@ import math
 import numpy as np
 
 from ..errors import StepFailure, ValidationError
-from .state import FieldHistory, FieldState, Geometry, check_state, empty_aligned
+from .state import FieldHistory, FieldState, Geometry, check_state, empty_aligned, trusted_state
+
+_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
+_TWO = np.array(2.0)
 
 
 def _sponge_profile(geometry: Geometry) -> np.ndarray | None:
@@ -71,15 +90,6 @@ def _sponge_profile(geometry: Geometry) -> np.ndarray | None:
     return np.exp(-sigma * geometry.grid.dt)
 
 
-def _interior_laplacian(arr: np.ndarray, out: np.ndarray, h2: float) -> None:
-    """(arr[i+1] - 2 arr[i] + arr[i-1]) / h^2 at the inner nodes, into out."""
-    inner = out[..., 1:-1]
-    np.multiply(arr[..., 1:-1], 2.0, out=inner)
-    np.subtract(arr[..., 2:], inner, out=inner)
-    np.add(inner, arr[..., :-2], out=inner)
-    np.divide(inner, h2, out=inner)
-
-
 class _StepPlan:
     """Step constants, field buffers and scratch of the runs under one
     (model, geometry), one run at a time."""
@@ -90,13 +100,13 @@ class _StepPlan:
         self.defect = geometry.defect
         if self.defect is not None:
             self.defect.validate_model(model)
-            # phi's interface entry in the two-sided row; psi's is the next one
-            self.interface = geometry.interface_index
         self.shape = (model.n_components, len(geometry.state_x))
         self.dt = grid.dt
         self.half_dt = 0.5 * grid.dt
         self.h = grid.h
         self.h2 = grid.h**2
+        # the ufuncs' scalar operands as 0-d arrays
+        self.dt_op, self.half_dt_op, self.h2_op = np.array(self.dt), np.array(self.half_dt), np.array(self.h2)
         self.ghost = 2.0 * grid.h
         self.periodic = geometry.kind == "periodic"
         left, right = geometry.left, geometry.right
@@ -108,7 +118,21 @@ class _StepPlan:
         # the model gradient's ``work`` rows, if it takes any
         self.roots = empty_aligned((model.work_rows, self.shape[1])) if model.work_rows else None
         self.grad_args = (self.grad,) if self.roots is None else (self.grad, self.roots)
-        self.phi_view, self.pi_view = self.phi.view(), self.pi.view()
+        phi, kick = self.phi, self.kick
+        # the views a force evaluation reads of ``phi`` (the Laplacian's three
+        # stencil rows, the two end pairs) and writes of ``kick``
+        self.stencil = (phi[..., 1:-1], phi[..., 2:], phi[..., :-2], phi[:, :2], phi[:, -2:])
+        self.inner = kick[..., 1:-1]
+        if self.defect is not None:
+            # phi's interface entry in the two-sided row; psi's is the next one
+            a = geometry.interface_index
+            self.interface_force = kick[:, a : a + 2]
+            # the row's six values around the interface, entries a - 2 to
+            # a + 3, that the sewing reads and whose middle pair it writes,
+            # and the interface momenta
+            self.window = phi[0, a - 2 : a + 4]
+            self.interface_pi = self.pi[0, a : a + 2]
+        self.phi_view, self.pi_view = phi.view(), self.pi.view()
         self.phi_view.flags.writeable = self.pi_view.flags.writeable = False
         # the state over the read-only views during a run, else None
         self.live = None
@@ -130,11 +154,20 @@ class _StepPlan:
         into ``kick``."""
         h2 = self.h2
         f = self.kick
-        _interior_laplacian(phi, f, h2)
+        if phi is self.phi:
+            mid, up, down, first, last = self.stencil
+        else:
+            mid, up, down, first, last = phi[..., 1:-1], phi[..., 2:], phi[..., :-2], phi[:, :2], phi[:, -2:]
+        # (phi[i+1] - 2 phi[i] + phi[i-1]) / h^2 at the inner nodes
+        inner = self.inner
+        _mul(mid, _TWO, inner)
+        _sub(up, inner, inner)
+        _add(inner, down, inner)
+        _div(inner, self.h2_op, inner)
         # end nodes row by row on Python floats, one tolist() per end pair:
         # the same operations as on whole columns, without the per-call cost
         # of tiny array ops
-        lo, hi = phi[:, :2].tolist(), phi[:, -2:].tolist()
+        lo, hi = first.tolist(), last.tolist()
         if self.periodic:
             for c, ((a0, a1), (b1, b0)) in enumerate(zip(lo, hi)):
                 f[c, 0] = (a1 - 2.0 * a0 + b0) / h2
@@ -152,20 +185,20 @@ class _StepPlan:
                 f[c, 0] = v0 / h2
                 f[c, -1] = v1 / h2
         if self.defect is not None:
-            a = self.interface
-            f[:, a : a + 2] = 0.0
-        np.subtract(f, self.model.gradient(phi, *self.grad_args), out=f)
+            self.interface_force.fill(0.0)
+        _sub(f, self.model.gradient(phi, *self.grad_args), f)
         return f
 
 
-def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[float, float]:
+def _sew(plan: _StepPlan, t: float, old: list[float]) -> tuple[float, float]:
     """Solve the sewing conditions for the interface pair of the drifted
-    two-sided row ``u``, write the pair into ``u`` and return the interface
-    momenta (diagnostic values).  ``old`` holds the row's six values around
-    the interface, entries a - 2 to a + 3, before the drift."""
+    two-sided row, write the pair into the plan's ``window`` and return the
+    interface momenta (diagnostic values).  ``old`` holds the window's six
+    values, the row's entries a - 2 to a + 3 around the interface pair
+    (a, a + 1), before the drift."""
     defect = plan.defect
     hdt, h = plan.half_dt, plan.h
-    a = plan.interface  # phi's interface node; psi's is a + 1
+    window = plan.window
 
     # old interface values and their one-sided second-order d_x
     l2, l1, phi0_old, psi0_old, r1, r2 = old
@@ -177,8 +210,7 @@ def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[fl
     rhs_phi = phi0_old + hdt * (dpsi_old - grad_old[1])
     rhs_psi = psi0_old + hdt * (dphi_old + grad_old[0])
     # new-time one-sided derivatives split into known interior part + interface term
-    l2, l1 = u[a - 2 : a].tolist()
-    r1, r2 = u[a + 2 : a + 4].tolist()
+    l2, l1, _, _, r1, r2 = window.tolist()
     dphi_known = (-4.0 * l1 + l2) / (2.0 * h)
     dpsi_known = (4.0 * r1 - r2) / (2.0 * h)
     cp, cm = 3.0 / (2.0 * h), -3.0 / (2.0 * h)
@@ -236,14 +268,20 @@ def _sew(plan: _StepPlan, t: float, old: list[float], u: np.ndarray) -> tuple[fl
                 "u_psi": float(u_psi),
             },
         )
-    u[a], u[a + 1] = u_phi, u_psi
+    window[2], window[3] = u_phi, u_psi
     return p_phi, p_psi
 
 
 def _plan(model, geometry: Geometry) -> _StepPlan:
     """The step plan of (model, geometry), built on first use and kept with
-    the geometry."""
-    return geometry.memo(("step", model), lambda: _StepPlan(model, geometry))
+    the geometry; equal models share it.  The geometry also keeps the plan
+    found last under "step", so a step of that plan's own model finds it
+    without hashing the model."""
+    plans = geometry.plans
+    plan = plans.get("step")
+    if plan is None or plan.model is not model:
+        plan = plans["step"] = geometry.memo(("step", model), lambda: _StepPlan(model, geometry))
+    return plan
 
 
 def step(state, model, geometry: Geometry):
@@ -259,27 +297,27 @@ def step(state, model, geometry: Geometry):
         if not live:
             check_state(geometry, state, model)
             plan.load(state)
-        np.multiply(plan.force(phi), plan.half_dt, out=kick)
+        _mul(plan.force(phi), plan.half_dt_op, kick)
     # else the step that made ``state`` left its fields in the buffers and
     # its last half-kick, the same product, in ``kick``
     plan.live = plan.last = None
-    np.add(pi, kick, out=pi)
-    np.multiply(pi, plan.dt, out=kick)
-    if plan.defect is not None:
-        a = plan.interface
-        old = phi[0, a - 2 : a + 4].tolist()  # the sewing's values before the drift
-    np.add(phi, kick, out=phi)
-    if plan.defect is not None:
-        momenta = _sew(plan, state.t, old, phi[0])
-    np.multiply(plan.force(phi), plan.half_dt, out=kick)
-    np.add(pi, kick, out=pi)
-    if plan.defect is not None:
-        pi[0, a], pi[0, a + 1] = momenta
+    _add(pi, kick, pi)
+    _mul(pi, plan.dt_op, kick)
+    defect = plan.defect is not None
+    if defect:
+        old = plan.window.tolist()  # the sewing's values before the drift
+    _add(phi, kick, phi)
+    if defect:
+        momenta = _sew(plan, state.t, old)
+    _mul(plan.force(phi), plan.half_dt_op, kick)
+    _add(pi, kick, pi)
+    if defect:
+        plan.interface_pi[0], plan.interface_pi[1] = momenta
     if plan.damp is not None:
-        np.multiply(pi, plan.damp, out=pi)
+        _mul(pi, plan.damp, pi)
     t = state.t + plan.dt
     if live:
-        plan.live = plan.last = FieldState(t, plan.phi_view, plan.pi_view)
+        plan.live = plan.last = trusted_state(t, plan.phi_view, plan.pi_view)
     else:
         plan.last = FieldState(t, phi.copy(), pi.copy())
     return plan.last
@@ -325,6 +363,15 @@ def _start(state, model, geometry: Geometry, observers=()) -> None:
         raise ValidationError(f"initial state: {exc}") from None
 
 
+def _next_due(k: int, every: int, last: bool, n_steps: int) -> int:
+    """The first step after step ``k`` at which an observer ``(every, last,
+    fn)`` is due: the next multiple of ``every``, or ``n_steps`` if ``last``
+    is set and that comes first.  It is due at step j when
+    ``j % every == 0 or (last and j == n_steps)``."""
+    nxt = (k // every + 1) * every
+    return min(nxt, n_steps) if last else nxt
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _loop(state, model, geometry: Geometry, n_steps: int, observers=()):
     """The stepping loop of every run, from a state ``_start`` has seen:
@@ -332,15 +379,20 @@ def _loop(state, model, geometry: Geometry, n_steps: int, observers=()):
     non-finite values before an observer sees it (StepFailure)."""
     plan = _plan(model, geometry)
     plan.load(state)
-    state = plan.live = FieldState(state.t, plan.phi_view, plan.pi_view)
+    state = plan.live = trusted_state(state.t, plan.phi_view, plan.pi_view)
+    # each observer's next due step, and the first of them
+    due = [_next_due(0, every, last, n_steps) for every, last, _ in observers]
+    first = min(due, default=n_steps + 1)
     try:
         for k in range(1, n_steps + 1):
             state = step(state, model, geometry)
-            due = [fn for every, last, fn in observers if k % every == 0 or (last and k == n_steps)]
-            if due:
+            if k == first:
                 state.check_finite()
-                for fn in due:
-                    fn(state)
+                for i, (every, last, fn) in enumerate(observers):
+                    if due[i] == k:
+                        fn(state)
+                        due[i] = _next_due(k, every, last, n_steps)
+                first = min(due)
         final = FieldState(state.t, state.phi.copy(), state.pi.copy())
         if plan.last is state:  # the buffers and ``kick`` are the copy's too
             plan.last = final

@@ -12,6 +12,7 @@ from todalab.simulate.experiment import (
     _SCHEMA,
     RunResult,
     _write_atomic,
+    build_run,
     load_config,
     resolve_config,
     run_experiment,
@@ -221,3 +222,29 @@ def test_an_atomic_write_holds_no_copy_of_its_text(tmp_path):
         tracemalloc.stop()
     assert peak < 2**20
     assert path.read_bytes() == text.encode()
+
+
+def test_built_runs_hold_no_plans():
+    """A built run holds its initial state and t = 0 records but no step or
+    observation plan: sixteen built members of a 3 201-node defect sweep
+    hold no plan and, together, less than five rows per member."""
+    cfg = resolve_config(
+        {
+            "model": {"kind": "sine_gordon"},
+            "grid": {"x_min": "-40.0", "x_max": "40.0", "n_cells": "3200", "t_final": "0.5", "snapshot_every": "100"},
+            "geometry": {"kind": "defect", "defect": "backlund", "defect_lambda": "1.2", "sponge_fraction": "0"},
+            "initial": {"kind": "soliton", "velocity": "0.5", "x0": "-15.0"},
+        }
+    )
+    build_run(cfg)  # first-use caches outside the runs
+    tracemalloc.start()
+    try:
+        runs = [build_run(cfg.replace("initial", "velocity", f"{0.3 + 0.025 * i:.3f}")) for i in range(16)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(not run.geometry.plans for run in runs)
+    row = 8 * len(runs[0].geometry.state_x)
+    assert held < 16 * 5 * row
+    # a member steps as a fresh build does
+    assert run_experiment(runs[3]).diagnostics == run_experiment(cfg.replace("initial", "velocity", "0.375")).diagnostics

@@ -593,6 +593,36 @@ def test_a_toda_force_allocates_less_than_one_row(rank):
     assert peak < 8 * len(x)
 
 
+@pytest.mark.parametrize("name", ["halfline-robin", "defect-backlund", "halfline-toda-a2"])
+def test_a_live_step_allocates_less_than_one_row(name):
+    """A run's steps write only the plan's buffers: over 50 live steps of a
+    4000-cell run (Klein-Gordon on a Robin half-line, the sine-Gordon
+    Backlund defect, an A2 Toda half-line with its ``roots`` work rows),
+    each checked for non-finite values, the allocation peak stays below one
+    row's bytes."""
+    model, geom, _ = _case(name)
+    geom = replace(geom, grid=replace(geom.grid, n_cells=4000))
+    x = geom.state_x
+    phi = np.stack([0.1 * np.cos(x + c) for c in range(model.n_components)])
+    state = FieldState(t=0.0, phi=phi, pi=0.05 * np.sin(x) * np.ones_like(phi))
+    dt, peaks = geom.grid.dt, []
+
+    def trace(s):
+        k = round(s.t / dt)
+        if k == 1:  # the plan is built and the first step taken
+            tracemalloc.start()
+        elif k == 51:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    try:
+        stepper._drive(state, model, geom, 51, [(1, False, trace)])
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    assert peaks[0] < 8 * len(geom.state_x)
+
+
 def test_a_non_finite_initial_state_is_refused_before_any_observer():
     model, geom, state = _case("periodic")
     phi = state.phi.copy()

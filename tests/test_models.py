@@ -159,6 +159,55 @@ def test_gradient_into_a_buffer_has_the_bits_of_a_fresh_gradient(case):
     assert want.tobytes() == _REFERENCE_GRADIENT[type(model)](model, phi).tobytes()
 
 
+# a row of every kind of double the arithmetic makes
+_SPECIAL_ROW = np.array(
+    [[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, -2.2250738585072014e-308, 1e300, -1e300, 0.75]]
+)
+
+
+def _odd_reference(model, phi):
+    """(m^2/beta) f(beta phi) with both multiplies done, f = sin or sinh."""
+    odd = np.sin if isinstance(model, SineGordon) else np.sinh
+    return np.multiply(model.m**2 / model.beta, odd(np.multiply(model.beta, phi)))
+
+
+@pytest.mark.parametrize("cls", [SineGordon, SinhGordon])
+@pytest.mark.parametrize("m, beta", [(1.0, 1.0), (1.5, 1.0), (2.0, 4.0), (0.5, 0.25), (1.5, 0.5)])
+def test_a_unit_factor_is_left_out_bit_for_bit(cls, m, beta):
+    """A gradient leaves out its multiply by beta when beta == 1.0 and by
+    m^2/beta when that is 1.0; on signed zeros, infinities, a quiet NaN,
+    subnormals and 1e300 its bits stay those of both multiplies."""
+    model = cls(m=m, beta=beta)
+    with np.errstate(all="ignore"):
+        want = _odd_reference(model, _SPECIAL_ROW)
+        fresh = model.gradient(_SPECIAL_ROW)
+        buf = np.full_like(_SPECIAL_ROW, 7.0)
+        got = model.gradient(_SPECIAL_ROW, buf)
+    assert got is buf
+    assert fresh.tobytes() == got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _unit_factor_cases(draw):
+    """A model whose beta, or m^2/beta, is often exactly 1.0, and a row."""
+    cls = draw(st.sampled_from([SineGordon, SinhGordon]))
+    m = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    beta = draw(st.one_of(st.just(1.0), st.just(m**2), st.floats(1e-3, 1e3)))
+    row = draw(arrays(np.float64, (1, draw(st.integers(1, 24))), elements=st.floats(width=64)))
+    return cls(m=m, beta=beta), row
+
+
+@given(_unit_factor_cases())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_gradients_with_unit_factors_keep_the_bits_of_both_multiplies(case):
+    model, phi = case
+    with np.errstate(all="ignore"):
+        want = _odd_reference(model, phi)
+        fresh = model.gradient(phi)
+        got = model.gradient(phi, np.empty_like(phi))
+    assert fresh.tobytes() == got.tobytes() == want.tobytes()
+
+
 # the potentials as written before they took an out buffer
 _REFERENCE_POTENTIAL = {
     KleinGordon: lambda model, phi: (0.5 * model.m**2) * (phi**2)[0],

@@ -233,3 +233,32 @@ def test_a_geometry_given_no_sponge_takes_its_kinds_default(kind):
     ]
     want = 0.1 if kind in ("line", "defect") else 0.0
     assert [g.sponge_fraction for g in built] == [want] * 3
+
+
+def test_each_observer_sees_its_due_steps_and_only_due_steps_are_checked(monkeypatch):
+    """An observer ``(every, last, fn)`` sees the initial state, every step
+    k with k % every == 0, and the last step when ``last`` is set; the
+    finiteness check runs once at t = 0 and once on each step some observer
+    is due, never on another."""
+    from todalab.simulate import FieldState
+
+    geom = periodic_line(Grid1D(0.0, 16.0, 32))
+    model = KleinGordon(m=1.0)
+    state = init_cosine(geom, model, amplitude=0.1, mode=1)
+    dt = geom.grid.dt
+    checked = []
+    real_check = FieldState.check_finite
+
+    def check(self):
+        checked.append(round(self.t / dt))
+        real_check(self)
+
+    monkeypatch.setattr(FieldState, "check_finite", check)
+    seen = {3: [], 5: [], 50: []}
+
+    def observer(every):
+        return lambda s: seen[every].append(round(s.t / dt))
+
+    stepper._drive(state, model, geom, 17, [(3, True, observer(3)), (5, False, observer(5)), (50, True, observer(50))])
+    assert seen == {3: [0, 3, 6, 9, 12, 15, 17], 5: [0, 5, 10, 15], 50: [0, 17]}
+    assert checked == [0, 3, 5, 6, 9, 10, 12, 15, 17]
