@@ -167,7 +167,10 @@ def _cmd_simulate(args) -> int:
             raise ValidationError(
                 f"bad --sweep {spec!r}; expected section.key=v1,v2,..."
             ) from None
-        sweeps.append((section.strip(), key.strip(), values.split(",")))
+        values = values.split(",")
+        if len(set(values)) < len(values):  # two members would share one directory
+            raise ValidationError(f"--sweep {spec!r} repeats a value")
+        sweeps.append((section.strip(), key.strip(), values))
     if len(sweeps) > 1:
         raise ValidationError("one --sweep key at a time")
     out = _out_dir(args, cfg)

@@ -9,8 +9,6 @@ from .constraints import (
 )
 from .kmatrix import (
     KExpansion,
-    a1_k_matrix,
-    boundary_potential,
     k_gauge_residual,
     solve_k_expansion,
 )
@@ -29,9 +27,7 @@ __all__ = [
     "GaugeComponents",
     "KExpansion",
     "LaxFrame",
-    "a1_k_matrix",
     "adjacency_constraints",
-    "boundary_potential",
     "curvature_residual",
     "expansion_constraints",
     "k_gauge_residual",

@@ -7,15 +7,20 @@ of ``kmatrix``'s K series fix.  The two must agree wherever both run.
 
 A fully constrained report states its solution set as a rule and a count:
 ``b = 0``, or ``|b_i| = 2 sqrt(n_i)`` with the ``2**(rank + 1)`` independent
-signs (Bowcock, Corrigan, Dorey & Rietdijk 1995).
+signs (Bowcock, Corrigan, Dorey & Rietdijk 1995).  ``ConstraintReport.boundary``
+builds the boundary of a sign choice from the report's verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as F
+from math import sqrt
+from typing import Sequence
 
 from ..algebra.roots import RootSystem, affine_adjacency
+from ..errors import ValidationError
+from ..simulate import TodaBoundary
 from ._poly import Poly
 from .kmatrix import KExpansion
 
@@ -34,6 +39,23 @@ class ConstraintReport:
     @property
     def fully_constrained(self) -> bool:
         return len(self.fixed) == self.rank + 1
+
+    def boundary(self, signs: Sequence[int], magnitudes: Sequence[float] = ()) -> TodaBoundary:
+        """The ``TodaBoundary`` of a sign choice in normalized units: a fixed
+        |b_i| is sqrt(b_i^2), 2 sqrt(n_i) to the bit, and the caller gives the
+        others, one magnitude per ``free`` node in node order."""
+        nnodes = self.rank + 1
+        signs = tuple(int(s) for s in signs)
+        if len(signs) != nnodes or any(s not in (1, -1) for s in signs):
+            raise ValidationError(f"signs must lie in {{+1,-1}}^{nnodes}")
+        free = self.free
+        if len(magnitudes) != len(free):
+            raise ValidationError(
+                f"{self.system} takes a magnitude at each free node {list(free)}, got {len(magnitudes)}"
+            )
+        size = dict(zip(free, magnitudes))
+        size.update((i, sqrt(v)) for i, v in self.fixed.items())
+        return TodaBoundary(b=tuple(s * size[i] for i, s in enumerate(signs)))
 
     def to_json_dict(self) -> dict:
         out = {

@@ -13,6 +13,8 @@ gradient of the boundary term), the second shows K_2 - k_1^2/2 is central
 (k_2 = 0 after normalization), and the third either solves for k_3 or emits
 polynomial obstructions whose vanishing constrains the b_i.  The series
 and its obstructions are returned; ``constraints`` decides what they fix.
+``k_gauge_residual`` measures how far a K is from solving the condition: the
+test oracle of the series and of ``TodaBoundary.k_matrix``.
 
 The matrix arithmetic (products, commutators, anticommutators) is that of
 ``algebra.reps``, run on ``Poly`` entries; this module only sets up and
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -40,12 +41,17 @@ from ..algebra.reps import (
     msub,
 )
 from ..algebra.roots import RootSystem
-from ..errors import PoleError, ValidationError
+from ..errors import ValidationError
 from ..simulate import AffineToda, TodaBoundary
 from ._poly import Poly
 from .lax import lax_frame
 
 F = Fraction
+
+# The matrix route's time grows about as rank**4.7: A16, A24 and A32 took
+# 0.79 s, 3.7 s and 15 s (peak RSS 36, 49 and 80 MB) on a 2-CPU x86-64 host,
+# so A128 would take hours.
+MAX_MATRIX_RANK = 32
 
 PolyMatrix = Matrix  # entries are Poly
 
@@ -214,13 +220,13 @@ def _is_central(mat: PolyMatrix) -> bool:
 def solve_k_expansion(rs: RootSystem) -> KExpansion:
     """Solve the gauge condition order by order in the defining representation.
 
-    Family A (the matrix route); its time grows about as rank**4.  Returns
-    the exact expansion data; ``expansion_constraints`` reads its constraint
+    Family A up to ``MAX_MATRIX_RANK`` (the matrix route).  Returns the
+    exact expansion data; ``expansion_constraints`` reads its constraint
     report, to cross-check against ``adjacency_constraints`` for the
     combinatorial route.
     """
-    if rs.family != "A":
-        raise ValidationError("matrix route requires family A")
+    if rs.family != "A" or rs.rank > MAX_MATRIX_RANK:
+        raise ValidationError(f"matrix route requires family A of rank <= {MAX_MATRIX_RANK}, not {rs.name}")
     rep = defining_rep(rs)
     n = rep.n
     nnodes = rs.rank + 1  # one symbol b_i per affine node
@@ -286,24 +292,7 @@ def solve_k_expansion(rs: RootSystem) -> KExpansion:
 
 
 # ---------------------------------------------------------------------------
-# the closed-form a1 K-matrix and the gauge-condition residual
-
-
-def a1_k_matrix(lam: complex, b0: float, b1: float) -> np.ndarray:
-    """K(lambda) for the rank-one system, arbitrary real b0, b1.
-
-    The sign conventions are recorded in CONVENTIONS.md; poles of the
-    prefactor at lambda^4 = 1 are flagged.
-    """
-    lam = complex(lam)
-    denom = 1.0 - lam**4
-    if abs(denom) < 1e-12 * max(1.0, abs(lam) ** 4):
-        raise PoleError(f"a1 K-matrix undefined at lambda^4 = 1 (lambda={lam})")
-    g = lam / denom
-    return np.array(
-        [[1.0, g * (b1 - lam**2 * b0)], [g * (b0 - lam**2 * b1), 1.0]],
-        dtype=complex,
-    )
+# the gauge-condition residual, the test oracle of a K
 
 
 def k_gauge_residual(
@@ -334,40 +323,3 @@ def k_gauge_residual(
     lhs = 0.5 * (kmat @ m_mat + m_mat @ kmat)
     rhs = -(kmat @ n_mat - n_mat @ kmat)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-# ---------------------------------------------------------------------------
-# boundary potentials
-
-
-def boundary_potential(
-    rs: RootSystem,
-    signs: Sequence[int],
-    magnitudes: Sequence[float] | None = None,
-) -> TodaBoundary:
-    """Boundary potential from a sign choice.
-
-    Normalized units are ``AffineToda(rs)`` (m = beta = 1), where the
-    returned boundary is B = sum_i b_i exp(alpha_i . phi / 2).
-
-    For rank >= 2 the magnitudes are fixed to 2 sqrt(n_i) by the constraint
-    b_i^2 = 4 n_i; supplying anything else is rejected.  The rank-one system
-    is unconstrained, so there the caller must supply the magnitudes.
-    """
-    nnodes = rs.rank + 1
-    signs = tuple(int(s) for s in signs)
-    if len(signs) != nnodes or any(s not in (1, -1) for s in signs):
-        raise ValidationError(f"signs must lie in {{+1,-1}}^{nnodes}")
-    required = [2.0 * sqrt(n) for n in rs.marks]
-    if rs.rank >= 2:
-        if magnitudes is not None:
-            if not np.allclose(list(magnitudes), required, rtol=0, atol=1e-12):
-                raise ValidationError(
-                    "rank >= 2 boundary magnitudes are fixed by b_i^2 = 4 n_i; "
-                    f"expected {required}"
-                )
-        magnitudes = required
-    elif magnitudes is None:
-        raise ValidationError("rank-one boundary needs caller-supplied magnitudes")
-    bvals = tuple(s * m for s, m in zip(signs, magnitudes))
-    return TodaBoundary(b=bvals)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import PoleError, ValidationError
 from .models import toda_units
 
 
@@ -99,6 +99,22 @@ class TodaBoundary:
             return float(scale * np.dot(b, exps))
 
         return energy
+
+    def k_matrix(self, lam: complex) -> np.ndarray:
+        """K(lambda) of a rank-one boundary, b = (b0, b1), in normalized units
+        (CONVENTIONS.md); a pole of the prefactor at lambda^4 = 1 is flagged."""
+        if len(self.b) != 2:
+            raise ValidationError(f"the closed-form K is rank one's, b = (b0, b1); got {len(self.b)} coefficients")
+        b0, b1 = self.b
+        lam = complex(lam)
+        denom = 1.0 - lam**4
+        if abs(denom) < 1e-12 * max(1.0, abs(lam) ** 4):
+            raise PoleError(f"a1 K-matrix undefined at lambda^4 = 1 (lambda={lam})")
+        g = lam / denom
+        return np.array(
+            [[1.0, g * (b1 - lam**2 * b0)], [g * (b0 - lam**2 * b1), 1.0]],
+            dtype=complex,
+        )
 
 
 BoundarySpec = Neumann | Robin | TodaBoundary

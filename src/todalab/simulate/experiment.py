@@ -20,7 +20,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -276,8 +276,7 @@ def _columns(n_probes: int) -> list[str]:
 class RunResult:
     diagnostics: list[Diagnostics]
     history: FieldHistory | None
-    geometry: Geometry
-    probes: tuple[float, ...] = field(default=())
+    probes: tuple[float, ...] = ()
 
     def diagnostics_csv(self) -> str:
         from .csvtext import csv_text  # imported on first use: see csvtext
@@ -411,11 +410,16 @@ def run_experiment(run: RunConfig | BuiltRun, out_dir: str | os.PathLike | None 
         _loop(run.state, run.model, run.geometry, run.n_steps, run.observers)
     except StepFailure as exc:
         if out_dir is not None and Path(out_dir).is_dir():
-            dump = json.dumps({"error": str(exc), "state_dump": exc.state_dump}, indent=2, sort_keys=True)
+            # JSON has no nan or inf: a non-finite value is written as its text
+            state = {
+                k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in exc.state_dump.items()
+            }
+            dump = json.dumps({"error": str(exc), "state_dump": state}, indent=2, sort_keys=True, allow_nan=False)
             _write_atomic(Path(out_dir) / "failure.json", dump + "\n")
         raise
     history = run.snapshots.history(run.geometry)
-    result = RunResult(diagnostics=run.diagnostics, history=history, geometry=run.geometry, probes=run.probes)
+    result = RunResult(diagnostics=run.diagnostics, history=history, probes=run.probes)
 
     if out_dir is not None:
         base, cfg = Path(out_dir), run.cfg

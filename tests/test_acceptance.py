@@ -11,7 +11,6 @@ import pytest
 
 from todalab.algebra import build_root_system
 from todalab.laxboundary import (
-    a1_k_matrix,
     adjacency_constraints,
     curvature_residual,
     expansion_constraints,
@@ -39,6 +38,7 @@ from todalab.simulate import (
     SineGordon,
     SineGordonBacklund,
     SinhGordon,
+    TodaBoundary,
     constraint_residuals,
     diagnostics,
     evolve,
@@ -202,7 +202,7 @@ def test_criterion_5_a1_k_matrix_residual():
         if abs(lam - 1.0) < 0.05:
             lam += 0.1
         phi = rng.uniform(-1.5, 1.5, size=1)
-        kmat = a1_k_matrix(lam, b0, b1)
+        kmat = TodaBoundary(b=(b0, b1)).k_matrix(lam)
         worst = max(worst, k_gauge_residual(rs, kmat, [b0, b1], phi, lam))
     _report(5, "a1 K-matrix", worst < 1e-10, f"max residual {worst:.2e} over 100 samples")
 

@@ -431,6 +431,40 @@ def test_derive_boundary_solves_the_k_series_once(monkeypatch, capsys):
     assert payload["matrix_route"]["route"] == "matrix"
 
 
+def test_derive_boundary_refuses_the_matrix_route_past_a32_before_any_work(tmp_path, monkeypatch, capsys):
+    """The matrix route took 15 s at A32 and grows about as rank**4.7, so
+    A128 would take hours; ``--route auto`` takes the adjacency route there."""
+    from todalab.laxboundary import kmatrix
+
+    def built(rs):
+        raise AssertionError("the defining representation was built")
+
+    monkeypatch.setattr(kmatrix, "defining_rep", built)
+    out = tmp_path / "bd"
+    argv = ["derive-boundary", "--family", "A", "--rank", str(kmatrix.MAX_MATRIX_RANK + 1), "--out", str(out)]
+    assert main(argv + ["--route", "both"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["todalab: validation error: matrix route requires family A of rank <= 32, not a33"]
+    assert not out.exists()
+    assert main(argv) == 0
+    assert json.loads((out / "boundary.json").read_text())["route"] == "adjacency"
+
+
+def test_a_sweep_that_repeats_a_value_exits_one_before_any_member_is_built(config_file, tmp_path, monkeypatch, capsys):
+    """``model.beta=1,1`` exited 0 with the one member stepped twice into
+    one ``beta=1`` directory."""
+
+    def built(cfg):
+        raise AssertionError("a sweep member was built")
+
+    monkeypatch.setattr(cli, "build_run", built)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_file), "--out", str(out), "--sweep", "model.beta=1,1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["todalab: validation error: --sweep 'model.beta=1,1' repeats a value"]
+    assert not out.exists()
+
+
 def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
     """``simulate`` of CFG with ``replace`` made (and ``--sweep sweep``)
     exits 1 with one stderr line holding ``message``, and writes nothing."""
@@ -753,6 +787,30 @@ def test_an_overflowing_later_row_exits_two_with_a_failure_dump(tmp_path, capsys
     assert [f.name for f in out.iterdir()] == ["failure.json"]
     failure = json.loads((out / "failure.json").read_text())
     assert failure == {"error": err[0].removeprefix("todalab: numerical failure: "), "state_dump": {"t": 2.25, "column": "E"}}
+
+
+@pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+def test_a_failure_dump_with_a_non_finite_value_is_json(config_file, tmp_path, monkeypatch, capsys, value, text):
+    """A free-defect Klein-Gordon run whose Newton solve diverged (m = 41)
+    wrote ``"u_phi": Infinity`` (``NaN`` at m = 60), which is not JSON."""
+    from todalab.errors import StepFailure
+    from todalab.simulate import experiment
+
+    def failed(*args):
+        raise StepFailure("defect interface Newton failed to converge at t=0.5", state_dump={"t": 0.5, "u_phi": value})
+
+    monkeypatch.setattr(experiment, "_loop", failed)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["todalab: numerical failure: defect interface Newton failed to converge at t=0.5"]
+
+    def refused(constant):
+        raise AssertionError(f"failure.json holds {constant}, which is not JSON")
+
+    failure = json.loads((out / "failure.json").read_text(), parse_constant=refused)
+    assert failure["state_dump"] == {"t": 0.5, "u_phi": text}
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

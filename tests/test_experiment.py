@@ -85,7 +85,7 @@ def test_csv_shapes_and_seventeen_digits(tmp_path):
     assert value == result.diagnostics[1].energy
     snaps = (out / "snapshots.csv").read_text().splitlines()
     assert snaps[0].startswith("t,")
-    assert len(snaps[0].split(",")) == 1 + len(result.geometry.x)
+    assert len(snaps[0].split(",")) == 1 + len(result.history.x)
 
 
 def test_snapshots_write_every_component_under_phi_a_at_x():
@@ -96,7 +96,7 @@ def test_snapshots_write_every_component_under_phi_a_at_x():
 
     def lines(field):
         history = FieldHistory(times=times, x=x, phi=field, pi=np.zeros_like(field))
-        return RunResult(diagnostics=[], history=history, geometry=None).snapshots_csv().splitlines()
+        return RunResult(diagnostics=[], history=history).snapshots_csv().splitlines()
 
     assert lines(phi)[0] == "t,phi_1@-1,phi_1@0.5,phi_1@1.25,phi_2@-1,phi_2@0.5,phi_2@1.25"
     assert lines(phi)[1:] == [",".join("%.17g" % v for v in (t, *row.ravel())) for t, row in zip(times, phi)]

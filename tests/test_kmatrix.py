@@ -10,8 +10,8 @@ from scipy.linalg import expm
 from todalab.algebra import build_root_system
 from todalab.errors import PoleError, ValidationError
 from todalab.laxboundary import (
-    a1_k_matrix,
-    boundary_potential,
+    ConstraintReport,
+    adjacency_constraints,
     expansion_constraints,
     k_gauge_residual,
     solve_k_expansion,
@@ -87,18 +87,27 @@ def test_closed_form_rank_one_k_matrix_solves_gauge_condition(rs1):
         if abs(lam - 1.0) < 0.05:
             lam += 0.1
         phi = rng.uniform(-1.5, 1.5, size=1)
-        kmat = a1_k_matrix(lam, b0, b1)
+        kmat = TodaBoundary(b=(b0, b1)).k_matrix(lam)
         worst = max(worst, k_gauge_residual(rs1, kmat, [b0, b1], phi, lam))
     assert worst < 1e-10
 
 
 def test_k_matrix_is_identity_at_lambda_zero():
-    assert np.allclose(a1_k_matrix(0.0, 1.7, -2.2), np.eye(2))
+    assert np.allclose(TodaBoundary(b=(1.7, -2.2)).k_matrix(0.0), np.eye(2))
 
 
 def test_k_matrix_pole_at_unit_lambda():
     with pytest.raises(PoleError):
-        a1_k_matrix(1.0, 1.0, 1.0)
+        TodaBoundary(b=(1.0, 1.0)).k_matrix(1.0)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("D", 4)])
+def test_k_matrix_refuses_a_boundary_past_rank_one(family, rank):
+    """The closed form is rank one's: any other count of b is one line."""
+    boundary = adjacency_constraints(build_root_system(family, rank)).boundary([1] * (rank + 1))
+    with pytest.raises(ValidationError, match=f"b = \\(b0, b1\\); got {rank + 1} coefficients") as info:
+        boundary.k_matrix(0.6)
+    assert len(str(info.value).splitlines()) == 1
 
 
 def test_identity_k_is_equivalent_to_neumann(rs1):
@@ -168,7 +177,7 @@ def _normalized(bp, rs):
 
 
 def test_boundary_potential_rank_one_evaluation(rs1):
-    bp = boundary_potential(rs1, signs=(1, 1), magnitudes=(2.0, 2.0))
+    bp = adjacency_constraints(rs1).boundary(signs=(1, 1), magnitudes=(2.0, 2.0))
     assert isinstance(bp, TodaBoundary)
     energy, db = _normalized(bp, rs1)
     assert energy(np.array([0.0])) == pytest.approx(4.0)
@@ -178,7 +187,7 @@ def test_boundary_potential_rank_one_evaluation(rs1):
 
 def test_boundary_potential_gradient_is_the_derivative(rs1):
     rs = build_root_system("A", 2)
-    bp = boundary_potential(rs, signs=(1, -1, 1))
+    bp = adjacency_constraints(rs).boundary(signs=(1, -1, 1))
     energy, db = _normalized(bp, rs)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -196,7 +205,7 @@ def test_boundary_terms_square_to_bulk_terms():
     """Each boundary term squared is proportional to the matching bulk term,
     with the same constant 4 n_i at every node and every field value."""
     rs = build_root_system("A", 2)
-    bp = boundary_potential(rs, signs=(1, 1, 1))
+    bp = adjacency_constraints(rs).boundary(signs=(1, 1, 1))
     energy, _ = _normalized(bp, rs)
     rng = np.random.default_rng(5)
     alphas = [np.asarray(rs.to_rootspace(rs.affine_vector(i))) for i in range(3)]
@@ -213,21 +222,37 @@ def test_boundary_terms_square_to_bulk_terms():
 
 
 def test_boundary_potential_rejects_off_constraint_magnitudes():
+    """A fully constrained report takes no magnitude, not even the fixed
+    ones (accepted once); a free rank-one report takes exactly two."""
     rs = build_root_system("A", 2)
-    with pytest.raises(ValidationError, match="4 n_i"):
-        boundary_potential(rs, signs=(1, 1, 1), magnitudes=(1.0, 1.0, 1.0))
-    with pytest.raises(ValidationError, match="magnitudes"):
-        boundary_potential(build_root_system("A", 1), signs=(1, 1))
-    # the required magnitudes themselves are accepted
-    required = [2.0 * np.sqrt(n) for n in rs.marks]
-    assert boundary_potential(rs, signs=(1, 1, 1), magnitudes=required).b == tuple(required)
+    report = adjacency_constraints(rs)
+    for magnitudes in ((1.0, 1.0, 1.0), [2.0 * np.sqrt(n) for n in rs.marks], (2.0,)):
+        with pytest.raises(ValidationError, match="at each free node \\[\\], got"):
+            report.boundary(signs=(1, 1, 1), magnitudes=magnitudes)
+    with pytest.raises(ValidationError, match="magnitude"):
+        adjacency_constraints(build_root_system("A", 1)).boundary(signs=(1, 1))
+    assert report.boundary(signs=(1, -1, 1)).b == (2.0, -2.0, 2.0)
+    with pytest.raises(ValidationError, match="signs"):
+        report.boundary(signs=(1, 0, 1))
+
+
+def test_boundary_asks_for_exactly_the_free_magnitudes():
+    """A rank >= 2 report with one node outside ``fixed`` takes that
+    node's magnitude, and only that one: the report, not its rank, decides."""
+    report = ConstraintReport(system="a3", rank=3, route="matrix", fixed={0: 4, 1: 4, 3: 4})
+    assert report.free == (2,)
+    assert report.boundary(signs=(1, -1, -1, 1), magnitudes=(0.7,)).b == (2.0, -2.0, -0.7, 2.0)
+    for magnitudes in ((), (0.7, 0.7), (2.0, 2.0, 0.7, 2.0)):
+        with pytest.raises(ValidationError, match=r"^a3 takes a magnitude at each free node \[2\], got") as info:
+            report.boundary(signs=(1, 1, 1, 1), magnitudes=magnitudes)
+        assert len(str(info.value).splitlines()) == 1
 
 
 def test_boundary_potential_d4_uses_marks():
     rs = build_root_system("D", 4)
-    bp = boundary_potential(rs, signs=tuple([1] * 5))
-    expected = sorted(2.0 * np.sqrt(n) for n in rs.marks)
-    assert sorted(bp.b) == pytest.approx(expected)
+    bp = adjacency_constraints(rs).boundary(signs=tuple([1] * 5))
+    expected = [2.0 * np.sqrt(n) for n in rs.marks]
+    assert list(bp.b) == expected  # sqrt(4 n_i) is 2 sqrt(n_i) to the bit, also at n_i = 2
     # one coefficient per affine node: it binds to the D4 model
     energy, _ = _normalized(bp, rs)
     assert energy(np.zeros(4)) == pytest.approx(sum(expected))

@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from todalab.algebra import build_root_system, defining_rep
 from todalab.errors import ValidationError
 from todalab.laxboundary import (
-    a1_k_matrix,
     curvature_residual,
     lax_components,
     lax_frame,
@@ -271,11 +270,12 @@ def test_boundary_monodromy_conserved_with_k_matrix():
     b0, b1 = 0.8, -0.5
     model = SinhGordon(m=m_sg, beta=beta_sg)
     lam = 0.6
-    kmat = a1_k_matrix(lam, b0, b1)
+    boundary = TodaBoundary(b=(b0, b1))
+    kmat = boundary.k_matrix(lam)
 
     def drift(n_cells):
         grid = Grid1D(-20.0, 0.0, n_cells)
-        geom = half_line(grid, right=TodaBoundary(b=(b0, b1)), sponge_fraction=0.0)
+        geom = half_line(grid, right=boundary, sponge_fraction=0.0)
         state = init_gaussian(geom, model, amplitude=0.25, width=0.8, x0=-3.0)
         frame = toda_frame_for(model)
         qs = []

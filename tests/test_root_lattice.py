@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab.algebra import affine_adjacency, build_root_system, dot, mass_coefficients
-from todalab.laxboundary import boundary_potential, lax_frame
+from todalab.laxboundary import adjacency_constraints, lax_frame
 from todalab.simulate import AffineToda, SinhGordon, TodaBoundary, toda_units
 
 F = Fraction
@@ -155,7 +155,7 @@ def test_models_share_the_cached_affine_rootspace():
     model = AffineToda(rs)
     assert model._alpha is rs.affine_rootspace
     assert lax_frame(rs).alpha_rootspace is rs.affine_rootspace
-    bp = boundary_potential(rs, (1, 1, 1))
+    bp = adjacency_constraints(rs).boundary((1, 1, 1))
     assert bp._data(model)[1] is rs.affine_rootspace
     # the scalar model binds through the one unit map to the A1 system
     m, beta = 1.3, 0.8

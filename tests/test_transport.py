@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from todalab.algebra import build_root_system
 from todalab.cli import main
-from todalab.laxboundary import a1_k_matrix, lax, lax_frame, monodromy_charge, toda_frame_for
-from todalab.simulate import Grid1D, SinhGordon, evolve, init_cosine, periodic_line
+from todalab.laxboundary import lax, lax_frame, monodromy_charge, toda_frame_for
+from todalab.simulate import Grid1D, SinhGordon, TodaBoundary, evolve, init_cosine, periodic_line
 
 NORMS = (1e-3, 0.1, 1.0, 10.0, 50.0)
 KINDS = ("general", "anti_hermitian", "upper_triangular")
@@ -98,7 +98,7 @@ def test_batched_charges_equal_per_snapshot_calls(sinh_history, geometry):
     hist, model = sinh_history
     frame = toda_frame_for(model)
     lam = 0.8
-    kmat = a1_k_matrix(lam, 0.8, -0.5) if geometry == "halfline" else None
+    kmat = TodaBoundary(b=(0.8, -0.5)).k_matrix(lam) if geometry == "halfline" else None
     kw = dict(geometry=geometry, kmat=kmat)
     qs = monodromy_charge(hist.x, hist.phi, hist.pi, frame, lam, **kw)
     assert qs.shape == (len(hist.times),)
