@@ -158,8 +158,12 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    sweeps = []
-    for spec in args.sweep or []:
+    out = _out_dir(args, cfg)
+    members = [(cfg, out)]
+    if args.sweep:  # each member's config is resolved, so refused, before any is built
+        if len(args.sweep) > 1:
+            raise ValidationError("one --sweep key at a time")
+        spec = args.sweep[0]
         try:
             target, values = spec.split("=", 1)
             section, key = target.split(".", 1)
@@ -167,17 +171,12 @@ def _cmd_simulate(args) -> int:
             raise ValidationError(
                 f"bad --sweep {spec!r}; expected section.key=v1,v2,..."
             ) from None
-        values = values.split(",")
-        if len(set(values)) < len(values):  # two members would share one directory
+        section, key = section.strip(), key.strip()
+        members = [(cfg.replace(section, key, v), out / f"{key}={v}") for v in values.split(",")]
+        # two spellings of one value would run one member twice
+        resolved = [member.value(section, key) for member, _ in members]
+        if len(set(resolved)) < len(resolved):
             raise ValidationError(f"--sweep {spec!r} repeats a value")
-        sweeps.append((section.strip(), key.strip(), values))
-    if len(sweeps) > 1:
-        raise ValidationError("one --sweep key at a time")
-    out = _out_dir(args, cfg)
-    members = [(cfg, out)]
-    if sweeps:  # each member's config is resolved, so refused, before any is built
-        section, key, values = sweeps[0]
-        members = [(cfg.replace(section, key, v), out / f"{key}={v}") for v in values]
     runs = [(build_run(member), member_out) for member, member_out in members]
     runs.reverse()  # every member is built, so refused, before any steps
     while runs:  # each released once its files are written

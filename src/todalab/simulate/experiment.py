@@ -21,7 +21,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +29,11 @@ from ..errors import StepFailure, ValidationError
 from . import initial as init_mod
 from .boundaries import Neumann, Robin, TodaBoundary
 from .defects import FreeDefect, SineGordonBacklund
-from .diagnostics import Diagnostics, diagnostics
+from .diagnostics import diagnostics
 from .grid import Grid1D
 from .models import make_model
 from .state import BOUNDARY_SIDES, FieldHistory, FieldState, Geometry
-from .stepper import _loop, _Snapshots, _start
+from .stepper import _loop, _observed, _Snapshots, _start
 
 # every key with its default, whose type is the key's type: float, int, bool,
 # str, or an empty tuple for a comma-separated list of numbers
@@ -274,17 +273,14 @@ def _columns(n_probes: int) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    diagnostics: list[Diagnostics]
+    diagnostics: np.ndarray  # a row per observation, a float64 field per ``_columns`` entry
     history: FieldHistory | None
-    probes: tuple[float, ...] = ()
 
     def diagnostics_csv(self) -> str:
         from .csvtext import csv_text  # imported on first use: see csvtext
 
-        cols = _columns(len(self.probes))
-        rows = chain.from_iterable(d[:6] + d.probes for d in self.diagnostics)  # t, E, P, U, P + U, Q, probes
-        table = np.fromiter(rows, dtype=np.float64, count=len(self.diagnostics) * len(cols))
-        return csv_text(",".join(cols), table.reshape(-1, len(cols)))
+        d = self.diagnostics
+        return csv_text(",".join(d.dtype.names), d.view((np.float64, len(d.dtype))))
 
     def snapshots_csv(self) -> str:
         """``t``, then the field of each component at each node: one column
@@ -340,17 +336,16 @@ def _step_count(t_final: float, dt: float) -> int:
 @dataclass(frozen=True, eq=False)
 class BuiltRun:
     """A run as ``build_run`` leaves it: built, checked and observed at
-    t = 0, not yet stepped, and holding no step or observation plan.
-    ``run_experiment`` executes it once."""
+    t = 0, not yet stepped, and holding no step or observation plan; of its
+    tables only the t = 0 rows are written.  ``run_experiment`` executes it once."""
 
     cfg: RunConfig
     model: object
     geometry: Geometry
     state: FieldState
     n_steps: int
-    probes: tuple[float, ...]
     observers: tuple  # the (every, last, fn) triples of ``stepper._drive``
-    diagnostics: list[Diagnostics]
+    diagnostics: np.ndarray  # ``RunResult.diagnostics``
     snapshots: _Snapshots
 
 
@@ -369,28 +364,30 @@ def build_run(cfg: RunConfig) -> BuiltRun:
     snapshot_every = cfg.value("grid", "snapshot_every")
     probes = cfg.value("output", "probes")
 
-    diags: list[Diagnostics] = []
-    snaps = _Snapshots()
+    columns = _columns(len(probes))
+    table = np.empty(_observed(save_every, True, n_steps), dtype=[(c, np.float64) for c in columns])
+    row_index = iter(range(len(table)))  # the index of each row in turn
+    snaps = _Snapshots(snapshot_every, n_steps, state.phi.shape)
 
     def observe(s):
         d = diagnostics(s, model, geometry, probes)
-        row = d[:6] + d.probes
+        row = d[:6] + d.probes  # t, E, P, U, P + U, Q, probes
         if not all(map(math.isfinite, row)):  # an overflow of finite fields
-            column = _columns(len(probes))[next(i for i, v in enumerate(row) if not math.isfinite(v))]
+            column = columns[next(i for i, v in enumerate(row) if not math.isfinite(v))]
             raise StepFailure(
                 f"non-finite diagnostics at t={s.t} (first at {column})",
                 state_dump={"t": s.t, "column": column},
             )
-        diags.append(d)
+        table[next(row_index)] = row
 
     observers = [(save_every, True, observe)]
     if snapshot_every > 0:
         observers.append((snapshot_every, False, snaps))
     _start(state, model, geometry, observers)
-    # a built run holds no plan: its step and observation plans, which the
-    # checks and the t = 0 row built, are built again when it runs
+    # a built run holds no plan: its observation plan, which the t = 0 row
+    # built, is built again when it runs
     geometry.plans.clear()
-    return BuiltRun(cfg, model, geometry, state, n_steps, probes, tuple(observers), diags, snaps)
+    return BuiltRun(cfg, model, geometry, state, n_steps, tuple(observers), table, snaps)
 
 
 def run_experiment(run: RunConfig | BuiltRun, out_dir: str | os.PathLike | None = None) -> RunResult:
@@ -419,7 +416,7 @@ def run_experiment(run: RunConfig | BuiltRun, out_dir: str | os.PathLike | None 
             _write_atomic(Path(out_dir) / "failure.json", dump + "\n")
         raise
     history = run.snapshots.history(run.geometry)
-    result = RunResult(diagnostics=run.diagnostics, history=history, probes=run.probes)
+    result = RunResult(diagnostics=run.diagnostics, history=history)
 
     if out_dir is not None:
         base, cfg = Path(out_dir), run.cfg

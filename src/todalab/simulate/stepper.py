@@ -40,7 +40,7 @@ every call; under NEP 50 they give the values the Python floats give.
 ``out`` is passed positionally.  The views a step reads and writes (the
 Laplacian's three stencil rows and its inner nodes, the end pairs, the
 sewing's window around the interface, the interface momenta) are made once
-per plan over its buffers; a force of any other array slices it as before.
+per plan over its buffers, and a force reads the plan's own ``phi``.
 The live state is built over the plan's read-only views without the checks
 of ``FieldState.__post_init__`` (``state.trusted_state``): the plan checked
 them when it made them.  The geometry keeps the step plan it found last, so
@@ -148,16 +148,13 @@ class _StepPlan:
         np.copyto(self.phi, state.phi)
         np.copyto(self.pi, state.pi)
 
-    def force(self, phi: np.ndarray) -> np.ndarray:
-        """Ghost-cell Laplacian minus the model gradient (computed into
-        ``grad``, with ``roots`` as its ``work`` when the model takes one),
-        into ``kick``."""
+    def force(self) -> np.ndarray:
+        """Ghost-cell Laplacian of ``phi`` minus the model gradient (computed
+        into ``grad``, with ``roots`` as its ``work`` when the model takes
+        one), into ``kick``."""
         h2 = self.h2
         f = self.kick
-        if phi is self.phi:
-            mid, up, down, first, last = self.stencil
-        else:
-            mid, up, down, first, last = phi[..., 1:-1], phi[..., 2:], phi[..., :-2], phi[:, :2], phi[:, -2:]
+        mid, up, down, first, last = self.stencil
         # (phi[i+1] - 2 phi[i] + phi[i-1]) / h^2 at the inner nodes
         inner = self.inner
         _mul(mid, _TWO, inner)
@@ -186,7 +183,7 @@ class _StepPlan:
                 f[c, -1] = v1 / h2
         if self.defect is not None:
             self.interface_force.fill(0.0)
-        _sub(f, self.model.gradient(phi, *self.grad_args), f)
+        _sub(f, self.model.gradient(self.phi, *self.grad_args), f)
         return f
 
 
@@ -297,7 +294,7 @@ def step(state, model, geometry: Geometry):
         if not live:
             check_state(geometry, state, model)
             plan.load(state)
-        _mul(plan.force(phi), plan.half_dt_op, kick)
+        _mul(plan.force(), plan.half_dt_op, kick)
     # else the step that made ``state`` left its fields in the buffers and
     # its last half-kick, the same product, in ``kick``
     plan.live = plan.last = None
@@ -309,7 +306,7 @@ def step(state, model, geometry: Geometry):
     _add(phi, kick, phi)
     if defect:
         momenta = _sew(plan, state.t, old)
-    _mul(plan.force(phi), plan.half_dt_op, kick)
+    _mul(plan.force(), plan.half_dt_op, kick)
     _add(pi, kick, pi)
     if defect:
         plan.interface_pi[0], plan.interface_pi[1] = momenta
@@ -324,25 +321,26 @@ def step(state, model, geometry: Geometry):
 
 
 class _Snapshots:
-    """Observer that keeps copies of the states' fields on ``Geometry.state_x``."""
+    """Observer ``(every, False, self)`` over ``n_steps`` steps: the fields
+    (of ``shape``, on ``Geometry.state_x``) of each state it sees go into
+    the next row of its tables, which ``history`` wraps without a copy."""
 
-    def __init__(self):
-        self.times: list[float] = []
-        self.phi: list[np.ndarray] = []
-        self.pi: list[np.ndarray] = []
+    def __init__(self, every: int, n_steps: int, shape: tuple[int, int]):
+        rows = _observed(every, False, n_steps) if every > 0 else 0
+        self.times = np.empty(rows)
+        self.phi, self.pi = np.empty((rows, *shape)), np.empty((rows, *shape))
+        self.row_index = iter(range(rows))  # the index of each row in turn
 
     def __call__(self, state) -> None:
-        self.times.append(state.t)
-        self.phi.append(state.phi.copy())
-        self.pi.append(state.pi.copy())
+        k = next(self.row_index)
+        self.times[k] = state.t
+        self.phi[k] = state.phi
+        self.pi[k] = state.pi
 
     def history(self, geometry: Geometry) -> FieldHistory | None:
-        if not self.times:
+        if not len(self.times):
             return None
-        x = geometry.state_x
-        return FieldHistory(
-            times=np.asarray(self.times), x=x, phi=np.asarray(self.phi), pi=np.asarray(self.pi)
-        )
+        return FieldHistory(times=self.times, x=geometry.state_x, phi=self.phi, pi=self.pi)
 
 
 # overflow shows up as non-finite fields or diagnostics, reported at the next
@@ -350,10 +348,9 @@ class _Snapshots:
 @np.errstate(over="ignore", invalid="ignore")
 def _start(state, model, geometry: Geometry, observers=()) -> None:
     """A run's checks and its observation at t = 0, before anything steps:
-    the model against the geometry, the initial state against both and for
-    non-finite values, then each observer.  The input is at fault, so a
-    StepFailure here is a ValidationError."""
-    _plan(model, geometry)  # checks the model against the geometry
+    the initial state and its values, then each observer, whose plan (else
+    ``_loop``'s step plan) checks the model against the geometry.  The input
+    is at fault, so a StepFailure here is a ValidationError."""
     check_state(geometry, state, model)
     try:
         state.check_finite()
@@ -370,6 +367,13 @@ def _next_due(k: int, every: int, last: bool, n_steps: int) -> int:
     ``j % every == 0 or (last and j == n_steps)``."""
     nxt = (k // every + 1) * every
     return min(nxt, n_steps) if last else nxt
+
+
+def _observed(every: int, last: bool, n_steps: int) -> int:
+    """How many states an observer ``(every, last, fn)`` sees in ``n_steps``
+    steps (no step if negative), by ``_next_due``: step 0, each multiple, the last."""
+    n_steps = max(n_steps, 0)
+    return 1 + n_steps // every + (last and n_steps % every > 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -418,7 +422,7 @@ def evolve(state, model, geometry: Geometry, n_steps: int, save_every: int = 0):
 
     Returns (final state, FieldHistory or None).
     """
-    snaps = _Snapshots()
+    snaps = _Snapshots(save_every, n_steps, state.phi.shape)
     observers = [(save_every, False, snaps)] if save_every > 0 else []
     state = _drive(state, model, geometry, n_steps, observers)
     return state, snaps.history(geometry)

@@ -72,8 +72,8 @@ def test_criterion_1_boundary_bound_state():
 
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "boundary_mode.ini")
     result = run_experiment(cfg)
-    series = np.asarray([d.probes[0] for d in result.diagnostics])
-    dt = result.diagnostics[1].t - result.diagnostics[0].t
+    series = result.diagnostics["probe_1"]
+    dt = result.diagnostics["t"][1] - result.diagnostics["t"][0]
     omega = measure_frequency(series, dt)
     m, lam_b = 1.0, -0.6
     expected = np.sqrt(m**2 - lam_b**2)

@@ -13,6 +13,8 @@ from todalab import cli
 from todalab.algebra import roots
 from todalab.cli import main
 from todalab.errors import NumericalError, ValidationError
+from todalab.simulate import stepper
+from todalab.simulate.experiment import build_run, load_config
 
 CFG = """\
 [model]
@@ -465,6 +467,25 @@ def test_a_sweep_that_repeats_a_value_exits_one_before_any_member_is_built(confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep", ["model.beta=1,1.0", "model.beta=1, 1", "model.kind=sinh_gordon,Sinh-Gordon"])
+def test_a_sweep_of_two_spellings_of_one_value_exits_one_before_any_member_is_built(
+    config_file, tmp_path, monkeypatch, capsys, sweep
+):
+    """``model.beta=1,1.0`` exited 0 with byte-identical ``beta=1/`` and
+    ``beta=1.0/``, and ``model.beta=1, 1`` wrote ``beta=1/`` and ``beta= 1/``:
+    the members' values are compared as their configs resolve them."""
+
+    def built(cfg):
+        raise AssertionError("a sweep member was built")
+
+    monkeypatch.setattr(cli, "build_run", built)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_file), "--out", str(out), "--sweep", sweep]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"todalab: validation error: --sweep {sweep!r} repeats a value"]
+    assert not out.exists()
+
+
 def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
     """``simulate`` of CFG with ``replace`` made (and ``--sweep sweep``)
     exits 1 with one stderr line holding ``message``, and writes nothing."""
@@ -558,6 +579,44 @@ def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):
     _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message)
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        (
+            {
+                "kind = sinh_gordon": "kind = klein_gordon",
+                "x_min = 0.0": "x_min = -16.0",
+                "kind = periodic": "kind = defect\ndefect = backlund",
+            },
+            "SineGordonBacklund requires a bulk matching SineGordon(m=1.0, beta=1.0); got a KleinGordon",
+        ),
+        (
+            {"kind = periodic": "kind = halfline\nright = toda\nright_b = 1.0,0.5,0.25"},
+            "Toda boundary needs 2 coefficients, got 3",
+        ),
+    ],
+    ids=["kg_on_backlund", "toda_b_count"],
+)
+def test_a_built_run_holds_no_step_plan_and_its_t0_observation_refuses_a_misfit_model(
+    config_file, tmp_path, capsys, monkeypatch, replace, message
+):
+    """``_start`` built a step plan only to check the model against the
+    geometry, which ``build_run`` then cleared.  No step plan is built: the
+    t = 0 observation's plan makes the same refusals, with the same line."""
+    plans = []
+    real_init = stepper._StepPlan.__init__
+
+    def spy(self, model, geometry):
+        plans.append(model)
+        real_init(self, model, geometry)
+
+    monkeypatch.setattr(stepper._StepPlan, "__init__", spy)
+    run = build_run(load_config(config_file))
+    assert plans == [] and not run.geometry.plans
+    _exits_one_with_one_line(tmp_path, capsys, replace, None, message)
+    assert plans == []
 
 
 def test_a_noise_state_with_a_negative_seed_exits_one_with_one_line(tmp_path, capsys):

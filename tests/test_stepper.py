@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todalab.errors import ValidationError
 from todalab.simulate import stepper
@@ -262,3 +264,15 @@ def test_each_observer_sees_its_due_steps_and_only_due_steps_are_checked(monkeyp
     stepper._drive(state, model, geom, 17, [(3, True, observer(3)), (5, False, observer(5)), (50, True, observer(50))])
     assert seen == {3: [0, 3, 6, 9, 12, 15, 17], 5: [0, 5, 10, 15], 50: [0, 17]}
     assert checked == [0, 3, 5, 6, 9, 10, 12, 15, 17]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(n_steps=st.integers(-3, 60), every=st.integers(1, 70), last=st.booleans())
+def test_the_observation_count_is_the_number_of_calls_a_run_makes(n_steps, every, last):
+    """``stepper._observed`` sizes the tables of a run: it counts the states
+    ``_drive`` shows an observer ``(every, last, fn)``."""
+    geom = periodic_line(Grid1D(0.0, 8.0, 16))
+    model = KleinGordon(m=1.0)
+    calls = []
+    stepper._drive(init_vacuum(geom, model), model, geom, n_steps, [(every, last, calls.append)])
+    assert stepper._observed(every, last, n_steps) == len(calls)
