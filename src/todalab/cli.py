@@ -317,11 +317,10 @@ def _cmd_lax_check(args) -> int:
     # an overflow leaves a non-finite number, which the JSON writer refuses
     @np.errstate(over="ignore", invalid="ignore")
     def run_at(run):
-        result = run_experiment(run)
+        h = run_experiment(run).history
         report = {}
         for lam in lambdas:
-            res = curvature_residual(result.history, frame, lam)
-            h = result.history
+            res = curvature_residual(h, frame, lam)
             qs = monodromy_charge(h.x, h.phi, h.pi, frame, lam)
             drift = float(np.max(np.abs(qs - qs[0])) / max(1e-30, abs(qs[0])))
             report[repr(lam)] = {"curvature_rms": res, "monodromy_drift": drift}

@@ -6,10 +6,11 @@ Configs are flat INI files with sections [model], [grid], [geometry],
 explicit), so re-running from the manifest reproduces the run byte for byte.
 Floats in all outputs carry 17 significant digits.
 
-A run is built, then executed.  ``build_run`` makes every refusal, up to the
-checks and observation of the state at t = 0, so a caller can build all its
-runs (a ``--sweep``, ``lax-check --refine``) before any steps.
-``run_experiment`` steps a built run and writes its files.
+A run is one ``RunResult`` from build to files.  ``build_run`` makes every
+refusal, up to the reservation of its tables and the observation of the
+state at t = 0, so a caller can build all its runs (a ``--sweep``,
+``lax-check --refine``) before any steps.  ``run_experiment`` steps it once,
+writes its files and returns it.  It holds no plan before or after it steps.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .diagnostics import diagnostics
 from .grid import Grid1D
 from .models import make_model
 from .state import BOUNDARY_SIDES, FieldHistory, FieldState, Geometry
-from .stepper import _loop, _observed, _Snapshots, _start
+from .stepper import _loop, _observed, _reserve, _Snapshots, _start
 
 # every key with its default, whose type is the key's type: float, int, bool,
 # str, or an empty tuple for a comma-separated list of numbers
@@ -271,10 +272,25 @@ def _columns(n_probes: int) -> list[str]:
     return ["t", "E", "P", "U", "P_plus_U", "Q_topological"] + [f"probe_{i+1}" for i in range(n_probes)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class RunResult:
+    """A run: built, checked and observed at t = 0 by ``build_run``, with only
+    the t = 0 rows of its tables written; then stepped once, from the initial
+    state ``run_experiment`` takes, and written.  It holds no plan."""
+
+    cfg: RunConfig
+    model: object
+    geometry: Geometry
+    state: FieldState | None  # the initial state, until ``run_experiment`` takes it
+    n_steps: int
+    observers: tuple  # the (every, last, fn) triples of ``stepper._drive``
     diagnostics: np.ndarray  # a row per observation, a float64 field per ``_columns`` entry
-    history: FieldHistory | None
+    snapshots: _Snapshots
+
+    @property
+    def history(self) -> FieldHistory | None:
+        """The snapshot tables, wrapped without a copy; None without snapshots."""
+        return self.snapshots.history(self.geometry)
 
     def diagnostics_csv(self) -> str:
         from .csvtext import csv_text  # imported on first use: see csvtext
@@ -333,23 +349,7 @@ def _step_count(t_final: float, dt: float) -> int:
     return int(n)
 
 
-@dataclass(frozen=True, eq=False)
-class BuiltRun:
-    """A run as ``build_run`` leaves it: built, checked and observed at
-    t = 0, not yet stepped, and holding no step or observation plan; of its
-    tables only the t = 0 rows are written.  ``run_experiment`` executes it once."""
-
-    cfg: RunConfig
-    model: object
-    geometry: Geometry
-    state: FieldState
-    n_steps: int
-    observers: tuple  # the (every, last, fn) triples of ``stepper._drive``
-    diagnostics: np.ndarray  # ``RunResult.diagnostics``
-    snapshots: _Snapshots
-
-
-def build_run(cfg: RunConfig) -> BuiltRun:
+def build_run(cfg: RunConfig) -> RunResult:
     """The run of ``cfg`` as built: model, geometry, initial state, step
     count, probes and observers, the t = 0 row and snapshot taken.  Every
     refusal of the run is a ValidationError raised here, before any step."""
@@ -365,7 +365,7 @@ def build_run(cfg: RunConfig) -> BuiltRun:
     probes = cfg.value("output", "probes")
 
     columns = _columns(len(probes))
-    table = np.empty(_observed(save_every, True, n_steps), dtype=[(c, np.float64) for c in columns])
+    table = _reserve("diagnostics", (_observed(save_every, True, n_steps),), [(c, np.float64) for c in columns])
     row_index = iter(range(len(table)))  # the index of each row in turn
     snaps = _Snapshots(snapshot_every, n_steps, state.phi.shape)
 
@@ -387,12 +387,13 @@ def build_run(cfg: RunConfig) -> BuiltRun:
     # a built run holds no plan: its observation plan, which the t = 0 row
     # built, is built again when it runs
     geometry.plans.clear()
-    return BuiltRun(cfg, model, geometry, state, n_steps, tuple(observers), table, snaps)
+    return RunResult(cfg, model, geometry, state, n_steps, tuple(observers), table, snaps)
 
 
-def run_experiment(run: RunConfig | BuiltRun, out_dir: str | os.PathLike | None = None) -> RunResult:
+def run_experiment(run: RunConfig | RunResult, out_dir: str | os.PathLike | None = None) -> RunResult:
     """Execute a run, built by ``build_run`` from ``run`` if it is a
-    config; deterministic for a fixed config.
+    config, and return it; deterministic for a fixed config.  A run is
+    executed once: a second execution is a ValidationError.
 
     Writes diagnostics CSV, optional snapshot CSV, and the manifest into
     ``out_dir``, and nothing when it is None.  A diagnostics row with a
@@ -403,8 +404,11 @@ def run_experiment(run: RunConfig | BuiltRun, out_dir: str | os.PathLike | None 
     """
     if isinstance(run, RunConfig):
         run = build_run(run)
+    initial, run.state = run.state, None
+    if initial is None:
+        raise ValidationError("this run has already been executed; build it again with build_run")
     try:
-        _loop(run.state, run.model, run.geometry, run.n_steps, run.observers)
+        _loop(initial, run.model, run.geometry, run.n_steps, run.observers)
     except StepFailure as exc:
         if out_dir is not None and Path(out_dir).is_dir():
             # JSON has no nan or inf: a non-finite value is written as its text
@@ -415,13 +419,13 @@ def run_experiment(run: RunConfig | BuiltRun, out_dir: str | os.PathLike | None 
             dump = json.dumps({"error": str(exc), "state_dump": state}, indent=2, sort_keys=True, allow_nan=False)
             _write_atomic(Path(out_dir) / "failure.json", dump + "\n")
         raise
-    history = run.snapshots.history(run.geometry)
-    result = RunResult(diagnostics=run.diagnostics, history=history)
+    finally:  # an executed run holds no plan either
+        run.geometry.plans.clear()
 
     if out_dir is not None:
         base, cfg = Path(out_dir), run.cfg
-        _write_atomic(base / cfg.value("output", "diagnostics_file"), result.diagnostics_csv())
-        if history is not None:
-            _write_atomic(base / cfg.value("output", "snapshots_file"), result.snapshots_csv())
+        _write_atomic(base / cfg.value("output", "diagnostics_file"), run.diagnostics_csv())
+        if run.history is not None:
+            _write_atomic(base / cfg.value("output", "snapshots_file"), run.snapshots_csv())
         _write_atomic(base / "run.manifest", cfg.to_ini())
-    return result
+    return run

@@ -320,6 +320,20 @@ def step(state, model, geometry: Geometry):
     return plan.last
 
 
+def _reserve(table: str, shape: tuple, dtype=float) -> np.ndarray:
+    """``np.empty(shape, dtype)``, a run's ``table`` reserved before any
+    step; one that cannot be allocated (a MemoryError, or numpy's ValueError
+    past its size limit) is a ValidationError naming its size."""
+    try:
+        return np.empty(shape, dtype)
+    except (MemoryError, ValueError):
+        item = np.dtype(dtype).itemsize
+        raise ValidationError(
+            f"the {table} table, {' x '.join(map(str, shape))} entries of {item} bytes "
+            f"({math.prod(shape) * item / 2**30:.1f} GiB), cannot be reserved"
+        ) from None
+
+
 class _Snapshots:
     """Observer ``(every, False, self)`` over ``n_steps`` steps: the fields
     (of ``shape``, on ``Geometry.state_x``) of each state it sees go into
@@ -327,8 +341,8 @@ class _Snapshots:
 
     def __init__(self, every: int, n_steps: int, shape: tuple[int, int]):
         rows = _observed(every, False, n_steps) if every > 0 else 0
-        self.times = np.empty(rows)
-        self.phi, self.pi = np.empty((rows, *shape)), np.empty((rows, *shape))
+        self.times = _reserve("snapshot times", (rows,))
+        self.phi, self.pi = _reserve("snapshot phi", (rows, *shape)), _reserve("snapshot pi", (rows, *shape))
         self.row_index = iter(range(rows))  # the index of each row in turn
 
     def __call__(self, state) -> None:

@@ -486,6 +486,40 @@ def test_a_sweep_of_two_spellings_of_one_value_exits_one_before_any_member_is_bu
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (((5,), 48), "the diagnostics table, 5 entries of 48 bytes (0.0 GiB), cannot be reserved"),
+        (((5, 1, 128), 8), "the snapshot phi table, 5 x 1 x 128 entries of 8 bytes (0.0 GiB), cannot be reserved"),
+    ],
+    ids=["diagnostics", "snapshot_phi"],
+)
+def test_a_table_that_cannot_be_reserved_exits_one_before_any_member_steps(
+    config_file, tmp_path, monkeypatch, capsys, table, message
+):
+    """A MemoryError from reserving a run's table escaped ``main`` as
+    numpy's traceback.  It is one line naming the table and its size,
+    raised while the second member of a sweep is built: nothing has stepped
+    and no directory is written.  The reservation fails for that table's
+    shape only, so nothing large is allocated."""
+    real_empty = np.empty
+
+    def empty(shape, dtype=float, *args, **kwargs):
+        if (shape, np.dtype(dtype).itemsize) == table:  # a run's tables are reserved by a shape tuple
+            raise MemoryError
+        return real_empty(shape, dtype, *args, **kwargs)
+
+    def stepped(*args):
+        raise AssertionError("a sweep member stepped")
+
+    monkeypatch.setattr(np, "empty", empty)
+    monkeypatch.setattr(stepper, "step", stepped)
+    out = tmp_path / "out"  # 32 then 64 steps, rows and snapshots every 16
+    assert main(["simulate", "--config", str(config_file), "--out", str(out), "--sweep", "grid.t_final=2,4"]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"todalab: validation error: {message}"]
+    assert not out.exists()
+
+
 def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
     """``simulate`` of CFG with ``replace`` made (and ``--sweep sweep``)
     exits 1 with one stderr line holding ``message``, and writes nothing."""
@@ -533,6 +567,12 @@ def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
             "[geometry] right_b = '1.0,nan' has an entry that is not finite",
         ),
         ({"t_final = 2.0": "t_final = inf"}, None, "t_final = inf is not a finite number of time steps"),
+        # a ValueError traceback: numpy refuses a table past its size limit without allocating it
+        (
+            {"t_final = 2.0": "t_final = 2e18"},
+            None,
+            "the diagnostics table, 2000000000000000001 entries of 48 bytes (89406967163.1 GiB), cannot be reserved",
+        ),
         ({"x_min = 0.0": "x_min = nan"}, None, "x_min and x_max must be finite"),
         # runs that used to step: into a ZeroDivisionError traceback, or after
         # RuntimeWarnings into an exit 2 at the first observation

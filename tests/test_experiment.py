@@ -2,23 +2,22 @@
 
 import gc
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from todalab.errors import ValidationError
+from todalab.errors import StepFailure, ValidationError
 from todalab.simulate.experiment import (
     _SCHEMA,
-    RunResult,
     _write_atomic,
     build_run,
     load_config,
     resolve_config,
     run_experiment,
 )
-from todalab.simulate.state import FieldHistory
 
 
 BASE = {
@@ -92,16 +91,38 @@ def test_csv_shapes_and_seventeen_digits(tmp_path):
 
 def test_a_run_returns_the_tables_its_built_run_reserved():
     """A built run has a row for each observation and writes the t = 0
-    rows; the result wraps those tables, the snapshots without a copy."""
+    rows; executing it returns the same run, whose history wraps the
+    snapshot tables without a copy."""
     run = build_run(resolve_config(BASE))  # 48 steps, rows every 8, snapshots every 24
     assert len(run.diagnostics) == 7 and len(run.snapshots.times) == 3
     assert run.diagnostics["t"][0] == run.snapshots.times[0] == 0.0
-    result = run_experiment(run)
-    assert result.diagnostics is run.diagnostics
-    assert list(result.diagnostics["t"]) == [k * 0.0625 for k in range(0, 49, 8)]
-    assert np.shares_memory(result.history.phi, run.snapshots.phi)
-    assert np.shares_memory(result.history.pi, run.snapshots.pi)
-    assert np.shares_memory(result.history.times, run.snapshots.times)
+    assert run_experiment(run) is run
+    assert list(run.diagnostics["t"]) == [k * 0.0625 for k in range(0, 49, 8)]
+    assert np.shares_memory(run.history.phi, run.snapshots.phi)
+    assert np.shares_memory(run.history.pi, run.snapshots.pi)
+    assert np.shares_memory(run.history.times, run.snapshots.times)
+
+
+def test_a_run_executes_once():
+    """A second execution raised a bare StopIteration from the spent row
+    index.  It is refused with one line and leaves the tables as the first
+    execution wrote them; a run whose stepping failed is refused too, and
+    neither holds a plan."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "sinh_bulk.ini"
+    run = build_run(load_config(config).replace("grid", "t_final", "0.375"))
+    assert run_experiment(run) is run and not run.geometry.plans
+    rows, snapshots = run.diagnostics.copy(), run.snapshots.phi.copy()
+    with pytest.raises(ValidationError, match="^this run has already been executed; build it again with build_run$"):
+        run_experiment(run)
+    assert np.array_equal(run.diagnostics, rows) and np.array_equal(run.snapshots.phi, snapshots)
+
+    blowup = {"model": {"kind": "sinh_gordon"}, "geometry": {"kind": "line"}}
+    failed = build_run(resolve_config({**blowup, "initial": {"kind": "gaussian", "amplitude": "40.0"}}))
+    with pytest.raises(StepFailure):
+        run_experiment(failed)
+    assert not failed.geometry.plans
+    with pytest.raises(ValidationError, match="already been executed"):
+        run_experiment(failed)
 
 
 def test_a_run_holds_its_diagnostics_in_one_float64_table():
@@ -128,16 +149,24 @@ def test_a_run_holds_its_diagnostics_in_one_float64_table():
 def test_snapshots_write_every_component_under_phi_a_at_x():
     """Each component gets a column per node, headed ``phi_a@x``; one
     component keeps the header of bare node positions."""
-    times, x = np.array([0.0, 0.125]), np.array([-1.0, 0.5, 1.25])
-    phi = np.arange(12.0).reshape(2, 2, 3) / 7
+    times = np.array([0.0, 0.125])
+    phi = np.arange(64.0).reshape(2, 2, 16) / 7
+    nodes = "-1,-0.25,0.5,1.25,2,2.75,3.5,4.25,5,5.75,6.5,7.25,8,8.75,9.5,10.25".split(",")
 
-    def lines(field):
-        history = FieldHistory(times=times, x=x, phi=field, pi=np.zeros_like(field))
-        return RunResult(diagnostics=[], history=history).snapshots_csv().splitlines()
+    def lines(field, model):
+        raw = {
+            "model": model,
+            "grid": {"x_min": "-1", "x_max": "11", "n_cells": "16", "t_final": "0.375", "snapshot_every": "1"},
+        }
+        run = build_run(resolve_config(raw))  # 16 nodes 0.75 apart, two snapshots
+        run.snapshots.times[:] = times
+        run.snapshots.phi[:] = field
+        return run.snapshots_csv().splitlines()
 
-    assert lines(phi)[0] == "t,phi_1@-1,phi_1@0.5,phi_1@1.25,phi_2@-1,phi_2@0.5,phi_2@1.25"
-    assert lines(phi)[1:] == [",".join("%.17g" % v for v in (t, *row.ravel())) for t, row in zip(times, phi)]
-    assert lines(phi[:, 1:]) == ["t,-1,0.5,1.25"] + [
+    a2 = lines(phi, {"kind": "affine_toda", "rank": "2"})
+    assert a2[0] == "t," + ",".join(f"phi_{a}@{x}" for a in (1, 2) for x in nodes)
+    assert a2[1:] == [",".join("%.17g" % v for v in (t, *row.ravel())) for t, row in zip(times, phi)]
+    assert lines(phi[:, 1:], {"kind": "klein_gordon"}) == ["t," + ",".join(nodes)] + [
         ",".join("%.17g" % v for v in (t, *row.ravel())) for t, row in zip(times, phi[:, 1:])
     ]
 
