@@ -567,12 +567,6 @@ def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
             "[geometry] right_b = '1.0,nan' has an entry that is not finite",
         ),
         ({"t_final = 2.0": "t_final = inf"}, None, "t_final = inf is not a finite number of time steps"),
-        # a ValueError traceback: numpy refuses a table past its size limit without allocating it
-        (
-            {"t_final = 2.0": "t_final = 2e18"},
-            None,
-            "the diagnostics table, 2000000000000000001 entries of 48 bytes (89406967163.1 GiB), cannot be reserved",
-        ),
         ({"x_min = 0.0": "x_min = nan"}, None, "x_min and x_max must be finite"),
         # runs that used to step: into a ZeroDivisionError traceback, or after
         # RuntimeWarnings into an exit 2 at the first observation
@@ -615,6 +609,12 @@ def _exits_one_with_one_line(tmp_path, capsys, replace, sweep, message):
         # observation, once exited 1 with the earlier members written
         ({}, "model.beta=1,0", "beta = 0.0 must be finite and nonzero"),
         ({}, "initial.amplitude=0.1,1e300", "initial state: non-finite diagnostics at t=0.0"),
+        # a ValueError traceback: numpy refuses a table past its size limit without allocating it
+        (
+            {"t_final = 2.0": "t_final = 2e18"},
+            None,
+            "the diagnostics table, 2000000000000000001 entries of 48 bytes (89406967163.1 GiB), cannot be reserved",
+        ),
     ],
 )
 def test_config_and_sweep_errors_exit_one_with_one_line(tmp_path, capsys, replace, sweep, message):
